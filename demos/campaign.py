@@ -29,7 +29,7 @@ SCENARIO = {
         {"node": 5, "injection": {"type": "uniform", "low": -30.0, "high": 30.0}},
     ]},
     "graph": {"strategy": "preventive", "regenerate_per_period": True},
-    "weights": {"kind": "random"},
+    "weights": {"type": "random"},
 }
 
 

@@ -17,7 +17,7 @@ fault set or by sweeping all candidate sets up to the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -37,14 +37,18 @@ CONDITION_LIMIT = 1e12
 WEIGHT_DEAD_ZONE = 1e-3
 
 
-def numerical_rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    """Rank by singular values, relative threshold against the largest."""
+def numerical_rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int | np.ndarray:
+    """Rank by singular values, relative threshold against the largest.
+
+    A stack of matrices, shape (..., rows, cols), gets one rank per
+    matrix from a single batched SVD; a plain matrix gets an int.
+    """
     if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+        ranks = np.zeros(a.shape[:-2], dtype=int)
+    else:
+        s = np.linalg.svd(a, compute_uv=False)
+        ranks = np.sum(s > rtol * s[..., :1], axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def combine_neighborhood(row: np.ndarray, selector: np.ndarray, values: np.ndarray) -> float:
@@ -194,55 +198,57 @@ class ObservationRecord:
         return self.samples.reshape(-1)
 
 
+def _injection_columns(n: int, k: int, fault_sets: np.ndarray) -> np.ndarray:
+    """Injection-operator columns of fault sets, step-major over each set's nodes.
+
+    fault_sets has shape (..., size); the result has shape (..., k*size).
+    """
+    steps = np.arange(k)[:, None] * n
+    return (steps + fault_sets[..., None, :]).reshape(*fault_sets.shape[:-1], -1)
+
+
 @dataclass
 class ObservabilityStack:
     """Stacked observation operators for one observer over horizon k.
 
-    o maps the initial state to the stacked snapshots; m(fault_nodes)
-    maps that fault set's stacked injections to the same snapshots. Both
-    follow the one-step recursion
-
-        O_L = [C; O_{L-1} W]      M_L = [[0, 0]; [O_{L-1} B, M_{L-1}]]
-
-    with O_0 = C and M_0 the q x 0 empty block.
+    With C the observer's selector rows and q = len(selector), row block
+    t = 0..k of o is C W^t: o maps the initial state to the k+1 stacked
+    snapshots. injection maps every node's injections at steps 0..k-1 to
+    the same snapshots: column s*n + j is node j's injection at step s,
+    and block (t, s) is C W^(t-1-s) for t > s and zero otherwise, so
+    column block s is (s+1)q zero rows over O_{k-1-s}. No block depends
+    on k, so the operators of any shorter horizon K are, up to rounding
+    in the matrix products, the leading q(K+1) rows and n*K columns.
     """
 
     o: np.ndarray
-    m_for: dict[tuple[int, ...], np.ndarray]
+    injection: np.ndarray
     k: int
     observer: int
     selector: tuple[int, ...]
-    _levels: list[np.ndarray] = field(repr=False, default_factory=list)
 
     def m(self, fault_nodes) -> np.ndarray:
-        key = tuple(sorted(int(v) for v in fault_nodes))
-        if key not in self.m_for:
-            q = len(self.selector)
-            mat = np.zeros((q, 0))
-            cols = list(key)
-            for level in range(1, self.k + 1):
-                top = np.zeros((q, level * len(cols)))
-                mat = np.vstack([top, np.hstack([self._levels[level - 1][:, cols], mat])])
-            self.m_for[key] = mat
-        return self.m_for[key]
+        """M^Y: the injection columns of fault set Y, step-major over sorted Y."""
+        key = np.array(sorted(int(v) for v in fault_nodes), dtype=int)
+        return self.injection[:, _injection_columns(self.o.shape[1], self.k, key)]
 
 
-def build_observability_stack(w: WeightMatrix, observer: int, k: int,
-                              candidate_sets=()) -> ObservabilityStack:
+def build_observability_stack(w: WeightMatrix, observer: int, k: int) -> ObservabilityStack:
     if k < 1:
         raise ValueError("horizon k must be at least 1")
     if not 0 <= observer < w.n:
         raise ValueError(f"observer {observer} out of range")
     sel = w.selector(observer)
-    c = np.eye(w.n)[list(sel), :]
-    levels = [c]
-    for _ in range(k):
-        levels.append(np.vstack([c, levels[-1] @ w.entries]))
-    stack = ObservabilityStack(o=levels[k], m_for={}, k=k, observer=observer,
-                               selector=sel, _levels=levels)
-    for cand in candidate_sets:
-        stack.m(cand)
-    return stack
+    q, n = len(sel), w.n
+    c = np.eye(n)[list(sel), :]
+    o = c
+    injection = np.zeros((q * (k + 1), n * k))
+    for level in range(k):
+        # o is O_level here: the operator seen by the injection at step k-1-level
+        step = k - 1 - level
+        injection[(step + 1) * q:, step * n:(step + 1) * n] = o
+        o = np.vstack([c, o @ w.entries])
+    return ObservabilityStack(o=o, injection=injection, k=k, observer=observer, selector=sel)
 
 
 def verify_rank_condition(w: WeightMatrix, f: int, k_max: int | None = None,
@@ -254,8 +260,9 @@ def verify_rank_condition(w: WeightMatrix, f: int, k_max: int | None = None,
     rank([O_{i,K} M_{i,K}^Y]) = n + rank(M_{i,K}^Y): the state block has
     full column rank and shares nothing with the injection block.
     Checking size-2f sets covers all smaller ones (their M is a column
-    subset), and feasibility at K implies it at K+1, so the first K
-    found is the operating horizon. Returns None when no K qualifies.
+    subset). The scan returns the first K in 1..k_max that passes; in
+    floating point a horizon that passes need not pass at K+1, so later
+    horizons are not implied. Returns None when no K qualifies.
     """
     if f < 0:
         raise ValueError("fault bound f must be non-negative")
@@ -285,32 +292,24 @@ def _smallest_split_horizon(w: WeightMatrix, subset_size: int, k_max: int | None
         k_max = n + 2
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    subsets = list(combinations(range(n), subset_size))
-    sel = {i: list(w.selector(i)) for i in range(n)}
-    eye = np.eye(n)
-    block = {i: eye[sel[i], :] for i in range(n)}
-    o_mat = {i: block[i] for i in range(n)}
-    m_mat = {(i, ys): np.zeros((len(sel[i]), 0)) for i in range(n) for ys in subsets}
-
+    subsets = np.array(list(combinations(range(n), subset_size)), dtype=int)
+    # shorter horizons are prefixes of a stack; an explicit k_max far past
+    # the default n + 2 grows the stacks by doubling rather than up front
+    built = min(k_max, n + 2)
+    stacks = [build_observability_stack(w, i, built) for i in range(n)]
     for k in range(1, k_max + 1):
-        for i in range(n):
-            o_prev = o_mat[i]
-            for ys in subsets:
-                prev = m_mat[(i, ys)]
-                top = np.zeros((len(sel[i]), k * len(ys)))
-                m_mat[(i, ys)] = np.vstack([top, np.hstack([o_prev[:, list(ys)], prev])])
-            block[i] = block[i] @ w.entries
-            o_mat[i] = np.vstack([o_prev, block[i]])
-        feasible = True
-        for i in range(n):
-            for ys in subsets:
-                m = m_mat[(i, ys)]
-                if numerical_rank(np.hstack([o_mat[i], m]), rank_rtol) != n + numerical_rank(m, rank_rtol):
-                    feasible = False
-                    break
-            if not feasible:
+        if k > built:
+            built = min(k_max, 2 * built)
+            stacks = [build_observability_stack(w, i, built) for i in range(n)]
+        cols = _injection_columns(n, k, subsets)
+        for stack in stacks:
+            rows = len(stack.selector) * (k + 1)
+            m = np.moveaxis(stack.injection[:rows, cols], 1, 0)
+            o = np.broadcast_to(stack.o[:rows], (len(subsets), rows, n))
+            split = numerical_rank(np.concatenate([o, m], axis=2), rank_rtol)
+            if np.any(split != n + numerical_rank(m, rank_rtol)):
                 break
-        if feasible:
+        else:
             return k
     return None
 

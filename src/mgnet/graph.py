@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -37,18 +37,24 @@ class Graph:
     """Simple undirected graph on nodes 0..node_count-1.
 
     Edges are stored normalized as (i, j) with i < j; the value is
-    immutable and hashable so periods can share topologies safely.
+    immutable and hashable so periods can share topologies safely. Each
+    node's neighbor set is derived from the edges once, at construction.
     """
 
     node_count: int
     edges: frozenset[Edge]
+    _neighbors: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.node_count < 1:
             raise ValueError("node_count must be a positive integer")
+        adjacent: list[set[int]] = [set() for _ in range(self.node_count)]
         for i, j in self.edges:
             if not (0 <= i < j < self.node_count):
                 raise ValueError(f"edge ({i}, {j}) out of range or not normalized")
+            adjacent[i].add(j)
+            adjacent[j].add(i)
+        object.__setattr__(self, "_neighbors", tuple(frozenset(a) for a in adjacent))
 
     @classmethod
     def from_edges(cls, node_count: int, pairs) -> "Graph":
@@ -66,13 +72,7 @@ class Graph:
     def neighbors(self, i: int) -> frozenset[int]:
         if not 0 <= i < self.node_count:
             raise ValueError(f"node {i} out of range for {self.node_count} nodes")
-        out = set()
-        for a, b in self.edges:
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return frozenset(out)
+        return self._neighbors[i]
 
     def degree(self, i: int) -> int:
         return len(self.neighbors(i))

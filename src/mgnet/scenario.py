@@ -27,7 +27,13 @@ INTERCONNECT = "interconnect"
 STAND_ALONE = "stand_alone"
 UNDECIDED = "undecided"
 
-_INJECTION_KINDS = ("explicit", "constant", "uniform", "normal")
+# fields each injection type takes besides "type"
+_INJECTION_FIELDS = {
+    "explicit": ("values",),
+    "constant": ("value",),
+    "uniform": ("low", "high"),
+    "normal": ("mean", "std"),
+}
 
 
 def evaluate_criterion(supply_total: float, demand_total: float) -> str:
@@ -202,6 +208,13 @@ class DecisionRecord:
         }
 
 
+def _reject_unknown(data: dict, allowed, ctx: str) -> None:
+    for key in data:
+        if key not in allowed:
+            raise ConfigError(
+                f"{ctx}.{key}: unknown field (expected one of: {', '.join(sorted(allowed))})")
+
+
 def _require(data: dict, key: str, ctx: str):
     if key not in data:
         raise ConfigError(f"{ctx}.{key}: missing required field")
@@ -225,6 +238,8 @@ def _as_int(value, ctx: str) -> int:
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ConfigError("scenario: top level must be a JSON object")
+    _reject_unknown(data, ("microgrids", "f", "seed", "period_hours", "attack", "consensus",
+                           "graph", "weights"), "scenario")
 
     raw_grids = _require(data, "microgrids", "scenario")
     if not isinstance(raw_grids, list) or not raw_grids:
@@ -234,6 +249,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         ctx = f"microgrids[{pos}]"
         if not isinstance(item, dict):
             raise ConfigError(f"{ctx}: must be an object")
+        _reject_unknown(item, ("id", "supply", "critical_demand", "label"), ctx)
         gid = _as_int(_require(item, "id", ctx), f"{ctx}.id")
         supply = _as_number(_require(item, "supply", ctx), f"{ctx}.supply")
         demand = _as_number(_require(item, "critical_demand", ctx), f"{ctx}.critical_demand")
@@ -258,11 +274,13 @@ def scenario_from_dict(data: dict) -> Scenario:
     raw_attack = data.get("attack", {})
     if not isinstance(raw_attack, dict):
         raise ConfigError("scenario.attack: must be an object")
+    _reject_unknown(raw_attack, ("controllers", "links", "known_to_agent"), "attack")
     plans = []
     for pos, item in enumerate(raw_attack.get("controllers", [])):
         ctx = f"attack.controllers[{pos}]"
         if not isinstance(item, dict):
             raise ConfigError(f"{ctx}: must be an object")
+        _reject_unknown(item, ("node", "injection"), ctx)
         node = _as_int(_require(item, "node", ctx), f"{ctx}.node")
         if not 0 <= node < n:
             raise ConfigError(f"{ctx}.node: {node} out of range for {n} microgrids")
@@ -270,8 +288,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         if not isinstance(inj, dict):
             raise ConfigError(f"{ctx}.injection: must be an object")
         kind = _require(inj, "type", f"{ctx}.injection")
-        if kind not in _INJECTION_KINDS:
+        if not isinstance(kind, str) or kind not in _INJECTION_FIELDS:
             raise ConfigError(f"{ctx}.injection.type: unknown kind {kind!r}")
+        _reject_unknown(inj, ("type",) + _INJECTION_FIELDS[kind], f"{ctx}.injection")
         values: tuple[float, ...] = ()
         params: tuple[tuple[str, float], ...] = ()
         if kind == "explicit":
@@ -280,15 +299,10 @@ def scenario_from_dict(data: dict) -> Scenario:
                 raise ConfigError(f"{ctx}.injection.values: must be a non-empty list")
             values = tuple(_as_number(v, f"{ctx}.injection.values[{i}]")
                            for i, v in enumerate(raw_vals))
-        elif kind == "constant":
-            params = (("value", _as_number(_require(inj, "value", f"{ctx}.injection"),
-                                           f"{ctx}.injection.value")),)
-        elif kind == "uniform":
-            params = (("low", _as_number(_require(inj, "low", f"{ctx}.injection"), f"{ctx}.injection.low")),
-                      ("high", _as_number(_require(inj, "high", f"{ctx}.injection"), f"{ctx}.injection.high")))
-        elif kind == "normal":
-            params = (("mean", _as_number(_require(inj, "mean", f"{ctx}.injection"), f"{ctx}.injection.mean")),
-                      ("std", _as_number(_require(inj, "std", f"{ctx}.injection"), f"{ctx}.injection.std")))
+        else:
+            params = tuple((name, _as_number(_require(inj, name, f"{ctx}.injection"),
+                                             f"{ctx}.injection.{name}"))
+                           for name in _INJECTION_FIELDS[kind])
         plans.append(InjectionPlan(node, kind, values, params))
     nodes = [p.node for p in plans]
     if len(set(nodes)) != len(nodes):
@@ -309,6 +323,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     raw_cons = data.get("consensus", {})
     if not isinstance(raw_cons, dict):
         raise ConfigError("scenario.consensus: must be an object")
+    _reject_unknown(raw_cons, ("k_max", "k", "residual_tol", "agreement_tol", "condition_limit",
+                               "baseline_steps", "synthesis_attempts"), "consensus")
     cons = ConsensusConfig(
         k_max=None if raw_cons.get("k_max") is None else _as_int(raw_cons["k_max"], "consensus.k_max"),
         k=None if raw_cons.get("k") is None else _as_int(raw_cons["k"], "consensus.k"),
@@ -328,6 +344,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     raw_graph = data.get("graph", {})
     if not isinstance(raw_graph, dict):
         raise ConfigError("scenario.graph: must be an object")
+    _reject_unknown(raw_graph, ("strategy", "fixed_edges", "regenerate_per_period"), "graph")
     strategy = raw_graph.get("strategy", "preventive")
     if strategy not in ("preventive", "responsive"):
         raise ConfigError(f"graph.strategy: must be 'preventive' or 'responsive', got {strategy!r}")
@@ -346,6 +363,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     raw_weights = data.get("weights", {})
     if not isinstance(raw_weights, dict):
         raise ConfigError("scenario.weights: must be an object")
+    _reject_unknown(raw_weights, ("type", "matrix"), "weights")
     wkind = raw_weights.get("type", "random")
     if wkind not in ("random", "fixed"):
         raise ConfigError(f"weights.type: must be 'random' or 'fixed', got {wkind!r}")

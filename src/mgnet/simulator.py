@@ -344,30 +344,14 @@ def _run_resilient_period(scenario: Scenario, g: Graph, decode_mode: str,
             "verdict": verdicts[i],
         }
 
-    diagnostics = {
+    return _period_record(scenario, g, period_index, run, verdicts, totals, {
         "mode": decode_mode,
         "k": k,
         "rank_split": rank_split,
-        "graph_edges": [list(e) for e in sorted(g.edges)],
         "weights_source": scenario.weights.kind,
         "declared_fault_set": list(declared) if decode_mode == "known_faults" else None,
         "controllers": per_controller,
-        "audit": {
-            "deliveries": run.audit.deliveries,
-            "locality_violations": run.audit.locality_violations,
-            "duplicate_deliveries": run.audit.duplicate_deliveries,
-        },
-        "error": None,
-    }
-    return DecisionRecord(
-        period=DecisionPeriod(period_index, scenario.period_hours),
-        per_controller_verdict=verdicts,
-        recovered_supply_total=float(np.mean(totals["supply"])),
-        recovered_demand_total=float(np.mean(totals["demand"])),
-        diagnostics=diagnostics,
-        trajectories=run.trajectories,
-        graph=g,
-    )
+    })
 
 
 def _run_baseline_period(scenario: Scenario, g: Graph, period_index: int) -> DecisionRecord:
@@ -391,10 +375,9 @@ def _run_baseline_period(scenario: Scenario, g: Graph, period_index: int) -> Dec
 
     dev_supply = max(abs(e - true_supply) for e in estimates["supply"])
     dev_demand = max(abs(e - true_demand) for e in estimates["demand"])
-    diagnostics = {
+    return _period_record(scenario, g, period_index, run, verdicts, estimates, {
         "mode": "baseline",
         "k": steps,
-        "graph_edges": [list(e) for e in sorted(g.edges)],
         "weights_source": "metropolis",
         "controllers": {
             str(i): {
@@ -407,19 +390,32 @@ def _run_baseline_period(scenario: Scenario, g: Graph, period_index: int) -> Dec
         "true_totals": {"supply": true_supply, "demand": true_demand},
         "max_estimate_deviation": {"supply": dev_supply, "demand": dev_demand},
         "estimates_reliable": bool(max(dev_supply, dev_demand) <= 1e-6 * max(true_supply, true_demand, 1.0)),
-        "audit": {
-            "deliveries": run.audit.deliveries,
-            "locality_violations": run.audit.locality_violations,
-            "duplicate_deliveries": run.audit.duplicate_deliveries,
-        },
-        "error": None,
-    }
+    })
+
+
+def _period_record(scenario: Scenario, g: Graph, period_index: int, run: EngineRun,
+                   verdicts: dict[int, str], totals: dict[str, list[float]],
+                   diagnostics: dict) -> DecisionRecord:
+    """Record of a completed period; the recorded totals are the per-controller means.
+
+    diagnostics holds the mode's own fields; the graph, the engine audit
+    and the empty error every completed period carries are added here.
+    """
     return DecisionRecord(
         period=DecisionPeriod(period_index, scenario.period_hours),
         per_controller_verdict=verdicts,
-        recovered_supply_total=float(np.mean(estimates["supply"])),
-        recovered_demand_total=float(np.mean(estimates["demand"])),
-        diagnostics=diagnostics,
+        recovered_supply_total=float(np.mean(totals["supply"])),
+        recovered_demand_total=float(np.mean(totals["demand"])),
+        diagnostics={
+            **diagnostics,
+            "graph_edges": [list(e) for e in sorted(g.edges)],
+            "audit": {
+                "deliveries": run.audit.deliveries,
+                "locality_violations": run.audit.locality_violations,
+                "duplicate_deliveries": run.audit.duplicate_deliveries,
+            },
+            "error": None,
+        },
         trajectories=run.trajectories,
         graph=g,
     )

@@ -122,3 +122,31 @@ def observability_index_oracle(w: np.ndarray, observer: int, k_max: int) -> int 
         if np.linalg.matrix_rank(o) == n:
             return k
     return None
+
+
+def split_horizon_oracle(w: np.ndarray, subset_size: int, k_max: int, rtol: float) -> int | None:
+    """Smallest K <= k_max at which every observer splits every node set of subset_size.
+
+    One (observer, node set) pair at a time: rank([O M]) must equal
+    n + rank(M), ranks counted from the SVD as singular values above
+    rtol times the largest, operators from stacked_operators.
+    """
+    w = np.asarray(w, dtype=float)
+    n = w.shape[0]
+
+    def rank(a):
+        if a.size == 0:
+            return 0
+        s = np.linalg.svd(a, compute_uv=False)
+        return int(np.sum(s > rtol * s[0]))
+
+    for k in range(1, k_max + 1):
+        feasible = True
+        for observer in range(n):
+            for ys in combinations(range(n), subset_size):
+                o, m = stacked_operators(w, observer, k, ys)
+                if rank(np.hstack([o, m])) != n + rank(m):
+                    feasible = False
+        if feasible:
+            return k
+    return None

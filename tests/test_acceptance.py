@@ -300,7 +300,7 @@ def test_criterion_7_round_engine_is_bitwise_faithful_and_blind():
     from mgnet.scenario import scenario_from_dict, scenario_to_dict
     data = scenario_to_dict(sc)
     data["graph"] = {"strategy": "preventive", "regenerate_per_period": True}
-    data["weights"] = {"kind": "random"}
+    data["weights"] = {"type": "random"}
     data["consensus"]["k"] = None
     blind_sc = scenario_from_dict(data)
     agent = CommunicationAgent("preventive", blind_sc.f, blind_sc.seed)

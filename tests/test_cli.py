@@ -88,6 +88,16 @@ class TestRun:
         assert code == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_weights_kind_scenario_exits_one(self, tmp_path, capsys):
+        data = scenario_to_dict(load_golden_scenario())
+        data["weights"]["kind"] = data["weights"].pop("type")
+        path = tmp_path / "kind.json"
+        path.write_text(json.dumps(data))
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "weights.kind: unknown field" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_fixed_graph_override(self, tmp_path):
         ref = load_golden_scenario().fixed_graph()
         gfile = tmp_path / "ref.edges"
@@ -220,7 +230,7 @@ class TestSeedPrecedence:
         # resilient totals are seed independent; the drawn topology is not
         data = scenario_to_dict(load_golden_scenario())
         data["graph"] = {"strategy": "preventive", "regenerate_per_period": True}
-        data["weights"] = {"kind": "random"}
+        data["weights"] = {"type": "random"}
         data["consensus"]["k"] = None
         data["attack"]["controllers"] = [
             {"node": 3, "injection": {"type": "constant", "value": 40.0}}]

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from mgnet import consensus
 from mgnet import (
     DecodeFailureError,
     DecodeInconsistencyError,
@@ -25,13 +26,14 @@ from mgnet import (
     verify_candidate_uniqueness,
     verify_rank_condition,
 )
-from mgnet.consensus import WEIGHT_DEAD_ZONE, combine_neighborhood, numerical_rank
+from mgnet.consensus import RANK_RTOL, WEIGHT_DEAD_ZONE, combine_neighborhood, numerical_rank
 
 from conftest import REF_SUPPLIES
 from oracles import (
     brute_force_connectivity,
     matrix_iteration_oracle,
     observability_index_oracle,
+    split_horizon_oracle,
     stacked_operators,
 )
 
@@ -131,7 +133,7 @@ class TestObservabilityStack:
 
     def test_reference_dimensions(self, ref_weights):
         # observer 0 sees itself plus 3 neighbors: 4 rows per snapshot
-        stack = build_observability_stack(ref_weights, 0, 3, candidate_sets=[(3,)])
+        stack = build_observability_stack(ref_weights, 0, 3)
         assert stack.o.shape == (16, 6)
         assert stack.m((3,)).shape == (16, 3)
 
@@ -146,6 +148,20 @@ class TestObservabilityStack:
             o, m = stacked_operators(w.entries, observer, k, faults)
             assert np.allclose(stack.o, o, rtol=0, atol=1e-12)
             assert np.allclose(stack.m(faults), m, rtol=0, atol=1e-12)
+
+    def test_shorter_horizons_are_leading_blocks(self):
+        rng = np.random.default_rng(89)
+        for seed in (4, 5, 6):
+            _, w = _synthesized_instance(seed, n=int(rng.integers(4, 8)))
+            observer = int(rng.integers(0, w.n))
+            long = build_observability_stack(w, observer, w.n + 2)
+            q = len(long.selector)
+            for k in range(1, w.n + 2):
+                short = build_observability_stack(w, observer, k)
+                rows = q * (k + 1)
+                assert np.allclose(long.o[:rows], short.o, rtol=0, atol=1e-12)
+                assert np.allclose(long.injection[:rows, :w.n * k], short.injection,
+                                   rtol=0, atol=1e-12)
 
     def test_argument_validation(self, ref_weights):
         with pytest.raises(ValueError):
@@ -249,6 +265,35 @@ class TestVerifyRankCondition:
             verify_rank_condition(ref_weights, -1)
         with pytest.raises(ValueError):
             verify_rank_condition(ref_weights, 1, k_max=0)
+
+    def test_large_k_max_builds_only_the_horizons_scanned(self, ref_weights, monkeypatch):
+        # stacks at k_max itself would need ~175 TiB here, which no allocator grants
+        horizons = []
+        build = consensus.build_observability_stack
+        monkeypatch.setattr(consensus, "build_observability_stack",
+                            lambda w, i, k: horizons.append(k) or build(w, i, k))
+        assert verify_rank_condition(ref_weights, 0, k_max=10**6) == 1
+        assert set(horizons) == {ref_weights.n + 2}
+
+    def test_both_splits_match_the_per_pair_oracle(self):
+        rng = np.random.default_rng(4242)
+        outcomes = []
+        for _ in range(20):
+            n, f = int(rng.integers(4, 8)), int(rng.integers(0, 3))
+            if n >= 2 * f + 1 and rng.random() < 0.5:
+                g = generate_preventive(n, f, rng)
+            else:
+                pairs = list(combinations(range(n), 2))
+                g = Graph.from_edges(n, [p for p in pairs if rng.random() < 0.6])
+            w = _random_pattern_weights(g, rng)
+            # past the default n + 2, so the check also grows its stacks
+            k_max = n + 4
+            full = verify_rank_condition(w, f, k_max)
+            weak = verify_candidate_uniqueness(w, f, k_max)
+            assert full == split_horizon_oracle(w.entries, min(2 * f, n), k_max, RANK_RTOL)
+            assert weak == split_horizon_oracle(w.entries, min(f, n), k_max, RANK_RTOL)
+            outcomes += [full, weak]
+        assert None in outcomes and any(k is not None for k in outcomes)
 
     def test_uniqueness_split_is_implied_by_the_full_split(self):
         for seed in (21, 22):
@@ -530,6 +575,10 @@ class TestNumericsHelpers:
         assert numerical_rank(np.eye(5) * 1e-30) == 5
         a = np.diag([1.0, 1e-6, 1e-12])
         assert numerical_rank(a) == 2
+        # a stack gets one rank per matrix, each against its own largest value
+        stack = np.stack([np.zeros((3, 3)), a, np.eye(3) * 1e-30])
+        assert numerical_rank(stack).tolist() == [0, 2, 3]
+        assert numerical_rank(np.zeros((4, 3, 0))).tolist() == [0, 0, 0, 0]
 
     def test_combine_neighborhood_is_a_masked_dot(self):
         row = np.array([2.0, 0.0, -1.0, 0.5])

@@ -96,6 +96,33 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="unknown kind"):
             scenario_from_dict(data)
 
+    def test_non_string_injection_kind(self):
+        data = minimal_dict(attack={"controllers": [
+            {"node": 0, "injection": {"type": ["uniform"]}}]})
+        with pytest.raises(ConfigError, match="unknown kind"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("path, overrides", [
+        ("scenario.periods", {"periods": 3}),
+        (r"microgrids\[0\]\.name", {"microgrids": [
+            {"id": 0, "supply": 1.0, "critical_demand": 1.0, "name": "a"}]}),
+        ("attack.nodes", {"attack": {"nodes": [0]}}),
+        (r"attack\.controllers\[0\]\.kind", {"attack": {"controllers": [
+            {"node": 0, "kind": "constant", "injection": {"type": "constant", "value": 1.0}}]}}),
+        (r"attack\.controllers\[0\]\.injection\.value", {"attack": {"controllers": [
+            {"node": 0, "injection": {"type": "uniform", "low": 0.0, "high": 1.0, "value": 1.0}}]}}),
+        (r"attack\.controllers\[0\]\.injection\.values", {"attack": {"controllers": [
+            {"node": 0, "injection": {"type": "constant", "value": 1.0, "values": [1.0]}}]}}),
+        ("consensus.horizon", {"consensus": {"horizon": 4}}),
+        ("graph.edges", {"graph": {"edges": [[0, 1]]}}),
+        ("weights.seed", {"weights": {"type": "random", "seed": 3}}),
+        # a misspelt "type" must fail, not silently load as random weights
+        ("weights.kind", {"weights": {"kind": "fixed", "matrix": REF_W}}),
+    ])
+    def test_unknown_field_names_its_path(self, path, overrides):
+        with pytest.raises(ConfigError, match=rf"^{path}: unknown field"):
+            scenario_from_dict(minimal_dict(**overrides))
+
     def test_attack_link_out_of_range(self):
         data = minimal_dict(attack={"links": [[0, 9]]})
         with pytest.raises(ConfigError, match=r"attack\.links"):
