@@ -17,7 +17,7 @@ fault set or by sweeping all candidate sets up to the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -66,13 +66,17 @@ class WeightMatrix:
 
     entries[i, j] may be nonzero only for j in N(i) or j = i; nothing
     else about the values is assumed (no symmetry, no row sums).
+    entries is a read-only copy of the array passed in, so the rank-split
+    horizons found for this matrix are memoised on it and stay valid.
     """
 
     entries: np.ndarray
     graph: Graph
+    _horizons: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.entries, dtype=float)
+        w = np.array(self.entries, dtype=float)
+        w.flags.writeable = False
         object.__setattr__(self, "entries", w)
         n = self.graph.node_count
         if w.shape != (n, n):
@@ -263,6 +267,12 @@ def verify_rank_condition(w: WeightMatrix, f: int, k_max: int | None = None,
     subset). The scan returns the first K in 1..k_max that passes; in
     floating point a horizon that passes need not pass at K+1, so later
     horizons are not implied. Returns None when no K qualifies.
+
+    The answer is computed once per (subset size, k_max, rank_rtol) and
+    memoised on w, so repeating the check on the same matrix costs a
+    lookup. Observers are scanned fewest neighbours first, since a
+    horizon fails at its first failing observer; each observer's test is
+    independent of the others, so the order changes no answer.
     """
     if f < 0:
         raise ValueError("fault bound f must be non-negative")
@@ -292,15 +302,27 @@ def _smallest_split_horizon(w: WeightMatrix, subset_size: int, k_max: int | None
         k_max = n + 2
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    key = (subset_size, k_max, rank_rtol)
+    if key not in w._horizons:
+        w._horizons[key] = _scan_split_horizons(w, subset_size, k_max, rank_rtol)
+    return w._horizons[key]
+
+
+def _scan_split_horizons(w: WeightMatrix, subset_size: int, k_max: int,
+                         rank_rtol: float) -> int | None:
+    n = w.n
     subsets = np.array(list(combinations(range(n), subset_size)), dtype=int)
+    # a horizon fails at its first failing observer, and observers that see
+    # the fewest neighbours are the likeliest to fail
+    observers = sorted(range(n), key=lambda i: len(w.selector(i)))
     # shorter horizons are prefixes of a stack; an explicit k_max far past
     # the default n + 2 grows the stacks by doubling rather than up front
     built = min(k_max, n + 2)
-    stacks = [build_observability_stack(w, i, built) for i in range(n)]
+    stacks = [build_observability_stack(w, i, built) for i in observers]
     for k in range(1, k_max + 1):
         if k > built:
             built = min(k_max, 2 * built)
-            stacks = [build_observability_stack(w, i, built) for i in range(n)]
+            stacks = [build_observability_stack(w, i, built) for i in observers]
         cols = _injection_columns(n, k, subsets)
         for stack in stacks:
             rows = len(stack.selector) * (k + 1)

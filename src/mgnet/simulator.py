@@ -277,6 +277,9 @@ def _pick_horizon(scenario: Scenario, w: WeightMatrix) -> tuple[int, str]:
     and the unknown-fault decoder's runtime agreement check carries the
     cross-hypothesis guarantee; without an explicit k there is no
     principled horizon to fall back to, so the full split is required.
+    For synthesized weights the full split is the certificate synthesis
+    already computed with the same k_max, read back from the matrix's
+    memo rather than scanned again.
     """
     cc = scenario.consensus
     k_max = cc.k_max_for(scenario.n)

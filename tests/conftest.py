@@ -1,4 +1,7 @@
-"""Shared fixtures: the six-microgrid reference system used across tests."""
+"""Shared fixtures (the six-microgrid reference system) and test helpers."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ REF_W = [
 
 REF_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
 
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
 REF_SUPPLIES = [24.17, 64.31, 89.19, 134.43, 49.65, 79.69]
 REF_DEMANDS = [22.30, 44.72, 111.80, 89.44, 89.44, 22.36]
 
@@ -30,3 +35,17 @@ def ref_graph() -> Graph:
 @pytest.fixture(scope="session")
 def ref_weights(ref_graph) -> WeightMatrix:
     return WeightMatrix(np.array(REF_W, dtype=float), ref_graph)
+
+
+def checkout_env() -> dict:
+    """The current environment with this checkout's src/ first on PYTHONPATH.
+
+    Subprocesses started from another working directory then import this
+    checkout's mgnet, not an installed one or none at all.
+    """
+    env = dict(os.environ)
+    paths = [str(SRC_DIR)]
+    if env.get("PYTHONPATH"):
+        paths.append(env["PYTHONPATH"])
+    env["PYTHONPATH"] = os.pathsep.join(paths)
+    return env

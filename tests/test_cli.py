@@ -12,7 +12,7 @@ from mgnet.graph import Graph
 from mgnet.scenario import load_golden_scenario, save_scenario, scenario_to_dict
 from mgnet.scenario import scenario_from_dict
 
-from conftest import REF_W
+from conftest import REF_W, checkout_env
 
 
 @pytest.fixture(autouse=True)
@@ -279,3 +279,17 @@ class TestParser:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "supply_total=441.4400" in proc.stdout
+
+    @pytest.mark.parametrize("argv, code, marker", [
+        (["run", "--scenario", "golden", "--out", "o"], 0, "supply_total=441.4400"),
+        (["run", "--scenario", "missing.json", "--out", "o"], 1, "missing.json"),
+        (["verify", "--weights", "w.csv", "--f", "1"], 2, "FAILS for f=1"),
+    ])
+    def test_module_entrypoint_exit_codes(self, tmp_path, argv, code, marker):
+        # the process-level path: entrypoint() turns main()'s result into the exit status
+        (tmp_path / "w.csv").write_text(ref_csv_text())
+        proc = subprocess.run(
+            [sys.executable, "-m", "mgnet.cli", *argv], cwd=tmp_path, env=checkout_env(),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert marker in proc.stdout + proc.stderr

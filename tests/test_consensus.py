@@ -28,7 +28,7 @@ from mgnet import (
 )
 from mgnet.consensus import RANK_RTOL, WEIGHT_DEAD_ZONE, combine_neighborhood, numerical_rank
 
-from conftest import REF_SUPPLIES
+from conftest import REF_SUPPLIES, REF_W
 from oracles import (
     brute_force_connectivity,
     matrix_iteration_oracle,
@@ -302,6 +302,58 @@ class TestVerifyRankCondition:
             weak = verify_candidate_uniqueness(w, 1)
             assert full is not None
             assert weak is not None and weak <= full
+
+
+class TestSplitHorizonMemo:
+    """Each matrix scans its rank split once per (subset size, k_max, rtol)."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        horizons = []
+        build = consensus.build_observability_stack
+        monkeypatch.setattr(consensus, "build_observability_stack",
+                            lambda w, i, k: horizons.append(k) or build(w, i, k))
+        return horizons
+
+    @pytest.fixture
+    def fresh(self, ref_graph):
+        # a new matrix per test, so no other test can have warmed its memo
+        return WeightMatrix(np.array(REF_W, dtype=float), ref_graph)
+
+    def test_repeated_check_builds_nothing(self, fresh, builds):
+        assert verify_rank_condition(fresh, 1, 8) is None
+        assert len(builds) == fresh.n
+        assert verify_rank_condition(fresh, 1, 8) is None
+        # k_max=None means n + 2, which is the horizon already scanned
+        assert verify_rank_condition(fresh, 1) is None
+        assert verify_rank_condition(fresh, 0) == 1
+        scanned = len(builds)
+        assert verify_rank_condition(fresh, 0) == 1
+        # f=0 asks both splits for size-0 fault sets: one scan serves them
+        assert verify_candidate_uniqueness(fresh, 0) == 1
+        assert len(builds) == scanned
+
+    def test_another_key_scans_again(self, fresh, builds):
+        full = verify_rank_condition(fresh, 1, 8)
+        scanned = len(builds)
+        assert verify_rank_condition(fresh, 1, 4) == full
+        assert len(builds) > scanned
+        scanned = len(builds)
+        assert verify_candidate_uniqueness(fresh, 1, 8) is not None
+        assert len(builds) > scanned
+        scanned = len(builds)
+        assert verify_rank_condition(fresh, 1, 8, rank_rtol=1e-8) is None
+        assert len(builds) > scanned
+
+    def test_entries_are_a_read_only_copy(self, ref_graph):
+        src = np.array(REF_W, dtype=float)
+        w = WeightMatrix(src, ref_graph)
+        with pytest.raises(ValueError):
+            w.entries[0, 0] = 1.0
+        assert src.flags.writeable
+        assert np.array_equal(src, REF_W)
+        src[0, 0] = 1.0
+        assert w.entries[0, 0] == REF_W[0][0]
 
 
 class TestSynthesizeWeights:

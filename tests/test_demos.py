@@ -1,15 +1,15 @@
 """Each demo script runs clean from an empty working directory."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import checkout_env
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_DIR = ROOT / "demos"
-SRC_DIR = ROOT / "src"
 
 MARKERS = {
     "golden_walkthrough.py": "every controller agreed",
@@ -27,21 +27,11 @@ ARTIFACTS = {
 }
 
 
-def _child_env():
-    """The current environment with this checkout's src/ first on PYTHONPATH."""
-    env = dict(os.environ)
-    paths = [str(SRC_DIR)]
-    if env.get("PYTHONPATH"):
-        paths.append(env["PYTHONPATH"])
-    env["PYTHONPATH"] = os.pathsep.join(paths)
-    return env
-
-
 @pytest.mark.parametrize("script", sorted(MARKERS))
 def test_demo_runs_clean(script, tmp_path):
     proc = subprocess.run(
         [sys.executable, str(DEMO_DIR / script)],
-        cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=120)
+        cwd=tmp_path, env=checkout_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert MARKERS[script] in proc.stdout
     for rel in ARTIFACTS[script]:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from mgnet import consensus
 from mgnet import (
     ConfigError,
     Graph,
@@ -175,6 +176,24 @@ class TestRunPeriod:
         assert rec.recovered_supply_total == pytest.approx(supply, rel=1e-9)
         assert rec.recovered_demand_total == pytest.approx(demand, rel=1e-9)
         assert rec.unanimous()
+
+    def test_one_split_scan_per_weight_draw(self, monkeypatch):
+        # the golden system with synthesized weights: the horizon pick reads
+        # synthesis's certificate instead of scanning the winning draw again
+        data = scenario_to_dict(golden())
+        data["weights"] = {"type": "random"}
+        sc = scenario_from_dict(data)
+        draws, builds = [], []
+        check, build = consensus.verify_rank_condition, consensus.build_observability_stack
+        monkeypatch.setattr(consensus, "verify_rank_condition",
+                            lambda *args: draws.append(args) or check(*args))
+        # the decoders build through the simulator's own binding, not counted here
+        monkeypatch.setattr(consensus, "build_observability_stack",
+                            lambda w, i, k: builds.append(k) or build(w, i, k))
+        rec = run_period(sc, CommunicationAgent(sc.graph.strategy, sc.f, sc.seed),
+                         "unknown_faults")
+        assert rec.diagnostics["rank_split"] == "full"
+        assert draws and len(builds) == sc.n * len(draws)
 
     def test_baseline_mode_reports_estimate_deviation(self):
         sc = golden()
