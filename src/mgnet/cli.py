@@ -23,7 +23,7 @@ from .errors import (
     SynthesisError,
 )
 from .graph import Graph, LinkAttackSet, generate_preventive, generate_responsive, vertex_connectivity
-from .consensus import WeightMatrix, verify_rank_condition
+from .consensus import WeightMatrix, default_k_max, verify_rank_condition
 from .scenario import golden_scenario_path, load_scenario
 from .simulator import CommunicationAgent, run_campaign, write_run_artifacts
 
@@ -153,7 +153,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         w = WeightMatrix.from_csv_text(text)
     except ValueError as exc:
         raise ConfigError(f"weights file {args.weights}: {exc}") from None
-    k_max = args.k_max if args.k_max is not None else w.n + 2
+    k_max = args.k_max if args.k_max is not None else default_k_max(w.n)
     k = verify_rank_condition(w, args.f, k_max)
     if k is None:
         print(f"rank condition FAILS for f={args.f} at every K <= {k_max}")

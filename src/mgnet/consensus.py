@@ -35,6 +35,13 @@ RESIDUAL_TOL = 1e-8
 AGREEMENT_RTOL = 1e-6
 CONDITION_LIMIT = 1e12
 WEIGHT_DEAD_ZONE = 1e-3
+BASELINE_STEPS = 30
+SYNTHESIS_ATTEMPTS = 40
+
+
+def default_k_max(n: int) -> int:
+    """Horizon cap of the rank split when none is configured."""
+    return n + 2
 
 
 def numerical_rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int | np.ndarray:
@@ -297,9 +304,8 @@ def verify_candidate_uniqueness(w: WeightMatrix, f: int, k_max: int | None = Non
 
 def _smallest_split_horizon(w: WeightMatrix, subset_size: int, k_max: int | None,
                             rank_rtol: float) -> int | None:
-    n = w.n
     if k_max is None:
-        k_max = n + 2
+        k_max = default_k_max(w.n)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     key = (subset_size, k_max, rank_rtol)
@@ -316,8 +322,8 @@ def _scan_split_horizons(w: WeightMatrix, subset_size: int, k_max: int,
     # the fewest neighbours are the likeliest to fail
     observers = sorted(range(n), key=lambda i: len(w.selector(i)))
     # shorter horizons are prefixes of a stack; an explicit k_max far past
-    # the default n + 2 grows the stacks by doubling rather than up front
-    built = min(k_max, n + 2)
+    # the default grows the stacks by doubling rather than up front
+    built = min(k_max, default_k_max(n))
     stacks = [build_observability_stack(w, i, built) for i in observers]
     for k in range(1, k_max + 1):
         if k > built:
@@ -345,7 +351,7 @@ def _sample_weight(rng: np.random.Generator) -> float:
 
 
 def synthesize_weights(g: Graph, f: int, rng: np.random.Generator,
-                       k_max: int | None = None, max_attempts: int = 40,
+                       k_max: int | None = None, max_attempts: int = SYNTHESIS_ATTEMPTS,
                        rank_rtol: float = RANK_RTOL) -> WeightMatrix:
     """Draw random pattern-respecting weights until the rank split holds.
 

@@ -276,8 +276,9 @@ def extend_graph(g: Graph, m: int, targets=None, rng: np.random.Generator | None
         if rng is None:
             raise ValueError("need explicit targets or an rng to sample them")
         targets = [int(v) for v in rng.choice(g.node_count, size=m, replace=False)]
-    chosen = {int(v) for v in targets}
-    if len(chosen) != len(list(targets)) or len(chosen) != m:
+    targets = [int(v) for v in targets]
+    chosen = set(targets)
+    if len(chosen) != len(targets) or len(chosen) != m:
         raise ValueError(f"targets must be {m} distinct nodes")
     for v in chosen:
         if not 0 <= v < g.node_count:

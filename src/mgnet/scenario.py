@@ -19,7 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .consensus import InjectionSchedule
+from .consensus import (
+    AGREEMENT_RTOL,
+    BASELINE_STEPS,
+    CONDITION_LIMIT,
+    RESIDUAL_TOL,
+    SYNTHESIS_ATTEMPTS,
+    InjectionSchedule,
+    default_k_max,
+)
 from .errors import ConfigError
 from .graph import Graph, LinkAttackSet
 
@@ -123,14 +131,14 @@ def sample_injections(attack: AttackSpec, steps: int, rng: np.random.Generator) 
 class ConsensusConfig:
     k_max: int | None = None
     k: int | None = None
-    residual_tol: float = 1e-8
-    agreement_tol: float = 1e-6
-    condition_limit: float = 1e12
-    baseline_steps: int = 30
-    synthesis_attempts: int = 40
+    residual_tol: float = RESIDUAL_TOL
+    agreement_tol: float = AGREEMENT_RTOL
+    condition_limit: float = CONDITION_LIMIT
+    baseline_steps: int = BASELINE_STEPS
+    synthesis_attempts: int = SYNTHESIS_ATTEMPTS
 
     def k_max_for(self, n: int) -> int:
-        return self.k_max if self.k_max is not None else n + 2
+        return self.k_max if self.k_max is not None else default_k_max(n)
 
 
 @dataclass(frozen=True)
@@ -235,6 +243,12 @@ def _as_int(value, ctx: str) -> int:
     return value
 
 
+def _as_bool(value, ctx: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{ctx}: expected true or false, got {value!r}")
+    return value
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ConfigError("scenario: top level must be a JSON object")
@@ -318,28 +332,27 @@ def scenario_from_dict(data: dict) -> Scenario:
         links.validate_range(n)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"attack.links: {exc}") from None
-    attack = AttackSpec(tuple(plans), links, bool(raw_attack.get("known_to_agent", False)))
+    attack = AttackSpec(tuple(plans), links,
+                        _as_bool(raw_attack.get("known_to_agent", False), "attack.known_to_agent"))
 
     raw_cons = data.get("consensus", {})
     if not isinstance(raw_cons, dict):
         raise ConfigError("scenario.consensus: must be an object")
     _reject_unknown(raw_cons, ("k_max", "k", "residual_tol", "agreement_tol", "condition_limit",
                                "baseline_steps", "synthesis_attempts"), "consensus")
+    default = ConsensusConfig()
     cons = ConsensusConfig(
         k_max=None if raw_cons.get("k_max") is None else _as_int(raw_cons["k_max"], "consensus.k_max"),
         k=None if raw_cons.get("k") is None else _as_int(raw_cons["k"], "consensus.k"),
-        residual_tol=_as_number(raw_cons.get("residual_tol", 1e-8), "consensus.residual_tol"),
-        agreement_tol=_as_number(raw_cons.get("agreement_tol", 1e-6), "consensus.agreement_tol"),
-        condition_limit=_as_number(raw_cons.get("condition_limit", 1e12), "consensus.condition_limit"),
-        baseline_steps=_as_int(raw_cons.get("baseline_steps", 30), "consensus.baseline_steps"),
-        synthesis_attempts=_as_int(raw_cons.get("synthesis_attempts", 40), "consensus.synthesis_attempts"),
+        **{name: _as_number(raw_cons.get(name, getattr(default, name)), f"consensus.{name}")
+           for name in ("residual_tol", "agreement_tol", "condition_limit")},
+        **{name: _as_int(raw_cons.get(name, getattr(default, name)), f"consensus.{name}")
+           for name in ("baseline_steps", "synthesis_attempts")},
     )
-    if cons.k_max is not None and cons.k_max < 1:
-        raise ConfigError("consensus.k_max: must be at least 1")
-    if cons.k is not None and cons.k < 1:
-        raise ConfigError("consensus.k: must be at least 1")
-    if cons.baseline_steps < 1:
-        raise ConfigError("consensus.baseline_steps: must be at least 1")
+    for name in ("k_max", "k", "baseline_steps", "synthesis_attempts"):
+        value = getattr(cons, name)
+        if value is not None and value < 1:
+            raise ConfigError(f"consensus.{name}: must be at least 1")
 
     raw_graph = data.get("graph", {})
     if not isinstance(raw_graph, dict):
@@ -358,7 +371,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"graph.fixed_edges: {exc}") from None
     graph_cfg = GraphConfig(strategy, fixed_edges,
-                            bool(raw_graph.get("regenerate_per_period", True)))
+                            _as_bool(raw_graph.get("regenerate_per_period", True),
+                                     "graph.regenerate_per_period"))
 
     raw_weights = data.get("weights", {})
     if not isinstance(raw_weights, dict):

@@ -3,10 +3,11 @@
 Each microgrid controller is a little state machine that sees only its
 own profile and the messages arriving over edges of the period's graph.
 The engine is the delivery medium: it routes messages strictly along
-edges (and keeps an audit trail proving it), holds the attack schedule,
-and corrupts the compromised controllers' updates. It also keeps a
-medium-level copy of every step's state so a run can be checked
-bit-for-bit against the compact-form iteration.
+edges and counts each delivery, holds the attack schedule, and corrupts
+the compromised controllers' updates; each controller rejects messages
+from non-neighbours and duplicates. It also keeps a medium-level copy
+of every step's state so a run can be checked bit-for-bit against the
+compact-form iteration.
 
 Record conventions: in resilient modes the record's scalar totals are
 the mean of the per-controller decoded totals (which agree to the
@@ -18,6 +19,7 @@ averaging offers in place of a decode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,15 +74,8 @@ class Message:
     value: float
 
 
-@dataclass
-class EngineAudit:
-    deliveries: int = 0
-    locality_violations: int = 0
-    duplicate_deliveries: int = 0
-
-
 class ControllerState:
-    """One microgrid's controller; knows its profile and nothing else.
+    """One microgrid's controller; starts from its own profile and knows nothing else.
 
     Protocol constants (graph, weight matrix, horizon, fault knowledge)
     are public configuration every node carries; other grids' profiles
@@ -90,15 +85,14 @@ class ControllerState:
     def __init__(self, node: int, profile: MicrogridProfile, weight_row: np.ndarray,
                  selector: tuple[int, ...], horizon: int):
         self.id = node
-        self.profile = profile
         self.weight_row = np.asarray(weight_row, dtype=float)
-        self.selector = np.asarray(selector, dtype=int)
+        self.neighborhood = tuple(int(v) for v in selector)
+        self.selector = np.asarray(self.neighborhood, dtype=int)
         self.horizon = horizon
         self.values = {"supply": float(profile.supply), "demand": float(profile.critical_demand)}
         self.inbox: dict[str, dict[int, dict[int, float]]] = {q: {} for q in QUANTITIES}
         self.samples: dict[str, list[list[float]]] = {q: [] for q in QUANTITIES}
-        self.verdict = UNDECIDED
-        self._peers = {int(v) for v in selector} - {node}
+        self._peers = set(self.neighborhood) - {node}
 
     def outgoing(self, step: int) -> list[Message]:
         return [Message(self.id, step, q, self.values[q]) for q in QUANTITIES]
@@ -116,14 +110,14 @@ class ControllerState:
     def _neighborhood_row(self, quantity: str, step: int) -> list[float]:
         bucket = self.inbox[quantity].get(step, {})
         row = []
-        for j in self.selector:
+        for j in self.neighborhood:
             if j == self.id:
                 row.append(self.values[quantity])
+            elif j in bucket:
+                row.append(bucket[j])
             else:
-                if int(j) not in bucket:
-                    raise InternalInvariantError(
-                        f"controller {self.id} is missing step-{step} input from {j}")
-                row.append(bucket[int(j)])
+                raise InternalInvariantError(
+                    f"controller {self.id} is missing step-{step} input from {j}")
         return row
 
     def record_observation(self, step: int) -> None:
@@ -133,15 +127,17 @@ class ControllerState:
             self.samples[q].append(self._neighborhood_row(q, step))
 
     def advance(self, step: int, injection: float | None) -> None:
+        """Step from the rows record_observation(step) stored; in the lockstep
+        it always follows that call, so each row is assembled once."""
         for q in QUANTITIES:
-            vals = np.array(self._neighborhood_row(q, step), dtype=float)
+            vals = np.array(self.samples[q][step], dtype=float)
             nxt = combine_neighborhood(self.weight_row, self.selector, vals)
             if injection is not None:
                 nxt = nxt + injection
             self.values[q] = nxt
 
     def observation_record(self, quantity: str) -> ObservationRecord:
-        return ObservationRecord(self.id, tuple(int(v) for v in self.selector),
+        return ObservationRecord(self.id, self.neighborhood,
                                  np.array(self.samples[quantity], dtype=float))
 
 
@@ -149,7 +145,7 @@ class ControllerState:
 class EngineRun:
     observations: dict[str, list[ObservationRecord]]
     trajectories: dict[str, np.ndarray]
-    audit: EngineAudit
+    deliveries: int
 
 
 class RoundEngine:
@@ -169,7 +165,7 @@ class RoundEngine:
         self.weights = weights
         self.schedule = schedule
         self.horizon = horizon
-        self.audit = EngineAudit()
+        self.deliveries = 0
         self.controllers = [
             ControllerState(i, profiles[i], weights.entries[i], weights.selector(i), horizon)
             for i in range(n)
@@ -177,14 +173,14 @@ class RoundEngine:
         self._faulty = set(schedule.faulty_nodes)
 
     def _exchange(self, step: int) -> None:
+        # inboxes are keyed by sender, so delivery order changes nothing
         for sender in self.controllers:
-            for msg in sender.outgoing(step):
-                for nb in sorted(self.graph.neighbors(msg.sender)):
-                    if not self.graph.has_edge(msg.sender, nb):
-                        self.audit.locality_violations += 1
-                        raise InternalInvariantError("delivery attempted off-graph")
-                    self.audit.deliveries += 1
-                    self.controllers[nb].deliver(msg)
+            outgoing = sender.outgoing(step)
+            for nb in self.graph.neighbors(sender.id):
+                receiver = self.controllers[nb]
+                for msg in outgoing:
+                    receiver.deliver(msg)
+                    self.deliveries += 1
 
     def run(self) -> EngineRun:
         n = self.graph.node_count
@@ -204,7 +200,7 @@ class RoundEngine:
         observations = {
             q: [c.observation_record(q) for c in self.controllers] for q in QUANTITIES
         }
-        return EngineRun(observations, states, self.audit)
+        return EngineRun(observations, states, self.deliveries)
 
 
 @dataclass
@@ -255,10 +251,17 @@ def _topology(scenario: Scenario, agent: CommunicationAgent, period: int,
     return agent.build_graph(scenario.n, links, period)
 
 
+@lru_cache(maxsize=1)
+def _fixed_weights(matrix: tuple[tuple[float, ...], ...], g: Graph) -> WeightMatrix:
+    # shared by every period on the same matrix and graph: its entries are read-only
+    # and the split horizons it memoises depend on nothing else
+    return WeightMatrix(np.array(matrix, dtype=float), g)
+
+
 def _resilient_weights(scenario: Scenario, g: Graph, period: int) -> WeightMatrix:
     if scenario.weights.kind == "fixed":
         try:
-            return WeightMatrix(np.array(scenario.weights.matrix, dtype=float), g)
+            return _fixed_weights(scenario.weights.matrix, g)
         except ValueError as exc:
             raise ConfigError(f"weights.matrix does not fit the period graph: {exc}") from None
     return synthesize_weights(
@@ -321,8 +324,7 @@ def _run_resilient_period(scenario: Scenario, g: Graph, decode_mode: str,
     w = _resilient_weights(scenario, g, period_index)
     k, rank_split = _pick_horizon(scenario, w)
     schedule = sample_injections(scenario.attack, k, _rng(scenario.seed, period_index, _ATTACK_STREAM))
-    engine = RoundEngine(g, w, scenario.microgrids, schedule, k)
-    run = engine.run()
+    run = RoundEngine(g, w, scenario.microgrids, schedule, k).run()
 
     declared = scenario.attack.compromised_nodes
     per_controller: dict[str, dict] = {}
@@ -401,8 +403,9 @@ def _period_record(scenario: Scenario, g: Graph, period_index: int, run: EngineR
                    diagnostics: dict) -> DecisionRecord:
     """Record of a completed period; the recorded totals are the per-controller means.
 
-    diagnostics holds the mode's own fields; the graph, the engine audit
-    and the empty error every completed period carries are added here.
+    diagnostics holds the mode's own fields; the graph, the engine's
+    measured delivery count and the empty error every completed period
+    carries are added here.
     """
     return DecisionRecord(
         period=DecisionPeriod(period_index, scenario.period_hours),
@@ -412,11 +415,7 @@ def _period_record(scenario: Scenario, g: Graph, period_index: int, run: EngineR
         diagnostics={
             **diagnostics,
             "graph_edges": [list(e) for e in sorted(g.edges)],
-            "audit": {
-                "deliveries": run.audit.deliveries,
-                "locality_violations": run.audit.locality_violations,
-                "duplicate_deliveries": run.audit.duplicate_deliveries,
-            },
+            "audit": {"deliveries": run.deliveries},
             "error": None,
         },
         trajectories=run.trajectories,

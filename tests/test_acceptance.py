@@ -267,9 +267,8 @@ def test_criterion_7_round_engine_is_bitwise_faithful_and_blind():
                           run_updates(wm, REF_SUPPLIES, schedule, 3))
     assert np.array_equal(rec.trajectories["demand"],
                           run_updates(wm, REF_DEMANDS, schedule, 3))
-    audit = rec.diagnostics["audit"]
-    assert audit["locality_violations"] == 0
-    assert audit["duplicate_deliveries"] == 0
+    # 2 quantities x 2 directions x 10 edges x 4 rounds
+    assert rec.diagnostics["audit"] == {"deliveries": 2 * 2 * 10 * 4}
 
     # randomized runs: same dual route, direct engine construction
     rng = np.random.default_rng(7)
@@ -292,8 +291,7 @@ def test_criterion_7_round_engine_is_bitwise_faithful_and_blind():
         }
         for q in ("supply", "demand"):
             assert np.array_equal(run.trajectories[q], run_updates(w, starts[q], schedule, k))
-        assert run.audit.locality_violations == 0
-        assert run.audit.duplicate_deliveries == 0
+        assert run.deliveries == 2 * 2 * len(g.edges) * (k + 1)
 
     # the coordinator sees topology inputs only, never profiles or values
     sc = load_golden_scenario()
@@ -308,4 +306,5 @@ def test_criterion_7_round_engine_is_bitwise_faithful_and_blind():
     assert all(set(call) == {"n", "f", "link_attacks", "seed", "period", "strategy"}
                for call in agent.calls)
     _report(7, "distributed rounds equal the centralized iteration bit-for-bit "
-               "on golden plus 15 randomized runs; zero audit violations", t0)
+               "on golden plus 15 randomized runs; every edge carries each "
+               "value once per round", t0)

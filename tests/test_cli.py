@@ -98,6 +98,18 @@ class TestRun:
         assert "weights.kind: unknown field" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_zero_synthesis_attempts_exits_one(self, tmp_path, capsys):
+        # a config error, not a synthesis failure blamed on connectivity
+        data = scenario_to_dict(load_golden_scenario())
+        data["weights"] = {"type": "random"}
+        data["consensus"]["synthesis_attempts"] = 0
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(data))
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "consensus.synthesis_attempts: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_fixed_graph_override(self, tmp_path):
         ref = load_golden_scenario().fixed_graph()
         gfile = tmp_path / "ref.edges"

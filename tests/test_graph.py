@@ -142,9 +142,10 @@ class TestVertexConnectivity:
 
 class TestExtendGraph:
     def test_explicit_targets(self):
-        g = extend_graph(Graph.complete(3), 2, targets=[0, 2])
-        assert g.node_count == 4
-        assert g.has_edge(3, 0) and g.has_edge(3, 2) and not g.has_edge(3, 1)
+        for targets in ([0, 2], iter([0, 2]), (v for v in (2, 0))):
+            g = extend_graph(Graph.complete(3), 2, targets=targets)
+            assert g.node_count == 4
+            assert g.has_edge(3, 0) and g.has_edge(3, 2) and not g.has_edge(3, 1)
 
     def test_m_equal_to_node_count_links_everything(self):
         g = extend_graph(Graph.complete(3), 3, targets=[0, 1, 2])

@@ -5,11 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from mgnet import consensus
 from mgnet import (
     INTERCONNECT,
     STAND_ALONE,
     AttackSpec,
     ConfigError,
+    ConsensusConfig,
     InjectionPlan,
     MicrogridProfile,
     evaluate_criterion,
@@ -147,6 +149,28 @@ class TestScenarioParsing:
             scenario_from_dict(minimal_dict(consensus={"k": 0}))
         with pytest.raises(ConfigError, match=r"consensus\.k_max"):
             scenario_from_dict(minimal_dict(consensus={"k_max": 0}))
+        with pytest.raises(ConfigError, match=r"consensus\.baseline_steps: must be at least 1"):
+            scenario_from_dict(minimal_dict(consensus={"baseline_steps": 0}))
+        with pytest.raises(ConfigError, match=r"consensus\.synthesis_attempts: must be at least 1"):
+            scenario_from_dict(minimal_dict(consensus={"synthesis_attempts": 0}))
+
+    def test_consensus_defaults_come_from_the_consensus_module(self):
+        cons = scenario_from_dict(minimal_dict()).consensus
+        assert cons == ConsensusConfig()
+        assert (cons.residual_tol, cons.agreement_tol, cons.condition_limit,
+                cons.baseline_steps, cons.synthesis_attempts) == (
+            consensus.RESIDUAL_TOL, consensus.AGREEMENT_RTOL, consensus.CONDITION_LIMIT,
+            consensus.BASELINE_STEPS, consensus.SYNTHESIS_ATTEMPTS)
+        assert cons.k_max_for(6) == consensus.default_k_max(6) == 8
+
+    @pytest.mark.parametrize("path, overrides", [
+        ("graph.regenerate_per_period", {"graph": {"regenerate_per_period": "false"}}),
+        ("attack.known_to_agent", {"attack": {"known_to_agent": "no"}}),
+        ("attack.known_to_agent", {"attack": {"known_to_agent": 0}}),
+    ])
+    def test_flags_must_be_booleans(self, path, overrides):
+        with pytest.raises(ConfigError, match=rf"^{path}: expected true or false"):
+            scenario_from_dict(minimal_dict(**overrides))
 
     def test_round_trip_preserves_everything(self):
         data = minimal_dict(
