@@ -45,13 +45,18 @@ def _env_seed() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ConfigError(f"{SEED_ENV_VAR}={raw!r} is not an integer seed") from None
+    if seed < 0:
+        raise ConfigError(f"{SEED_ENV_VAR}={raw!r}: seed must be non-negative")
+    return seed
 
 
 def _resolve_seed(cli_seed: int | None, fallback: int | None = None) -> int | None:
     if cli_seed is not None:
+        if cli_seed < 0:
+            raise ConfigError(f"--seed {cli_seed}: seed must be non-negative")
         return cli_seed
     env = _env_seed()
     if env is not None:
@@ -82,18 +87,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(scenario_path)
     seed = _resolve_seed(args.seed, scenario.seed)
     scenario = scenario.with_seed(seed)
-
-    fixed_graph = None
     if args.fixed_graph is not None:
         try:
-            fixed_graph = Graph.from_edge_list_text(Path(args.fixed_graph).read_text())
+            fixed = Graph.from_edge_list_text(Path(args.fixed_graph).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read fixed graph {args.fixed_graph}: {exc}") from None
         except ValueError as exc:
             raise ConfigError(f"fixed graph {args.fixed_graph}: {exc}") from None
+        scenario = scenario.with_fixed_graph(fixed)
 
     agent = CommunicationAgent(scenario.graph.strategy, scenario.f, seed)
-    records = run_campaign(scenario, args.periods, agent, _MODE_MAP[args.mode], fixed_graph)
+    records = run_campaign(scenario, args.periods, agent, _MODE_MAP[args.mode])
 
     out = Path(args.out)
     failed = False
@@ -177,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"master seed; falls back to ${SEED_ENV_VAR}, then the scenario")
     run_p.add_argument("--periods", type=int, default=1)
     run_p.add_argument("--fixed-graph", default=None,
-                       help="edge-list file overriding the scenario topology")
+                       help="edge-list file replacing the scenario's graph.fixed_edges")
     run_p.set_defaults(func=cmd_run)
 
     graph_p = sub.add_parser("graph", help="generate and certify a communication topology")
@@ -202,18 +206,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InfeasibleTopologyError, SynthesisError, DecodeError, InternalInvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 def entrypoint() -> None:

@@ -4,8 +4,10 @@ Everything the communication agent needs to lay out who-talks-with-whom:
 an exact minimum-vertex-cut oracle, the single-node extension step that
 preserves m-connectivity, and two topology generators (a randomized one
 used before any attack is known, and an attack-aware one that avoids
-compromised links). Convention: the complete graph on n nodes has
-connectivity n - 1, so the (2f+1)-node seed clique certifies at 2f.
+compromised links) that share one input check and one certificate.
+Convention: the complete graph on n nodes has connectivity n - 1, so
+the (2f+1)-node seed clique certifies at 2f. A fixed topology is not
+generated: it is the scenario's graph.fixed_edges.
 """
 
 from __future__ import annotations
@@ -175,33 +177,19 @@ class ConnectivityCertificate:
     witness_cut: frozenset[int] | None
 
 
-def _min_cut_between(n: int, edges: frozenset[Edge], s: int, t: int,
-                     stop_at: int | None = None) -> tuple[int, frozenset[int] | None]:
+def _min_cut_between(cap: list[dict[int, int]], s: int, t: int,
+                     stop_at: int) -> tuple[int, frozenset[int] | None]:
     """Minimum vertex cut separating the non-adjacent pair (s, t).
 
-    Every node v splits into entry 2v and exit 2v+1 joined by a unit
-    capacity arc, so saturating that arc models deleting v; endpoint
-    splits and edge arcs get a capacity no flow can reach. Augments one
-    unit per round (Edmonds-Karp). When the flow reaches stop_at the
-    pair cannot improve the caller's best cut and (stop_at, None) is
-    returned without extracting a cut.
+    cap is a fresh copy of the split network, used up as the residual.
+    Augments one unit per round (Edmonds-Karp) from s's exit to t's
+    entry. When the flow reaches stop_at the pair cannot improve the
+    caller's best cut and (stop_at, None) is returned without
+    extracting a cut.
     """
-    big = n + 2
-    cap: list[dict[int, int]] = [{} for _ in range(2 * n)]
-
-    def add_arc(u: int, v: int, c: int) -> None:
-        cap[u][v] = cap[u].get(v, 0) + c
-        cap[v].setdefault(u, 0)
-
-    for v in range(n):
-        add_arc(2 * v, 2 * v + 1, big if v in (s, t) else 1)
-    for i, j in edges:
-        add_arc(2 * i + 1, 2 * j, big)
-        add_arc(2 * j + 1, 2 * i, big)
-
     source, sink = 2 * s + 1, 2 * t
     flow = 0
-    while stop_at is None or flow < stop_at:
+    while flow < stop_at:
         parent: dict[int, int | None] = {source: None}
         frontier = deque([source])
         while frontier and sink not in parent:
@@ -212,20 +200,18 @@ def _min_cut_between(n: int, edges: frozenset[Edge], s: int, t: int,
                     frontier.append(v)
         if sink not in parent:
             reach = set(parent)
-            cut = frozenset(v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach)
+            cut = frozenset(v for v in range(len(cap) // 2)
+                            if 2 * v in reach and 2 * v + 1 not in reach)
             return flow, cut
-        push = big
+        path = []
         v = sink
         while parent[v] is not None:
-            u = parent[v]
-            push = min(push, cap[u][v])
-            v = u
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(cap[u][v] for u, v in path)
+        for u, v in path:
             cap[u][v] -= push
             cap[v][u] += push
-            v = u
         flow += push
     return flow, None
 
@@ -238,6 +224,13 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
     non-adjacent pair of pivot neighbors. Any minimum cut either misses
     the pivot (first family finds it) or contains it, in which case the
     pivot has neighbors in two separated components (second family).
+
+    The network is built once and each pair runs on a copy. Node v splits
+    into entry 2v and exit 2v+1 joined by a unit arc, so saturating it
+    deletes v; edge arcs get a capacity no flow can reach. The endpoints'
+    arcs are unit too, which is safe: the flow leaves s's exit and ends at
+    t's entry, so no augmenting path crosses either arc, and the cut read
+    off the residual (the minimal source-side one) is unique.
     """
     n = g.node_count
     if n < 2:
@@ -252,10 +245,17 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
     best = len(pivot_nbrs)
     best_cut = frozenset(pivot_nbrs)
 
+    # network[u][v] is the residual capacity of u -> v; each arc's reverse starts at 0
+    network: list[dict[int, int]] = [{} for _ in range(2 * n)]
+    for v in range(n):
+        network[2 * v][2 * v + 1], network[2 * v + 1][2 * v] = 1, 0
+    for i, j in g.edges:
+        network[2 * i + 1][2 * j], network[2 * j][2 * i + 1] = n + 2, 0
+        network[2 * j + 1][2 * i], network[2 * i][2 * j + 1] = n + 2, 0
     pairs = [(pivot, w) for w in range(n) if w != pivot and not g.has_edge(pivot, w)]
     pairs.extend((x, y) for x, y in combinations(pivot_nbrs, 2) if not g.has_edge(x, y))
     for s, t in pairs:
-        value, cut = _min_cut_between(n, g.edges, s, t, stop_at=best)
+        value, cut = _min_cut_between([dict(a) for a in network], s, t, best)
         if cut is not None and value < best:
             best, best_cut = value, cut
     return ConnectivityCertificate(best, best_cut)
@@ -309,6 +309,22 @@ class LinkAttackSet:
                 raise ValueError(f"attacked link ({i}, {j}) out of range for {node_count} nodes")
 
 
+def _certified_topology(n: int, f: int, strategy: str, build) -> Graph:
+    """Check (n, f), lay out build(2f+1), certify it unless it is the bare seed clique."""
+    if f < 0:
+        raise ValueError("fault bound f must be non-negative")
+    m = 2 * f + 1
+    if n < m:
+        raise InfeasibleTopologyError(f"need at least {m} nodes for fault bound {f}, got {n}")
+    g = build(m)
+    if n >= m + 1:
+        cert = vertex_connectivity(g)
+        if cert.kappa < m:
+            raise InternalInvariantError(
+                f"{strategy} generator produced kappa={cert.kappa} < {m}")
+    return g
+
+
 def generate_preventive(n: int, f: int, rng: np.random.Generator) -> Graph:
     """Randomized topology certified (2f+1)-vertex-connected.
 
@@ -318,65 +334,48 @@ def generate_preventive(n: int, f: int, rng: np.random.Generator) -> Graph:
     each decision period is what keeps an attacker from planning around
     a fixed layout.
     """
-    if f < 0:
-        raise ValueError("fault bound f must be non-negative")
-    m = 2 * f + 1
-    if n < m:
-        raise InfeasibleTopologyError(f"need at least {m} nodes for fault bound {f}, got {n}")
-    order = [int(v) for v in rng.permutation(n)]
-    present = order[:m]
-    edges = {_norm_edge(a, b) for a, b in combinations(present, 2)}
-    for v in order[m:]:
-        picks = rng.choice(len(present), size=m, replace=False)
-        edges.update(_norm_edge(v, present[int(p)]) for p in picks)
-        present.append(v)
-    g = Graph(n, frozenset(edges)).relabeled([int(p) for p in rng.permutation(n)])
-    if n >= m + 1:
-        cert = vertex_connectivity(g)
-        if cert.kappa < m:
-            raise InternalInvariantError(
-                f"preventive generator produced kappa={cert.kappa} < {m}")
-    return g
+    def build(m: int) -> Graph:
+        order = [int(v) for v in rng.permutation(n)]
+        present = order[:m]
+        edges = {_norm_edge(a, b) for a, b in combinations(present, 2)}
+        for v in order[m:]:
+            picks = rng.choice(len(present), size=m, replace=False)
+            edges.update(_norm_edge(v, present[int(p)]) for p in picks)
+            present.append(v)
+        return Graph(n, frozenset(edges)).relabeled([int(p) for p in rng.permutation(n)])
+
+    return _certified_topology(n, f, "preventive", build)
 
 
 def generate_responsive(n: int, f: int, attacks: LinkAttackSet, rng: np.random.Generator) -> Graph:
-    """Attack-aware topology using only uncompromised links.
+    """Attack-aware topology using only uncompromised links, certified (2f+1)-connected.
 
     Seeds a clique on 2f+1 nodes none of whose incident links are
     attacked, then extends one node at a time over safe links only.
     Raises when the seed pool is short or an extension step cannot find
     2f+1 safe targets; there is no backtracking over addition order.
     """
-    if f < 0:
-        raise ValueError("fault bound f must be non-negative")
-    m = 2 * f + 1
-    if n < m:
-        raise InfeasibleTopologyError(f"need at least {m} nodes for fault bound {f}, got {n}")
-    attacks.validate_range(n)
-    clean = [v for v in range(n) if not attacks.touches(v)]
-    if len(clean) < m:
-        raise InfeasibleTopologyError(
-            f"only {len(clean)} nodes have no attacked links; the seed clique needs {m}")
-    picks = rng.choice(len(clean), size=m, replace=False)
-    present = [clean[int(p)] for p in picks]
-    edges = {_norm_edge(a, b) for a, b in combinations(present, 2)}
-    in_graph = set(present)
-    remaining = [int(v) for v in rng.permutation(n) if int(v) not in in_graph]
-    for step, v in enumerate(remaining):
-        safe = [p for p in present if not attacks.forbids(v, p)]
-        if len(safe) < m:
+    def build(m: int) -> Graph:
+        attacks.validate_range(n)
+        clean = [v for v in range(n) if not attacks.touches(v)]
+        if len(clean) < m:
             raise InfeasibleTopologyError(
-                f"extension step {step}: node {v} has only {len(safe)} safe links "
-                f"to the current graph, needs {m}")
-        picks = rng.choice(len(safe), size=m, replace=False)
-        edges.update(_norm_edge(v, safe[int(p)]) for p in picks)
-        present.append(v)
-    g = Graph(n, frozenset(edges))
-    if any(attacks.forbids(i, j) for i, j in g.edges):
-        raise InternalInvariantError("responsive generator used a forbidden link")
-    if n >= m + 1:
-        cert = vertex_connectivity(g)
-        if cert.kappa < m:
-            raise InternalInvariantError(
-                f"responsive generator produced kappa={cert.kappa} < {m}")
-    return g
+                f"only {len(clean)} nodes have no attacked links; the seed clique needs {m}")
+        picks = rng.choice(len(clean), size=m, replace=False)
+        present = [clean[int(p)] for p in picks]
+        edges = {_norm_edge(a, b) for a, b in combinations(present, 2)}
+        remaining = [int(v) for v in rng.permutation(n) if int(v) not in present]
+        for step, v in enumerate(remaining):
+            safe = [p for p in present if not attacks.forbids(v, p)]
+            if len(safe) < m:
+                raise InfeasibleTopologyError(
+                    f"extension step {step}: node {v} has only {len(safe)} safe links "
+                    f"to the current graph, needs {m}")
+            picks = rng.choice(len(safe), size=m, replace=False)
+            edges.update(_norm_edge(v, safe[int(p)]) for p in picks)
+            present.append(v)
+        if any(attacks.forbids(i, j) for i, j in edges):
+            raise InternalInvariantError("responsive generator used a forbidden link")
+        return Graph(n, frozenset(edges))
+
+    return _certified_topology(n, f, "responsive", build)

@@ -169,15 +169,18 @@ class Scenario:
     def n(self) -> int:
         return len(self.microgrids)
 
-    def profile(self, node: int) -> MicrogridProfile:
-        return self.microgrids[node]
-
     def true_totals(self) -> tuple[float, float]:
         return (sum(p.supply for p in self.microgrids),
                 sum(p.critical_demand for p in self.microgrids))
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed)
+
+    def with_fixed_graph(self, g: Graph) -> "Scenario":
+        """This scenario with g's edges as graph.fixed_edges, used every period."""
+        if g.node_count != self.n:
+            raise ConfigError(f"fixed graph has {g.node_count} nodes, scenario has {self.n}")
+        return replace(self, graph=replace(self.graph, fixed_edges=tuple(sorted(g.edges))))
 
     def fixed_graph(self) -> Graph | None:
         if self.graph.fixed_edges is None:
@@ -271,7 +274,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ConfigError(f"{ctx}.supply: must be non-negative")
         if demand < 0:
             raise ConfigError(f"{ctx}.critical_demand: must be non-negative")
-        grids.append(MicrogridProfile(gid, supply, demand, str(item.get("label", ""))))
+        label = item.get("label", "")
+        if not isinstance(label, str):
+            raise ConfigError(f"{ctx}.label: expected a string, got {label!r}")
+        grids.append(MicrogridProfile(gid, supply, demand, label))
     if sorted(p.id for p in grids) != list(range(len(grids))):
         raise ConfigError("scenario.microgrids: ids must be exactly 0..n-1")
     grids.sort(key=lambda p: p.id)
@@ -281,6 +287,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if f < 0:
         raise ConfigError("scenario.f: must be non-negative")
     seed = _as_int(_require(data, "seed", "scenario"), "scenario.seed")
+    if seed < 0:
+        raise ConfigError("scenario.seed: must be non-negative")
     period_hours = _as_number(data.get("period_hours", 1.0), "scenario.period_hours")
     if period_hours <= 0:
         raise ConfigError("scenario.period_hours: must be positive")

@@ -32,7 +32,6 @@ from .consensus import (
     decode_known_faults,
     decode_unknown_faults,
     metropolis_weights,
-    run_updates,
     synthesize_weights,
     verify_candidate_uniqueness,
     verify_rank_condition,
@@ -220,13 +219,12 @@ class CommunicationAgent:
         if self.strategy not in ("preventive", "responsive"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
-    def build_graph(self, n: int, link_attacks: LinkAttackSet | None = None,
+    def build_graph(self, n: int, link_attacks: LinkAttackSet = LinkAttackSet(),
                     period: int = 0) -> Graph:
-        attacks = link_attacks if link_attacks is not None else LinkAttackSet()
         self.calls.append({
             "n": n,
             "f": self.f,
-            "link_attacks": sorted(attacks.forbidden_edges),
+            "link_attacks": sorted(link_attacks.forbidden_edges),
             "seed": self.seed,
             "period": period,
             "strategy": self.strategy,
@@ -234,19 +232,13 @@ class CommunicationAgent:
         rng = _rng(self.seed, period, _GRAPH_STREAM)
         if self.strategy == "preventive":
             return generate_preventive(n, self.f, rng)
-        return generate_responsive(n, self.f, attacks, rng)
+        return generate_responsive(n, self.f, link_attacks, rng)
 
 
-def _topology(scenario: Scenario, agent: CommunicationAgent, period: int,
-              fixed_graph: Graph | None) -> Graph:
-    if fixed_graph is not None:
-        if fixed_graph.node_count != scenario.n:
-            raise ConfigError(
-                f"fixed graph has {fixed_graph.node_count} nodes, scenario has {scenario.n}")
-        return fixed_graph
-    configured = scenario.fixed_graph()
-    if configured is not None:
-        return configured
+def _topology(scenario: Scenario, agent: CommunicationAgent, period: int) -> Graph:
+    fixed = scenario.fixed_graph()
+    if fixed is not None:
+        return fixed
     links = scenario.attack.links if scenario.attack.known_to_agent else LinkAttackSet()
     return agent.build_graph(scenario.n, links, period)
 
@@ -308,11 +300,11 @@ def _pick_horizon(scenario: Scenario, w: WeightMatrix) -> tuple[int, str]:
 
 
 def run_period(scenario: Scenario, agent: CommunicationAgent, decode_mode: str,
-               period_index: int = 0, fixed_graph: Graph | None = None) -> DecisionRecord:
+               period_index: int = 0) -> DecisionRecord:
     """Execute one decision period end to end and return its record."""
     if decode_mode not in MODES:
         raise ValueError(f"decode_mode must be one of {MODES}")
-    g = _topology(scenario, agent, period_index, fixed_graph)
+    g = _topology(scenario, agent, period_index)
     if decode_mode == "baseline":
         return _run_baseline_period(scenario, g, period_index)
     return _run_resilient_period(scenario, g, decode_mode, period_index)
@@ -424,17 +416,19 @@ def _period_record(scenario: Scenario, g: Graph, period_index: int, run: EngineR
 
 
 def run_campaign(scenario: Scenario, periods: int, agent: CommunicationAgent,
-                 decode_mode: str, fixed_graph: Graph | None = None) -> list[DecisionRecord]:
-    """Run several decision periods; per-period failures become error records."""
+                 decode_mode: str) -> list[DecisionRecord]:
+    """Run several decision periods; per-period failures become error records.
+
+    Without regeneration or fixed edges, the first completed period's graph is pinned.
+    """
     if periods < 1:
         raise ValueError("periods must be at least 1")
     records: list[DecisionRecord] = []
-    pinned: Graph | None = fixed_graph
     for p in range(periods):
         try:
-            record = run_period(scenario, agent, decode_mode, p, pinned)
-            if not scenario.graph.regenerate_per_period and pinned is None:
-                pinned = record.graph
+            record = run_period(scenario, agent, decode_mode, p)
+            if not scenario.graph.regenerate_per_period and scenario.graph.fixed_edges is None:
+                scenario = scenario.with_fixed_graph(record.graph)
         except (InfeasibleTopologyError, SynthesisError, DecodeError, InternalInvariantError) as exc:
             record = DecisionRecord(
                 period=DecisionPeriod(p, scenario.period_hours),

@@ -1,0 +1,45 @@
+"""tools/artifact_digest.py: the byte-identity check between two checkouts."""
+
+import hashlib
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from mgnet.cli import main
+
+from conftest import checkout_env
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_digest.py"
+LINE = re.compile(r"^(?:[0-9a-f]{64}|exit=\d+)  \S+$")
+
+
+def digest(*args, cwd):
+    proc = subprocess.run([sys.executable, str(TOOL), *args], cwd=cwd, env=checkout_env(),
+                          capture_output=True, text=True, timeout=300)
+    return proc
+
+
+def test_golden_set_hashes_what_the_cli_writes(tmp_path):
+    proc = digest("golden", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert all(LINE.match(line) for line in lines), lines
+    # 3 modes x (one period + four periods) x 4 artifacts, plus an exit line per run
+    assert len(lines) == 3 * 5 * 4 + 6
+    assert sum(line.startswith("exit=0  ") for line in lines) == 6
+    assert list(tmp_path.iterdir()) == []
+
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "golden", "--mode", "resilient-unknown",
+                 "--out", str(out)]) == 0
+    for name in ("decision_record.json", "trajectory.csv", "graph.edges", "graph.dot"):
+        sha = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert f"{sha}  golden/resilient-unknown/p1/{name}" in lines
+    assert digest("golden", cwd=tmp_path).stdout == proc.stdout
+
+
+def test_unknown_set_is_refused(tmp_path):
+    proc = digest("golden", "nonsense", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "nonsense" in proc.stderr and proc.stdout == ""

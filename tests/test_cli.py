@@ -139,6 +139,16 @@ class TestRun:
         assert "does not fit" in capsys.readouterr().err
 
 
+    def test_fixed_graph_of_another_size_exits_one(self, tmp_path, capsys):
+        gfile = tmp_path / "k4.edges"
+        gfile.write_text(Graph.complete(4).to_edge_list_text())
+        code = main(["run", "--scenario", "golden", "--fixed-graph", str(gfile),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "fixed graph has 4 nodes, scenario has 6" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestGraphCommand:
     def test_writes_certified_bundle(self, tmp_path, capsys):
         out = tmp_path / "g"
@@ -269,6 +279,21 @@ class TestSeedPrecedence:
         code = main(["graph", "--n", "6", "--f", "1", "--out", str(tmp_path)])
         assert code == 1
         assert "not an integer seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, env, marker", [
+        (["run", "--scenario", "golden", "--seed", "-3"], None, "--seed -3"),
+        (["graph", "--n", "6", "--f", "1", "--seed", "-3"], None, "--seed -3"),
+        (["graph", "--n", "6", "--f", "1"], "-1", f"{SEED_ENV_VAR}='-1'"),
+        (["run", "--scenario", "golden"], "-1", f"{SEED_ENV_VAR}='-1'"),
+    ])
+    def test_negative_seed_exits_one(self, tmp_path, monkeypatch, capsys, argv, env, marker):
+        if env is not None:
+            monkeypatch.setenv(SEED_ENV_VAR, env)
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert marker in err and "must be non-negative" in err
+        assert not out.exists()
 
 
 class TestParser:

@@ -135,6 +135,7 @@ class TestVertexConnectivity:
             cert = vertex_connectivity(g)
             assert cert.kappa == brute_force_connectivity(n, pairs)
             if cert.witness_cut is not None and g.is_connected():
+                assert len(cert.witness_cut) == cert.kappa
                 survivors = set(range(n)) - cert.witness_cut
                 kept = [(i, j) for i, j in pairs if i in survivors and j in survivors]
                 assert brute_force_connectivity(len(survivors), kept) == 0 or len(survivors) < 2

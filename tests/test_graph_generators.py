@@ -111,3 +111,51 @@ class TestResponsive:
     def test_too_few_nodes(self):
         with pytest.raises(InfeasibleTopologyError):
             generate_responsive(4, 2, LinkAttackSet(), np.random.default_rng(0))
+
+
+def survivors_graph(g, cut):
+    keep = sorted(set(range(g.node_count)) - cut)
+    index = {v: pos for pos, v in enumerate(keep)}
+    return Graph.from_edges(len(keep), ((index[i], index[j]) for i, j in g.edges
+                                        if i in index and j in index))
+
+
+class TestWitnessAtScale:
+    # sizes the brute-force oracle cannot reach: the witness must still be
+    # a minimum cut, so it has kappa nodes and removing it disconnects
+    @pytest.mark.parametrize("strategy", ["preventive", "responsive"])
+    @pytest.mark.parametrize("f", [1, 2])
+    def test_witness_is_a_cut_of_size_kappa(self, strategy, f):
+        rng = np.random.default_rng(600 + 10 * f + (strategy == "responsive"))
+        for n in (10, 20, 35, 60):
+            if strategy == "preventive":
+                g = generate_preventive(n, f, rng)
+            else:
+                all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+                picks = rng.choice(len(all_pairs), size=n // 10, replace=False)
+                attacks = LinkAttackSet.from_pairs([all_pairs[int(p)] for p in picks])
+                g = generate_responsive(n, f, attacks, rng)
+            cert = vertex_connectivity(g)
+            assert cert.kappa >= 2 * f + 1
+            assert len(cert.witness_cut) == cert.kappa
+            assert not survivors_graph(g, cert.witness_cut).is_connected()
+
+    def test_witness_finds_a_separator_below_the_minimum_degree(self):
+        # two 5-connected halves joined only through three separator nodes,
+        # each linked to six nodes of either half: the separator is the
+        # only 3-cut, while every other node has degree at least 5
+        rng = np.random.default_rng(77)
+        half = 25
+        a = generate_preventive(half, 2, rng)
+        b = generate_preventive(half, 2, rng)
+        separator = range(2 * half, 2 * half + 3)
+        pairs = list(a.edges) + [(i + half, j + half) for i, j in b.edges]
+        for s in separator:
+            pairs += [(int(v), s) for v in rng.choice(half, size=6, replace=False)]
+            pairs += [(int(v) + half, s) for v in rng.choice(half, size=6, replace=False)]
+        g = Graph.from_edges(2 * half + 3, pairs)
+        cert = vertex_connectivity(g)
+        assert min(g.degree(v) for v in range(g.node_count)) >= 5
+        assert cert.kappa == 3
+        assert cert.witness_cut == frozenset(separator)
+        assert not survivors_graph(g, cert.witness_cut).is_connected()

@@ -172,6 +172,18 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match=rf"^{path}: expected true or false"):
             scenario_from_dict(minimal_dict(**overrides))
 
+    @pytest.mark.parametrize("label", [None, 5, ["MG1"]])
+    def test_label_must_be_a_string(self, label):
+        data = minimal_dict()
+        data["microgrids"][1]["label"] = label
+        with pytest.raises(ConfigError, match=r"^microgrids\[1\]\.label: expected a string"):
+            scenario_from_dict(data)
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ConfigError, match=r"^scenario\.seed: must be non-negative"):
+            scenario_from_dict(minimal_dict(seed=-5))
+        assert scenario_from_dict(minimal_dict(seed=0)).seed == 0
+
     def test_round_trip_preserves_everything(self):
         data = minimal_dict(
             n=6,

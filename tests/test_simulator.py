@@ -232,9 +232,18 @@ class TestRunPeriod:
 
     def test_fixed_graph_override_must_match_size(self):
         sc = random_scenario()
-        agent = CommunicationAgent("preventive", sc.f, sc.seed)
         with pytest.raises(ConfigError, match="nodes"):
-            run_period(sc, agent, "unknown_faults", fixed_graph=Graph.complete(4))
+            sc.with_fixed_graph(Graph.complete(4))
+
+    def test_with_fixed_graph_replaces_the_topology(self):
+        sc = random_scenario()
+        pinned = sc.with_fixed_graph(Graph.complete(5))
+        assert sc.graph.fixed_edges is None
+        assert pinned.fixed_graph() == Graph.complete(5)
+        agent = CommunicationAgent("preventive", sc.f, sc.seed)
+        rec = run_period(pinned, agent, "unknown_faults", 2)
+        assert rec.graph == Graph.complete(5)
+        assert agent.calls == []
 
     def test_fixed_weights_without_pinned_horizon_demand_the_full_split(self):
         data = scenario_to_dict(golden())

@@ -1,0 +1,143 @@
+"""Print one sha256 per artifact mgnet writes for a fixed set of runs.
+
+Run it in two checkouts and diff the outputs: identical lines mean
+byte-identical artifacts. It imports mgnet from the `src/` and the
+workload recipes from the `bench/` next to this file, and writes only
+into temporary directories.
+
+    python3 tools/artifact_digest.py [SET ...] > digests.txt
+
+Sets (all of them when none is named):
+
+  golden  `mgnet run --scenario golden`, three modes, `--periods` 1 and 4
+  fixed   the same with `--fixed-graph` set to K6, three modes, 3 periods
+  pinned  golden's microgrids on a preventive graph drawn once and kept
+          (`regenerate_per_period: false`), random weights, three modes,
+          4 periods
+  bench   `run_period` on the benchmark workloads: resilient_f1 seeds 1-3
+          periods 0-7, resilient_f2 seeds 1-2 periods 0-3, baseline_large
+          seed 1 periods 0-2
+  graph   `mgnet graph` preventive n=40 f=2 and responsive n=60 f=2 with
+          attacked links
+
+Each line is `<sha256>  <set>/<run>/<file>`; a CLI run also prints its
+exit code and a period that raises prints its error instead of digests.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from mgnet.cli import main as mgnet_main  # noqa: E402
+from mgnet.errors import MgnetError  # noqa: E402
+from mgnet.graph import Graph  # noqa: E402
+from mgnet.scenario import load_golden_scenario, scenario_to_dict  # noqa: E402
+from mgnet.simulator import run_period, write_run_artifacts  # noqa: E402
+
+import workloads  # noqa: E402
+
+MODES = ("resilient-known", "resilient-unknown", "baseline")
+BENCH_RUNS = (("resilient_f1", (1, 2, 3), 8), ("resilient_f2", (1, 2), 4),
+              ("baseline_large", (1,), 3))
+ATTACKED_LINKS = "0-1,2-3,5-9,10-20,30-31,40-59"
+
+
+def digests(root: Path, prefix: str) -> list[str]:
+    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {prefix}/{p.relative_to(root)}"
+            for p in sorted(root.rglob("*")) if p.is_file()]
+
+
+def cli_run(name: str, argv: list[str], work: Path) -> list[str]:
+    out = work / name
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = mgnet_main([*argv, "--out", str(out)])
+    return [f"exit={code}  {name}"] + (digests(out, name) if out.exists() else [])
+
+
+def golden_set(work: Path) -> list[str]:
+    return [line for mode in MODES for periods in (1, 4)
+            for line in cli_run(f"golden/{mode}/p{periods}",
+                                ["run", "--scenario", "golden", "--mode", mode,
+                                 "--periods", str(periods)], work)]
+
+
+def fixed_set(work: Path) -> list[str]:
+    edges = work / "k6.edges"
+    edges.write_text(Graph.complete(6).to_edge_list_text())
+    return [line for mode in MODES
+            for line in cli_run(f"fixed/{mode}",
+                                ["run", "--scenario", "golden", "--mode", mode, "--periods", "3",
+                                 "--fixed-graph", str(edges)], work)]
+
+
+def pinned_set(work: Path) -> list[str]:
+    data = scenario_to_dict(load_golden_scenario())
+    data["graph"] = {"strategy": "preventive", "regenerate_per_period": False}
+    data["weights"] = {"type": "random"}
+    data["consensus"]["k"] = None
+    path = work / "pinned.json"
+    path.write_text(json.dumps(data))
+    return [line for mode in MODES
+            for line in cli_run(f"pinned/{mode}",
+                                ["run", "--scenario", str(path), "--mode", mode, "--periods", "4"],
+                                work)]
+
+
+def bench_set(work: Path) -> list[str]:
+    specs = workloads.load_specs()
+    lines = []
+    for workload, seeds, periods in BENCH_RUNS:
+        inputs = specs[workload]["inputs"]
+        for seed in seeds:
+            scenario, agent = workloads.build(inputs, seed)
+            for p in range(periods):
+                name = f"bench/{workload}/s{seed}/p{p}"
+                try:
+                    record = run_period(scenario, agent, inputs["mode"], p)
+                except MgnetError as exc:
+                    lines.append(f"error={type(exc).__name__}: {exc}  {name}")
+                    continue
+                write_run_artifacts(record, work / name)
+                lines.extend(digests(work / name, name))
+    return lines
+
+
+def graph_set(work: Path) -> list[str]:
+    return (cli_run("graph/preventive-n40-f2",
+                    ["graph", "--n", "40", "--f", "2", "--strategy", "preventive", "--seed", "1"],
+                    work)
+            + cli_run("graph/responsive-n60-f2",
+                      ["graph", "--n", "60", "--f", "2", "--strategy", "responsive",
+                       "--attacked-links", ATTACKED_LINKS, "--seed", "1"], work))
+
+
+SETS = {"golden": golden_set, "fixed": fixed_set, "pinned": pinned_set,
+        "bench": bench_set, "graph": graph_set}
+
+
+def run(names) -> int:
+    unknown = [n for n in names if n not in SETS]
+    if unknown:
+        print(f"unknown set(s): {', '.join(unknown)}; choose from {', '.join(SETS)}",
+              file=sys.stderr)
+        return 2
+    os.environ.pop("MGNET_SEED", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names or SETS:
+            for line in SETS[name](Path(tmp)):
+                print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(run(sys.argv[1:]))
