@@ -30,6 +30,8 @@ from .errors import (
 )
 from .graph import Graph
 
+# The numerical policy: one set of thresholds for every scenario, looked up
+# when each function runs rather than passed down from callers.
 RANK_RTOL = 1e-9
 RESIDUAL_TOL = 1e-8
 AGREEMENT_RTOL = 1e-6
@@ -40,12 +42,12 @@ SYNTHESIS_ATTEMPTS = 40
 
 
 def default_k_max(n: int) -> int:
-    """Horizon cap of the rank split when none is configured."""
+    """Horizon cap of the rank split: the scan stops at n + 2."""
     return n + 2
 
 
-def numerical_rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int | np.ndarray:
-    """Rank by singular values, relative threshold against the largest.
+def numerical_rank(a: np.ndarray) -> int | np.ndarray:
+    """Rank by singular values above RANK_RTOL times the largest.
 
     A stack of matrices, shape (..., rows, cols), gets one rank per
     matrix from a single batched SVD; a plain matrix gets an int.
@@ -54,7 +56,7 @@ def numerical_rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int | np.ndarray:
         ranks = np.zeros(a.shape[:-2], dtype=int)
     else:
         s = np.linalg.svd(a, compute_uv=False)
-        ranks = np.sum(s > rtol * s[..., :1], axis=-1)
+        ranks = np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
@@ -90,11 +92,11 @@ class WeightMatrix:
             raise ValueError(f"weight matrix shape {w.shape} does not match {n} nodes")
         if not np.all(np.isfinite(w)):
             raise ValueError("weight entries must be finite")
-        for i in range(n):
-            for j in range(n):
-                if i != j and w[i, j] != 0.0 and not self.graph.has_edge(i, j):
-                    raise ValueError(
-                        f"entry ({i}, {j}) is nonzero but the nodes are not neighbors")
+        off_pattern = (w != 0.0) & (self.graph.adjacency() == 0)
+        np.fill_diagonal(off_pattern, False)
+        if off_pattern.any():
+            i, j = np.argwhere(off_pattern)[0]
+            raise ValueError(f"entry ({i}, {j}) is nonzero but the nodes are not neighbors")
 
     @property
     def n(self) -> int:
@@ -262,8 +264,7 @@ def build_observability_stack(w: WeightMatrix, observer: int, k: int) -> Observa
     return ObservabilityStack(o=o, injection=injection, k=k, observer=observer, selector=sel)
 
 
-def verify_rank_condition(w: WeightMatrix, f: int, k_max: int | None = None,
-                          rank_rtol: float = RANK_RTOL) -> int | None:
+def verify_rank_condition(w: WeightMatrix, f: int, k_max: int | None = None) -> int | None:
     """Smallest horizon K <= k_max at which every node can decode.
 
     For each observer i and each candidate corrupted set Y of size
@@ -273,9 +274,10 @@ def verify_rank_condition(w: WeightMatrix, f: int, k_max: int | None = None,
     Checking size-2f sets covers all smaller ones (their M is a column
     subset). The scan returns the first K in 1..k_max that passes; in
     floating point a horizon that passes need not pass at K+1, so later
-    horizons are not implied. Returns None when no K qualifies.
+    horizons are not implied. Returns None when no K qualifies. k_max
+    defaults to the horizon cap, default_k_max(n).
 
-    The answer is computed once per (subset size, k_max, rank_rtol) and
+    The answer is computed once per (subset size, k_max) and
     memoised on w, so repeating the check on the same matrix costs a
     lookup. Observers are scanned fewest neighbours first, since a
     horizon fails at its first failing observer; each observer's test is
@@ -283,11 +285,10 @@ def verify_rank_condition(w: WeightMatrix, f: int, k_max: int | None = None,
     """
     if f < 0:
         raise ValueError("fault bound f must be non-negative")
-    return _smallest_split_horizon(w, min(2 * f, w.n), k_max, rank_rtol)
+    return _smallest_split_horizon(w, min(2 * f, w.n), k_max)
 
 
-def verify_candidate_uniqueness(w: WeightMatrix, f: int, k_max: int | None = None,
-                                rank_rtol: float = RANK_RTOL) -> int | None:
+def verify_candidate_uniqueness(w: WeightMatrix, f: int, k_max: int | None = None) -> int | None:
     """Smallest K <= k_max at which each fault hypothesis decodes uniquely.
 
     Same rank split as verify_rank_condition but over sets of size f
@@ -299,23 +300,21 @@ def verify_candidate_uniqueness(w: WeightMatrix, f: int, k_max: int | None = Non
     """
     if f < 0:
         raise ValueError("fault bound f must be non-negative")
-    return _smallest_split_horizon(w, min(f, w.n), k_max, rank_rtol)
+    return _smallest_split_horizon(w, min(f, w.n), k_max)
 
 
-def _smallest_split_horizon(w: WeightMatrix, subset_size: int, k_max: int | None,
-                            rank_rtol: float) -> int | None:
+def _smallest_split_horizon(w: WeightMatrix, subset_size: int, k_max: int | None) -> int | None:
     if k_max is None:
         k_max = default_k_max(w.n)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    key = (subset_size, k_max, rank_rtol)
+    key = (subset_size, k_max)
     if key not in w._horizons:
-        w._horizons[key] = _scan_split_horizons(w, subset_size, k_max, rank_rtol)
+        w._horizons[key] = _scan_split_horizons(w, subset_size, k_max)
     return w._horizons[key]
 
 
-def _scan_split_horizons(w: WeightMatrix, subset_size: int, k_max: int,
-                         rank_rtol: float) -> int | None:
+def _scan_split_horizons(w: WeightMatrix, subset_size: int, k_max: int) -> int | None:
     n = w.n
     subsets = np.array(list(combinations(range(n), subset_size)), dtype=int)
     # a horizon fails at its first failing observer, and observers that see
@@ -334,8 +333,8 @@ def _scan_split_horizons(w: WeightMatrix, subset_size: int, k_max: int,
             rows = len(stack.selector) * (k + 1)
             m = np.moveaxis(stack.injection[:rows, cols], 1, 0)
             o = np.broadcast_to(stack.o[:rows], (len(subsets), rows, n))
-            split = numerical_rank(np.concatenate([o, m], axis=2), rank_rtol)
-            if np.any(split != n + numerical_rank(m, rank_rtol)):
+            split = numerical_rank(np.concatenate([o, m], axis=2))
+            if np.any(split != n + numerical_rank(m)):
                 break
         else:
             return k
@@ -350,27 +349,26 @@ def _sample_weight(rng: np.random.Generator) -> float:
             return v
 
 
-def synthesize_weights(g: Graph, f: int, rng: np.random.Generator,
-                       k_max: int | None = None, max_attempts: int = SYNTHESIS_ATTEMPTS,
-                       rank_rtol: float = RANK_RTOL) -> WeightMatrix:
+def synthesize_weights(g: Graph, f: int, rng: np.random.Generator) -> WeightMatrix:
     """Draw random pattern-respecting weights until the rank split holds.
 
-    Almost any draw works when the graph is (2f+1)-connected, so the
-    retry cap only trips on graphs that cannot support the fault bound;
-    the caller certifies connectivity beforehand.
+    Each draw must pass within the horizon cap. Almost any draw works when
+    the graph is (2f+1)-connected, so the cap of SYNTHESIS_ATTEMPTS draws
+    only trips on graphs that cannot support the fault bound; the caller
+    certifies connectivity beforehand.
     """
     n = g.node_count
-    for _ in range(max_attempts):
+    for _ in range(SYNTHESIS_ATTEMPTS):
         entries = np.zeros((n, n))
         for i in range(n):
             for j in sorted({i} | set(g.neighbors(i))):
                 entries[i, j] = _sample_weight(rng)
         w = WeightMatrix(entries, g)
-        if verify_rank_condition(w, f, k_max, rank_rtol) is not None:
+        if verify_rank_condition(w, f) is not None:
             return w
     raise SynthesisError(
         f"no weight draw satisfied the rank condition for f={f} after "
-        f"{max_attempts} attempts; the graph likely lacks 2f+1 connectivity")
+        f"{SYNTHESIS_ATTEMPTS} attempts; the graph likely lacks 2f+1 connectivity")
 
 
 def run_updates(w: WeightMatrix, initial, inj: InjectionSchedule, k: int) -> np.ndarray:
@@ -432,10 +430,12 @@ def _check_observation(stack: ObservabilityStack, obs: ObservationRecord) -> Non
             f"observation has {obs.samples.shape[0]} snapshots, stack expects {stack.k + 1}")
 
 
-def decode_known_faults(stack: ObservabilityStack, obs: ObservationRecord, fault_set,
-                        residual_tol: float = RESIDUAL_TOL,
-                        condition_limit: float = CONDITION_LIMIT) -> DecodeResult:
+def decode_known_faults(stack: ObservabilityStack, obs: ObservationRecord, fault_set) -> DecodeResult:
     """Joint least squares for the initial state and a declared fault set's injections.
+
+    The hypothesis is inconsistent when the relative residual exceeds
+    RESIDUAL_TOL, and the result is flagged ill-conditioned when its
+    condition number exceeds CONDITION_LIMIT.
 
     The stacked block may be column-deficient without harm: an injection
     step too late to reach the observer's window contributes a zero
@@ -454,9 +454,9 @@ def decode_known_faults(stack: ObservabilityStack, obs: ObservationRecord, fault
     solution, _, _, svals = np.linalg.lstsq(a, y, rcond=None)
     misfit = float(np.linalg.norm(a @ solution - y))
     rel = misfit / max(float(np.linalg.norm(y)), 1e-300)
-    if rel > residual_tol:
+    if rel > RESIDUAL_TOL:
         raise DecodeInconsistencyError(
-            f"fault set {key} leaves relative residual {rel:.3e} (tol {residual_tol:.1e})")
+            f"fault set {key} leaves relative residual {rel:.3e} (tol {RESIDUAL_TOL:.1e})")
     rank_a = int(np.sum(svals > RANK_RTOL * svals[0])) if svals.size and svals[0] > 0 else 0
     if rank_a != n + numerical_rank(m):
         raise InternalInvariantError(
@@ -470,18 +470,16 @@ def decode_known_faults(stack: ObservabilityStack, obs: ObservationRecord, fault
         consistent_fault_sets=(key,),
         residual=rel,
         condition_number=cond,
-        ill_conditioned=not np.isfinite(cond) or cond > condition_limit,
+        ill_conditioned=not np.isfinite(cond) or cond > CONDITION_LIMIT,
     )
 
 
-def decode_unknown_faults(stack: ObservabilityStack, obs: ObservationRecord, f: int,
-                          residual_tol: float = RESIDUAL_TOL,
-                          agreement_rtol: float = AGREEMENT_RTOL,
-                          condition_limit: float = CONDITION_LIMIT) -> DecodeResult:
+def decode_unknown_faults(stack: ObservabilityStack, obs: ObservationRecord, f: int) -> DecodeResult:
     """Sweep every candidate fault set of size <= f and require agreement.
 
-    The rank condition at size 2f guarantees all residual-consistent
-    candidates decode the same initial state, so disagreement means the
+    A candidate is kept when decode_known_faults finds it consistent. The
+    rank condition at size 2f guarantees all kept candidates decode the
+    same initial state, so a relative gap above AGREEMENT_RTOL means the
     stacked systems are too ill-conditioned to trust and is raised as an
     invariant violation rather than papered over.
     """
@@ -493,14 +491,14 @@ def decode_unknown_faults(stack: ObservabilityStack, obs: ObservationRecord, f: 
     for size in range(f + 1):
         for cand in combinations(range(n), size):
             try:
-                results.append(decode_known_faults(stack, obs, cand, residual_tol, condition_limit))
+                results.append(decode_known_faults(stack, obs, cand))
             except DecodeInconsistencyError:
                 continue
     if not results:
         raise DecodeFailureError(f"no fault set of size <= {f} explains the observations")
     ref = results[0]
     for other in results[1:]:
-        if _relative_gap(ref.initial_values, other.initial_values) > agreement_rtol:
+        if _relative_gap(ref.initial_values, other.initial_values) > AGREEMENT_RTOL:
             raise InternalInvariantError(
                 "consistent fault hypotheses disagree on the recovered state; "
                 "the stacked systems are too ill-conditioned to trust")

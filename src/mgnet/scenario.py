@@ -3,10 +3,10 @@
 A scenario file pins everything one decision campaign needs: per-grid
 surplus supply and critical demand over the period, the attack (which
 controllers get corrupted and how, which links are unusable, whether the
-agent knows about the links), the fault bound f, seeds, and consensus
-tuning. The decision itself is the strict comparison: interconnect only
-when the recovered total supply exceeds the recovered total critical
-demand.
+agent knows about the links), the fault bound f, seeds, and the consensus
+horizons. The decision itself is the strict comparison: interconnect
+only when the recovered total supply exceeds the recovered total
+critical demand.
 """
 
 from __future__ import annotations
@@ -19,15 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .consensus import (
-    AGREEMENT_RTOL,
-    BASELINE_STEPS,
-    CONDITION_LIMIT,
-    RESIDUAL_TOL,
-    SYNTHESIS_ATTEMPTS,
-    InjectionSchedule,
-    default_k_max,
-)
+from .consensus import BASELINE_STEPS, InjectionSchedule
 from .errors import ConfigError
 from .graph import Graph, LinkAttackSet
 
@@ -129,16 +121,10 @@ def sample_injections(attack: AttackSpec, steps: int, rng: np.random.Generator) 
 
 @dataclass(frozen=True)
 class ConsensusConfig:
-    k_max: int | None = None
-    k: int | None = None
-    residual_tol: float = RESIDUAL_TOL
-    agreement_tol: float = AGREEMENT_RTOL
-    condition_limit: float = CONDITION_LIMIT
-    baseline_steps: int = BASELINE_STEPS
-    synthesis_attempts: int = SYNTHESIS_ATTEMPTS
+    """Horizons a scenario may set; the numerical policy lives in consensus."""
 
-    def k_max_for(self, n: int) -> int:
-        return self.k_max if self.k_max is not None else default_k_max(n)
+    k: int | None = None
+    baseline_steps: int = BASELINE_STEPS
 
 
 @dataclass(frozen=True)
@@ -246,6 +232,17 @@ def _as_int(value, ctx: str) -> int:
     return value
 
 
+def _as_pairs(value, ctx: str) -> list[tuple[int, int]]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{ctx}: must be a list of [i, j] pairs")
+    pairs = []
+    for pos, item in enumerate(value):
+        if not isinstance(item, list) or len(item) != 2:
+            raise ConfigError(f"{ctx}[{pos}]: expected an [i, j] pair, got {item!r}")
+        pairs.append((_as_int(item[0], f"{ctx}[{pos}]"), _as_int(item[1], f"{ctx}[{pos}]")))
+    return pairs
+
+
 def _as_bool(value, ctx: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{ctx}: expected true or false, got {value!r}")
@@ -332,13 +329,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     if len(plans) > f:
         raise ConfigError(
             f"attack.controllers: {len(plans)} compromised controllers exceed the fault bound f={f}")
-    raw_links = raw_attack.get("links", [])
-    if not isinstance(raw_links, list):
-        raise ConfigError("attack.links: must be a list of [i, j] pairs")
+    link_pairs = _as_pairs(raw_attack.get("links", []), "attack.links")
     try:
-        links = LinkAttackSet.from_pairs(raw_links)
+        links = LinkAttackSet.from_pairs(link_pairs)
         links.validate_range(n)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"attack.links: {exc}") from None
     attack = AttackSpec(tuple(plans), links,
                         _as_bool(raw_attack.get("known_to_agent", False), "attack.known_to_agent"))
@@ -346,18 +341,13 @@ def scenario_from_dict(data: dict) -> Scenario:
     raw_cons = data.get("consensus", {})
     if not isinstance(raw_cons, dict):
         raise ConfigError("scenario.consensus: must be an object")
-    _reject_unknown(raw_cons, ("k_max", "k", "residual_tol", "agreement_tol", "condition_limit",
-                               "baseline_steps", "synthesis_attempts"), "consensus")
-    default = ConsensusConfig()
+    _reject_unknown(raw_cons, ("k", "baseline_steps"), "consensus")
     cons = ConsensusConfig(
-        k_max=None if raw_cons.get("k_max") is None else _as_int(raw_cons["k_max"], "consensus.k_max"),
         k=None if raw_cons.get("k") is None else _as_int(raw_cons["k"], "consensus.k"),
-        **{name: _as_number(raw_cons.get(name, getattr(default, name)), f"consensus.{name}")
-           for name in ("residual_tol", "agreement_tol", "condition_limit")},
-        **{name: _as_int(raw_cons.get(name, getattr(default, name)), f"consensus.{name}")
-           for name in ("baseline_steps", "synthesis_attempts")},
+        baseline_steps=_as_int(raw_cons.get("baseline_steps", BASELINE_STEPS),
+                               "consensus.baseline_steps"),
     )
-    for name in ("k_max", "k", "baseline_steps", "synthesis_attempts"):
+    for name in ("k", "baseline_steps"):
         value = getattr(cons, name)
         if value is not None and value < 1:
             raise ConfigError(f"consensus.{name}: must be at least 1")
@@ -371,12 +361,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ConfigError(f"graph.strategy: must be 'preventive' or 'responsive', got {strategy!r}")
     fixed_edges = None
     if raw_graph.get("fixed_edges") is not None:
-        raw_edges = raw_graph["fixed_edges"]
-        if not isinstance(raw_edges, list):
-            raise ConfigError("graph.fixed_edges: must be a list of [i, j] pairs")
+        edge_pairs = _as_pairs(raw_graph["fixed_edges"], "graph.fixed_edges")
         try:
-            fixed_edges = tuple(sorted(Graph.from_edges(n, raw_edges).edges))
-        except (ValueError, TypeError) as exc:
+            fixed_edges = tuple(sorted(Graph.from_edges(n, edge_pairs).edges))
+        except ValueError as exc:
             raise ConfigError(f"graph.fixed_edges: {exc}") from None
     graph_cfg = GraphConfig(strategy, fixed_edges,
                             _as_bool(raw_graph.get("regenerate_per_period", True),
@@ -420,15 +408,7 @@ def scenario_to_dict(s: Scenario) -> dict:
             "links": [list(e) for e in sorted(s.attack.links.forbidden_edges)],
             "controllers": [],
         },
-        "consensus": {
-            "k_max": s.consensus.k_max,
-            "k": s.consensus.k,
-            "residual_tol": s.consensus.residual_tol,
-            "agreement_tol": s.consensus.agreement_tol,
-            "condition_limit": s.consensus.condition_limit,
-            "baseline_steps": s.consensus.baseline_steps,
-            "synthesis_attempts": s.consensus.synthesis_attempts,
-        },
+        "consensus": {"k": s.consensus.k, "baseline_steps": s.consensus.baseline_steps},
         "graph": {
             "strategy": s.graph.strategy,
             "fixed_edges": None if s.graph.fixed_edges is None

@@ -10,10 +10,10 @@ of every step's state so a run can be checked bit-for-bit against the
 compact-form iteration.
 
 Record conventions: in resilient modes the record's scalar totals are
-the mean of the per-controller decoded totals (which agree to the
-configured tolerance); in baseline mode they are the mean of the
-per-controller estimates n * own final value, which is what plain
-averaging offers in place of a decode.
+the mean of the per-controller decoded totals (every controller recovers
+the same initial state, so they differ only by rounding); in baseline
+mode they are the mean of the per-controller estimates n * own final
+value, which is what plain averaging offers in place of a decode.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .consensus import (
     combine_neighborhood,
     decode_known_faults,
     decode_unknown_faults,
+    default_k_max,
     metropolis_weights,
     synthesize_weights,
     verify_candidate_uniqueness,
@@ -256,9 +257,7 @@ def _resilient_weights(scenario: Scenario, g: Graph, period: int) -> WeightMatri
             return _fixed_weights(scenario.weights.matrix, g)
         except ValueError as exc:
             raise ConfigError(f"weights.matrix does not fit the period graph: {exc}") from None
-    return synthesize_weights(
-        g, scenario.f, _rng(scenario.seed, period, _WEIGHT_STREAM),
-        scenario.consensus.k_max_for(scenario.n), scenario.consensus.synthesis_attempts)
+    return synthesize_weights(g, scenario.f, _rng(scenario.seed, period, _WEIGHT_STREAM))
 
 
 def _pick_horizon(scenario: Scenario, w: WeightMatrix) -> tuple[int, str]:
@@ -273,17 +272,17 @@ def _pick_horizon(scenario: Scenario, w: WeightMatrix) -> tuple[int, str]:
     cross-hypothesis guarantee; without an explicit k there is no
     principled horizon to fall back to, so the full split is required.
     For synthesized weights the full split is the certificate synthesis
-    already computed with the same k_max, read back from the matrix's
-    memo rather than scanned again.
+    already computed up to the same horizon cap, read back from the
+    matrix's memo rather than scanned again.
     """
     cc = scenario.consensus
-    k_max = cc.k_max_for(scenario.n)
+    k_max = default_k_max(scenario.n)
     floor = max(cc.k or 0, scenario.attack.longest_explicit())
     if floor > k_max:
         raise ConfigError(
-            f"required horizon {floor} exceeds consensus.k_max={k_max}; raise k_max "
-            f"or shorten the explicit injection series")
-    smallest = verify_rank_condition(w, scenario.f, k_max)
+            f"required horizon {floor} exceeds the horizon cap n + 2 = {k_max}; lower "
+            f"consensus.k or shorten the explicit injection series")
+    smallest = verify_rank_condition(w, scenario.f)
     if smallest is not None:
         return max(smallest, floor), "full"
     if scenario.weights.kind == "fixed" and cc.k is not None:
@@ -294,7 +293,7 @@ def _pick_horizon(scenario: Scenario, w: WeightMatrix) -> tuple[int, str]:
             f"undecodable at k={floor}")
     raise SynthesisError(
         f"weights do not satisfy the recovery rank condition for f={scenario.f} "
-        f"within k_max={k_max}" + (
+        f"within the horizon cap K <= {k_max}" + (
             "; supply consensus.k to run a fixed matrix under the weaker "
             "per-hypothesis split" if scenario.weights.kind == "fixed" else ""))
 
@@ -312,7 +311,6 @@ def run_period(scenario: Scenario, agent: CommunicationAgent, decode_mode: str,
 
 def _run_resilient_period(scenario: Scenario, g: Graph, decode_mode: str,
                           period_index: int) -> DecisionRecord:
-    cc = scenario.consensus
     w = _resilient_weights(scenario, g, period_index)
     k, rank_split = _pick_horizon(scenario, w)
     schedule = sample_injections(scenario.attack, k, _rng(scenario.seed, period_index, _ATTACK_STREAM))
@@ -328,11 +326,9 @@ def _run_resilient_period(scenario: Scenario, g: Graph, decode_mode: str,
         for q in QUANTITIES:
             obs = run.observations[q][i]
             if decode_mode == "known_faults":
-                decoded[q] = decode_known_faults(stack, obs, declared,
-                                                 cc.residual_tol, cc.condition_limit)
+                decoded[q] = decode_known_faults(stack, obs, declared)
             else:
-                decoded[q] = decode_unknown_faults(stack, obs, scenario.f, cc.residual_tol,
-                                                   cc.agreement_tol, cc.condition_limit)
+                decoded[q] = decode_unknown_faults(stack, obs, scenario.f)
             totals[q].append(decoded[q].total)
         verdicts[i] = evaluate_criterion(decoded["supply"].total, decoded["demand"].total)
         per_controller[str(i)] = {

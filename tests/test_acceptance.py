@@ -198,7 +198,7 @@ def test_criterion_5_unknown_fault_decoding_is_exact_end_to_end():
         f = int(rng.integers(0, 2))
         n = int(rng.integers(5, 9))
         g = generate_preventive(n, max(f, 1), rng)
-        w = synthesize_weights(g, f, rng, n + 2, 40)
+        w = synthesize_weights(g, f, rng)
         k = verify_rank_condition(w, f, n + 2)
         assert k is not None
 
@@ -231,7 +231,7 @@ def test_criterion_6_known_fault_decoder_matches_brute_force_least_squares():
     for trial in range(50):
         n = int(rng.integers(4, 7))
         g = generate_preventive(n, 1, rng)
-        w = synthesize_weights(g, 1, rng, n + 2, 40)
+        w = synthesize_weights(g, 1, rng)
         k = verify_rank_condition(w, 1, n + 2)
         s0 = rng.uniform(0.0, 1000.0, size=n)
         node = int(rng.integers(0, n))
@@ -275,7 +275,7 @@ def test_criterion_7_round_engine_is_bitwise_faithful_and_blind():
     for _ in range(15):
         n = int(rng.integers(4, 10))
         g = generate_preventive(n, 1, rng)
-        w = synthesize_weights(g, 1, rng, n + 2, 40)
+        w = synthesize_weights(g, 1, rng)
         k = verify_rank_condition(w, 1, n + 2)
         profiles = [
             MicrogridProfile(i, float(rng.uniform(10, 200)), float(rng.uniform(10, 200)))

@@ -14,6 +14,10 @@ from mgnet.scenario import scenario_from_dict
 
 from conftest import REF_W, checkout_env
 
+# keys that once tuned the numerical policy, each with the value in force on golden
+REMOVED_CONSENSUS_KEYS = {"k_max": 8, "residual_tol": 1e-8, "agreement_tol": 1e-6,
+                          "condition_limit": 1e12, "synthesis_attempts": 40}
+
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
@@ -98,16 +102,17 @@ class TestRun:
         assert "weights.kind: unknown field" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_zero_synthesis_attempts_exits_one(self, tmp_path, capsys):
-        # a config error, not a synthesis failure blamed on connectivity
+    @pytest.mark.parametrize("key", sorted(REMOVED_CONSENSUS_KEYS))
+    def test_removed_consensus_key_exits_one(self, tmp_path, capsys, key):
+        # the numerical policy is fixed in mgnet.consensus; a scenario that
+        # sets one of its values, even to the value in force, is rejected
         data = scenario_to_dict(load_golden_scenario())
-        data["weights"] = {"type": "random"}
-        data["consensus"]["synthesis_attempts"] = 0
-        path = tmp_path / "zero.json"
+        data["consensus"][key] = REMOVED_CONSENSUS_KEYS[key]
+        path = tmp_path / "knob.json"
         path.write_text(json.dumps(data))
         code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "consensus.synthesis_attempts: must be at least 1" in capsys.readouterr().err
+        assert f"consensus.{key}: unknown field" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_fixed_graph_override(self, tmp_path):

@@ -59,10 +59,17 @@ def _random_pattern_weights(g: Graph, rng: np.random.Generator) -> WeightMatrix:
 
 class TestWeightMatrix:
     def test_off_pattern_entry_rejected(self):
+        # (0, 2) and (2, 0) are both off the pattern; the first in
+        # row-major order is the one reported
         g = Graph.from_edges(3, [(0, 1)])
-        entries = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError, match=r"\(0, 2\)"):
+        entries = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 0.0], [4.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"^entry \(0, 2\) is nonzero"):
             WeightMatrix(entries, g)
+        entries[0, 2] = 0.0
+        with pytest.raises(ValueError, match=r"^entry \(2, 0\) is nonzero"):
+            WeightMatrix(entries, g)
+        entries[2, 0] = 0.0
+        assert WeightMatrix(entries, g).entries[1, 0] == 1.0
 
     def test_shape_and_finiteness(self):
         g = Graph.complete(3)
@@ -305,7 +312,7 @@ class TestVerifyRankCondition:
 
 
 class TestSplitHorizonMemo:
-    """Each matrix scans its rank split once per (subset size, k_max, rtol)."""
+    """Each matrix scans its rank split once per (subset size, k_max)."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -341,9 +348,6 @@ class TestSplitHorizonMemo:
         scanned = len(builds)
         assert verify_candidate_uniqueness(fresh, 1, 8) is not None
         assert len(builds) > scanned
-        scanned = len(builds)
-        assert verify_rank_condition(fresh, 1, 8, rank_rtol=1e-8) is None
-        assert len(builds) > scanned
 
     def test_entries_are_a_read_only_copy(self, ref_graph):
         src = np.array(REF_W, dtype=float)
@@ -376,8 +380,8 @@ class TestSynthesizeWeights:
 
     def test_infeasible_graph_raises(self):
         path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        with pytest.raises(SynthesisError, match="rank condition"):
-            synthesize_weights(path, 1, np.random.default_rng(0), max_attempts=3)
+        with pytest.raises(SynthesisError, match="rank condition for f=1 after 40 attempts"):
+            synthesize_weights(path, 1, np.random.default_rng(0))
 
 
 class TestRunUpdates:
@@ -470,12 +474,15 @@ class TestDecodeKnownFaults:
         with pytest.raises(InternalInvariantError, match="pin down"):
             decode_known_faults(stack, _observed(w, traj, 0), ())
 
-    def test_conditioning_flag_respects_limit(self, ref_weights):
+    def test_conditioning_flag_respects_limit(self, ref_weights, monkeypatch):
         inj = InjectionSchedule.from_values(REF_INJECTION, 3)
         traj = run_updates(ref_weights, REF_SUPPLIES, inj, 3)
         stack = build_observability_stack(ref_weights, 0, 3)
-        res = decode_known_faults(stack, _observed(ref_weights, traj, 0), (3,), condition_limit=1.0)
-        assert res.ill_conditioned
+        obs = _observed(ref_weights, traj, 0)
+        assert not decode_known_faults(stack, obs, (3,)).ill_conditioned
+        # the limit is read when the decoder runs, not when it is defined
+        monkeypatch.setattr(consensus, "CONDITION_LIMIT", 1.0)
+        assert decode_known_faults(stack, obs, (3,)).ill_conditioned
 
     def test_record_stack_mismatch_rejected(self, ref_weights):
         traj = run_updates(ref_weights, REF_SUPPLIES, InjectionSchedule.empty(3), 3)

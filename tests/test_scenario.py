@@ -1,6 +1,8 @@
 """Scenario files: parsing, validation, round trips, injection sampling."""
 
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +132,17 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match=r"attack\.links"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("path", ["attack.links", "graph.fixed_edges"])
+    @pytest.mark.parametrize("pair", [[0, 4.9], "05", [True, 5], [0, "5"], [0, 1, 2], [3]],
+                             ids=["float", "string", "bool", "digit-string", "triple", "single"])
+    def test_node_pairs_must_be_two_integers(self, path, pair):
+        # each of these once loaded as a pair of different nodes, or failed
+        # without naming the offending entry
+        section, key = path.split(".")
+        data = minimal_dict(n=6, **{section: {key: [[0, 1], pair]}})
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}\[1\]: expected"):
+            scenario_from_dict(data)
+
     def test_fixed_weights_require_fixed_edges(self):
         data = minimal_dict(n=6, weights={"type": "fixed", "matrix": REF_W})
         with pytest.raises(ConfigError, match="fixed_edges"):
@@ -145,23 +158,18 @@ class TestScenarioParsing:
             scenario_from_dict(data)
 
     def test_consensus_bounds(self):
-        with pytest.raises(ConfigError, match=r"consensus\.k:"):
+        with pytest.raises(ConfigError, match=r"consensus\.k: must be at least 1"):
             scenario_from_dict(minimal_dict(consensus={"k": 0}))
-        with pytest.raises(ConfigError, match=r"consensus\.k_max"):
-            scenario_from_dict(minimal_dict(consensus={"k_max": 0}))
         with pytest.raises(ConfigError, match=r"consensus\.baseline_steps: must be at least 1"):
             scenario_from_dict(minimal_dict(consensus={"baseline_steps": 0}))
-        with pytest.raises(ConfigError, match=r"consensus\.synthesis_attempts: must be at least 1"):
-            scenario_from_dict(minimal_dict(consensus={"synthesis_attempts": 0}))
 
     def test_consensus_defaults_come_from_the_consensus_module(self):
         cons = scenario_from_dict(minimal_dict()).consensus
         assert cons == ConsensusConfig()
-        assert (cons.residual_tol, cons.agreement_tol, cons.condition_limit,
-                cons.baseline_steps, cons.synthesis_attempts) == (
-            consensus.RESIDUAL_TOL, consensus.AGREEMENT_RTOL, consensus.CONDITION_LIMIT,
-            consensus.BASELINE_STEPS, consensus.SYNTHESIS_ATTEMPTS)
-        assert cons.k_max_for(6) == consensus.default_k_max(6) == 8
+        # tolerances, retries and the horizon cap are not scenario settings
+        assert [f.name for f in dataclasses.fields(ConsensusConfig)] == ["k", "baseline_steps"]
+        assert (cons.k, cons.baseline_steps) == (None, consensus.BASELINE_STEPS)
+        assert consensus.default_k_max(6) == 8
 
     @pytest.mark.parametrize("path, overrides", [
         ("graph.regenerate_per_period", {"graph": {"regenerate_per_period": "false"}}),

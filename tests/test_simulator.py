@@ -263,6 +263,15 @@ class TestRunPeriod:
         with pytest.raises(SynthesisError, match="hypothesis"):
             run_period(sc, agent, "unknown_faults")
 
+    def test_horizon_past_the_cap_is_a_config_error(self):
+        # golden has n = 6, so no horizon past K = 8 is ever scanned
+        data = scenario_to_dict(golden())
+        data["consensus"]["k"] = 9
+        sc = scenario_from_dict(data)
+        agent = CommunicationAgent(sc.graph.strategy, sc.f, sc.seed)
+        with pytest.raises(ConfigError, match=r"horizon 9 exceeds the horizon cap n \+ 2 = 8"):
+            run_period(sc, agent, "unknown_faults")
+
 
 class TestRunCampaign:
     def test_pinned_topology_reuses_the_first_draw(self):
