@@ -29,7 +29,6 @@ from .consensus import (
     decode_known_faults,
     decode_unknown_faults,
     metropolis_weights,
-    run_average_consensus_baseline,
     run_updates,
     synthesize_weights,
     verify_candidate_uniqueness,

@@ -22,7 +22,7 @@ from .errors import (
     InternalInvariantError,
     SynthesisError,
 )
-from .graph import Graph, LinkAttackSet, generate_preventive, generate_responsive, vertex_connectivity
+from .graph import Graph, LinkAttackSet, generate_preventive, generate_responsive
 from .consensus import WeightMatrix, default_k_max, verify_rank_condition
 from .scenario import golden_scenario_path, load_scenario
 from .simulator import CommunicationAgent, run_campaign, write_run_artifacts
@@ -130,7 +130,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     else:
         g = generate_responsive(args.n, args.f, attacks, rng)
     if g.node_count >= 2:
-        cert = vertex_connectivity(g)
+        cert = g.certificate()
         kappa = cert.kappa
         witness = None if cert.witness_cut is None else sorted(cert.witness_cut)
     else:
@@ -157,7 +157,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         w = WeightMatrix.from_csv_text(text)
     except ValueError as exc:
         raise ConfigError(f"weights file {args.weights}: {exc}") from None
-    k_max = args.k_max if args.k_max is not None else default_k_max(w.n)
+    cap = default_k_max(w.n)
+    k_max = cap if args.k_max is None else min(args.k_max, cap)
     k = verify_rank_condition(w, args.f, k_max)
     if k is None:
         print(f"rank condition FAILS for f={args.f} at every K <= {k_max}")

@@ -17,7 +17,7 @@ fault set or by sweeping all candidate sets up to the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -76,7 +76,8 @@ class WeightMatrix:
     entries[i, j] may be nonzero only for j in N(i) or j = i; nothing
     else about the values is assumed (no symmetry, no row sums).
     entries is a read-only copy of the array passed in, so the rank-split
-    horizons found for this matrix are memoised on it and stay valid.
+    horizon found for this matrix at each fault-set size is memoised on it
+    and stays valid.
     """
 
     entries: np.ndarray
@@ -177,16 +178,6 @@ class InjectionSchedule:
             vals[: len(series), col] = series
         return cls(nodes, vals, horizon)
 
-    def value(self, node: int, step: int) -> float:
-        for col, v in enumerate(self.faulty_nodes):
-            if v == node:
-                return float(self.values[step, col])
-        return 0.0
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.faulty_nodes) == 0 or not np.any(self.values)
-
 
 @dataclass(frozen=True)
 class ObservationRecord:
@@ -201,14 +192,6 @@ class ObservationRecord:
         object.__setattr__(self, "samples", s)
         if s.ndim != 2 or s.shape[1] != len(self.selector):
             raise ValueError("samples must be (steps+1) x len(selector)")
-
-    @classmethod
-    def from_trajectory(cls, w: WeightMatrix, observer: int, trajectory: np.ndarray) -> "ObservationRecord":
-        sel = w.selector(observer)
-        return cls(observer, sel, np.asarray(trajectory, dtype=float)[:, list(sel)])
-
-    def stacked(self) -> np.ndarray:
-        return self.samples.reshape(-1)
 
 
 def _injection_columns(n: int, k: int, fault_sets: np.ndarray) -> np.ndarray:
@@ -272,16 +255,13 @@ def verify_rank_condition(w: WeightMatrix, f: int, k_max: int | None = None) -> 
     rank([O_{i,K} M_{i,K}^Y]) = n + rank(M_{i,K}^Y): the state block has
     full column rank and shares nothing with the injection block.
     Checking size-2f sets covers all smaller ones (their M is a column
-    subset). The scan returns the first K in 1..k_max that passes; in
-    floating point a horizon that passes need not pass at K+1, so later
-    horizons are not implied. Returns None when no K qualifies. k_max
-    defaults to the horizon cap, default_k_max(n).
+    subset). In floating point a passing K need not pass at K+1, so the
+    answer is the first passing K. k_max defaults to the horizon cap
+    default_k_max(n) and is clamped to it; None means no K <= k_max passes.
 
-    The answer is computed once per (subset size, k_max) and
-    memoised on w, so repeating the check on the same matrix costs a
-    lookup. Observers are scanned fewest neighbours first, since a
-    horizon fails at its first failing observer; each observer's test is
-    independent of the others, so the order changes no answer.
+    The scan to the cap runs once per subset size, memoised on w, and
+    k_max only filters its answer: the first passing K in 1..n+2 is at
+    most k_max exactly when it is the first passing K in 1..k_max.
     """
     if f < 0:
         raise ValueError("fault bound f must be non-negative")
@@ -291,12 +271,13 @@ def verify_rank_condition(w: WeightMatrix, f: int, k_max: int | None = None) -> 
 def verify_candidate_uniqueness(w: WeightMatrix, f: int, k_max: int | None = None) -> int | None:
     """Smallest K <= k_max at which each fault hypothesis decodes uniquely.
 
-    Same rank split as verify_rank_condition but over sets of size f
-    rather than 2f: enough for every candidate decode of size <= f to
-    have one answer, not enough to promise two consistent hypotheses
-    agree a priori. Externally supplied weight matrices sometimes pass
-    only this weaker split; the unknown-fault decoder then enforces
-    cross-candidate agreement at runtime instead of by construction.
+    Same rank split, bound and memo as verify_rank_condition but over
+    sets of size f rather than 2f: enough for every candidate decode of
+    size <= f to have one answer, not enough to promise two consistent
+    hypotheses agree a priori. Externally supplied weight matrices
+    sometimes pass only this weaker split; the unknown-fault decoder then
+    enforces cross-candidate agreement at runtime instead of by
+    construction.
     """
     if f < 0:
         raise ValueError("fault bound f must be non-negative")
@@ -304,30 +285,27 @@ def verify_candidate_uniqueness(w: WeightMatrix, f: int, k_max: int | None = Non
 
 
 def _smallest_split_horizon(w: WeightMatrix, subset_size: int, k_max: int | None) -> int | None:
-    if k_max is None:
-        k_max = default_k_max(w.n)
+    cap = default_k_max(w.n)
+    k_max = cap if k_max is None else min(k_max, cap)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    key = (subset_size, k_max)
-    if key not in w._horizons:
-        w._horizons[key] = _scan_split_horizons(w, subset_size, k_max)
-    return w._horizons[key]
+    if subset_size not in w._horizons:
+        w._horizons[subset_size] = _scan_split_horizons(w, subset_size)
+    k = w._horizons[subset_size]
+    return k if k is not None and k <= k_max else None
 
 
-def _scan_split_horizons(w: WeightMatrix, subset_size: int, k_max: int) -> int | None:
+def _scan_split_horizons(w: WeightMatrix, subset_size: int) -> int | None:
+    """First K in 1..n+2 at which every observer splits every node set of
+    subset_size, or None. Each observer's stack is built once, at the cap,
+    and shorter horizons read its leading blocks. Observers that see the
+    fewest neighbours are the likeliest to fail, so they go first."""
     n = w.n
+    cap = default_k_max(n)
     subsets = np.array(list(combinations(range(n), subset_size)), dtype=int)
-    # a horizon fails at its first failing observer, and observers that see
-    # the fewest neighbours are the likeliest to fail
     observers = sorted(range(n), key=lambda i: len(w.selector(i)))
-    # shorter horizons are prefixes of a stack; an explicit k_max far past
-    # the default grows the stacks by doubling rather than up front
-    built = min(k_max, default_k_max(n))
-    stacks = [build_observability_stack(w, i, built) for i in observers]
-    for k in range(1, k_max + 1):
-        if k > built:
-            built = min(k_max, 2 * built)
-            stacks = [build_observability_stack(w, i, built) for i in observers]
+    stacks = [build_observability_stack(w, i, cap) for i in observers]
+    for k in range(1, cap + 1):
         cols = _injection_columns(n, k, subsets)
         for stack in stacks:
             rows = len(stack.selector) * (k + 1)
@@ -354,8 +332,10 @@ def synthesize_weights(g: Graph, f: int, rng: np.random.Generator) -> WeightMatr
 
     Each draw must pass within the horizon cap. Almost any draw works when
     the graph is (2f+1)-connected, so the cap of SYNTHESIS_ATTEMPTS draws
-    only trips on graphs that cannot support the fault bound; the caller
-    certifies connectivity beforehand.
+    only trips on graphs that cannot support the fault bound. The caller
+    certifies connectivity beforehand: generated graphs are certified by
+    their generator, and the simulator certifies a supplied graph before
+    it draws weights for it.
     """
     n = g.node_count
     for _ in range(SYNTHESIS_ATTEMPTS):
@@ -448,7 +428,7 @@ def decode_known_faults(stack: ObservabilityStack, obs: ObservationRecord, fault
     _check_observation(stack, obs)
     key = tuple(sorted(int(v) for v in fault_set))
     n = stack.o.shape[1]
-    y = obs.stacked()
+    y = obs.samples.reshape(-1)
     m = stack.m(key)
     a = np.hstack([stack.o, m]) if m.shape[1] else stack.o
     solution, _, _, svals = np.linalg.lstsq(a, y, rcond=None)
@@ -502,14 +482,7 @@ def decode_unknown_faults(stack: ObservabilityStack, obs: ObservationRecord, f: 
             raise InternalInvariantError(
                 "consistent fault hypotheses disagree on the recovered state; "
                 "the stacked systems are too ill-conditioned to trust")
-    return DecodeResult(
-        initial_values=ref.initial_values,
-        total=ref.total,
-        consistent_fault_sets=tuple(r.consistent_fault_sets[0] for r in results),
-        residual=ref.residual,
-        condition_number=ref.condition_number,
-        ill_conditioned=ref.ill_conditioned,
-    )
+    return replace(ref, consistent_fault_sets=tuple(r.consistent_fault_sets[0] for r in results))
 
 
 def metropolis_weights(g: Graph) -> WeightMatrix:
@@ -523,14 +496,3 @@ def metropolis_weights(g: Graph) -> WeightMatrix:
         entries[i, i] = 1.0 - entries[i].sum()
     return WeightMatrix(entries, g)
 
-
-def run_average_consensus_baseline(g: Graph, initial, inj: InjectionSchedule,
-                                   steps: int) -> np.ndarray:
-    """Plain averaging under the same injection hook; no recovery stage.
-
-    Converges to the true average only when nothing is injected, which
-    is exactly the contrast the resilient decoder is measured against.
-    """
-    if not g.is_connected():
-        raise ValueError("averaging baseline needs a connected graph")
-    return run_updates(metropolis_weights(g), initial, inj, steps)

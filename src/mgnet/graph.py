@@ -24,8 +24,6 @@ from .errors import InfeasibleTopologyError, InternalInvariantError
 Edge = tuple[int, int]
 
 _EDGE_LIST_HEADER = re.compile(r"#\s*nodes\s+(\d+)\s*$")
-_DOT_EDGE = re.compile(r"^(\d+)\s*--\s*(\d+)\s*;$")
-_DOT_NODE = re.compile(r"^(\d+)\s*;$")
 
 
 def _norm_edge(i: int, j: int) -> Edge:
@@ -40,12 +38,15 @@ class Graph:
 
     Edges are stored normalized as (i, j) with i < j; the value is
     immutable and hashable so periods can share topologies safely. Each
-    node's neighbor set is derived from the edges once, at construction.
+    node's neighbor set is derived from the edges once, at construction,
+    and the connectivity certificate once, on first request.
     """
 
     node_count: int
     edges: frozenset[Edge]
     _neighbors: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    _certificate: "ConnectivityCertificate | None" = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.node_count < 1:
@@ -78,6 +79,12 @@ class Graph:
 
     def degree(self, i: int) -> int:
         return len(self.neighbors(i))
+
+    def certificate(self) -> "ConnectivityCertificate":
+        """vertex_connectivity(self), computed on the first call and kept."""
+        if self._certificate is None:
+            object.__setattr__(self, "_certificate", vertex_connectivity(self))
+        return self._certificate
 
     def is_complete(self) -> bool:
         n = self.node_count
@@ -141,28 +148,6 @@ class Graph:
         lines.extend(f"  {i} -- {j};" for i, j in sorted(self.edges))
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_dot(cls, text: str) -> "Graph":
-        nodes: set[int] = set()
-        pairs = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("graph") or line == "}":
-                continue
-            edge = _DOT_EDGE.match(line)
-            if edge:
-                i, j = int(edge.group(1)), int(edge.group(2))
-                pairs.append((i, j))
-                nodes.update((i, j))
-                continue
-            node = _DOT_NODE.match(line)
-            if node:
-                nodes.add(int(node.group(1)))
-                continue
-            raise ValueError(f"dot line {lineno}: unrecognized statement {line!r}")
-        node_count = 1 + max(nodes, default=0)
-        return cls.from_edges(node_count, pairs)
 
 
 @dataclass(frozen=True)
@@ -318,11 +303,29 @@ def _certified_topology(n: int, f: int, strategy: str, build) -> Graph:
         raise InfeasibleTopologyError(f"need at least {m} nodes for fault bound {f}, got {n}")
     g = build(m)
     if n >= m + 1:
-        cert = vertex_connectivity(g)
+        cert = g.certificate()
         if cert.kappa < m:
             raise InternalInvariantError(
                 f"{strategy} generator produced kappa={cert.kappa} < {m}")
     return g
+
+
+def _grow(seed: list[int], rest: list[int], m: int, attacks: LinkAttackSet,
+          rng: np.random.Generator) -> frozenset[Edge]:
+    """Edges of a clique on seed, then each node of rest joined to m random
+    present nodes over links attacks does not forbid, in the order given."""
+    present = list(seed)
+    edges = {_norm_edge(a, b) for a, b in combinations(present, 2)}
+    for step, v in enumerate(rest):
+        safe = [p for p in present if not attacks.forbids(v, p)]
+        if len(safe) < m:
+            raise InfeasibleTopologyError(
+                f"extension step {step}: node {v} has only {len(safe)} safe links "
+                f"to the current graph, needs {m}")
+        picks = rng.choice(len(safe), size=m, replace=False)
+        edges.update(_norm_edge(v, safe[int(p)]) for p in picks)
+        present.append(v)
+    return frozenset(edges)
 
 
 def generate_preventive(n: int, f: int, rng: np.random.Generator) -> Graph:
@@ -336,13 +339,8 @@ def generate_preventive(n: int, f: int, rng: np.random.Generator) -> Graph:
     """
     def build(m: int) -> Graph:
         order = [int(v) for v in rng.permutation(n)]
-        present = order[:m]
-        edges = {_norm_edge(a, b) for a, b in combinations(present, 2)}
-        for v in order[m:]:
-            picks = rng.choice(len(present), size=m, replace=False)
-            edges.update(_norm_edge(v, present[int(p)]) for p in picks)
-            present.append(v)
-        return Graph(n, frozenset(edges)).relabeled([int(p) for p in rng.permutation(n)])
+        edges = _grow(order[:m], order[m:], m, LinkAttackSet(), rng)
+        return Graph(n, edges).relabeled([int(p) for p in rng.permutation(n)])
 
     return _certified_topology(n, f, "preventive", build)
 
@@ -362,20 +360,11 @@ def generate_responsive(n: int, f: int, attacks: LinkAttackSet, rng: np.random.G
             raise InfeasibleTopologyError(
                 f"only {len(clean)} nodes have no attacked links; the seed clique needs {m}")
         picks = rng.choice(len(clean), size=m, replace=False)
-        present = [clean[int(p)] for p in picks]
-        edges = {_norm_edge(a, b) for a, b in combinations(present, 2)}
-        remaining = [int(v) for v in rng.permutation(n) if int(v) not in present]
-        for step, v in enumerate(remaining):
-            safe = [p for p in present if not attacks.forbids(v, p)]
-            if len(safe) < m:
-                raise InfeasibleTopologyError(
-                    f"extension step {step}: node {v} has only {len(safe)} safe links "
-                    f"to the current graph, needs {m}")
-            picks = rng.choice(len(safe), size=m, replace=False)
-            edges.update(_norm_edge(v, safe[int(p)]) for p in picks)
-            present.append(v)
+        seed = [clean[int(p)] for p in picks]
+        rest = [int(v) for v in rng.permutation(n) if int(v) not in seed]
+        edges = _grow(seed, rest, m, attacks, rng)
         if any(attacks.forbids(i, j) for i, j in edges):
             raise InternalInvariantError("responsive generator used a forbidden link")
-        return Graph(n, frozenset(edges))
+        return Graph(n, edges)
 
     return _certified_topology(n, f, "responsive", build)

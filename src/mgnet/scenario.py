@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -140,6 +141,10 @@ class WeightsConfig:
     matrix: tuple[tuple[float, ...], ...] | None = None
 
 
+# the periods of a campaign share one fixed Graph, and so its certificate
+_graph_from_edges = lru_cache(maxsize=1)(Graph.from_edges)
+
+
 @dataclass(frozen=True)
 class Scenario:
     microgrids: tuple[MicrogridProfile, ...]
@@ -171,7 +176,7 @@ class Scenario:
     def fixed_graph(self) -> Graph | None:
         if self.graph.fixed_edges is None:
             return None
-        return Graph.from_edges(self.n, self.graph.fixed_edges)
+        return _graph_from_edges(self.n, self.graph.fixed_edges)
 
 
 @dataclass

@@ -80,6 +80,8 @@ class ControllerState:
     Protocol constants (graph, weight matrix, horizon, fault knowledge)
     are public configuration every node carries; other grids' profiles
     and states are not, and never enter here except through messages.
+    A round's inbox is dropped once record_observation has read it, and a
+    message for a round already recorded is rejected like a duplicate.
     """
 
     def __init__(self, node: int, profile: MicrogridProfile, weight_row: np.ndarray,
@@ -101,6 +103,10 @@ class ControllerState:
         if msg.sender not in self._peers:
             raise InternalInvariantError(
                 f"controller {self.id} received a message from non-neighbor {msg.sender}")
+        if msg.step < len(self.samples[msg.quantity]):
+            raise InternalInvariantError(
+                f"controller {self.id} received a step-{msg.step} message from {msg.sender} "
+                f"after recording that round")
         bucket = self.inbox[msg.quantity].setdefault(msg.step, {})
         if msg.sender in bucket:
             raise InternalInvariantError(
@@ -108,7 +114,7 @@ class ControllerState:
         bucket[msg.sender] = msg.value
 
     def _neighborhood_row(self, quantity: str, step: int) -> list[float]:
-        bucket = self.inbox[quantity].get(step, {})
+        bucket = self.inbox[quantity].pop(step, {})
         row = []
         for j in self.neighborhood:
             if j == self.id:
@@ -170,7 +176,7 @@ class RoundEngine:
             ControllerState(i, profiles[i], weights.entries[i], weights.selector(i), horizon)
             for i in range(n)
         ]
-        self._faulty = set(schedule.faulty_nodes)
+        self._injection_column = {node: col for col, node in enumerate(schedule.faulty_nodes)}
 
     def _exchange(self, step: int) -> None:
         # inboxes are keyed by sender, so delivery order changes nothing
@@ -195,8 +201,8 @@ class RoundEngine:
                 states[q][k] = [c.values[q] for c in self.controllers]
             if k < self.horizon:
                 for c in self.controllers:
-                    u = self.schedule.value(c.id, k) if c.id in self._faulty else None
-                    c.advance(k, u)
+                    col = self._injection_column.get(c.id)
+                    c.advance(k, None if col is None else float(self.schedule.values[k, col]))
         observations = {
             q: [c.observation_record(q) for c in self.controllers] for q in QUANTITIES
         }
@@ -252,11 +258,20 @@ def _fixed_weights(matrix: tuple[tuple[float, ...], ...], g: Graph) -> WeightMat
 
 
 def _resilient_weights(scenario: Scenario, g: Graph, period: int) -> WeightMatrix:
+    """The fixed matrix, or weights drawn once the graph is (2f+1)-connected;
+    generated graphs arrive certified, a supplied incomplete one is certified here."""
     if scenario.weights.kind == "fixed":
         try:
             return _fixed_weights(scenario.weights.matrix, g)
         except ValueError as exc:
             raise ConfigError(f"weights.matrix does not fit the period graph: {exc}") from None
+    m = 2 * scenario.f + 1
+    if scenario.graph.fixed_edges is not None and not g.is_complete():
+        cert = g.certificate()
+        if cert.kappa < m:
+            raise InfeasibleTopologyError(
+                f"supplied graph has vertex connectivity {cert.kappa} < 2f+1 = {m}; "
+                f"witness cut {sorted(cert.witness_cut)}")
     return synthesize_weights(g, scenario.f, _rng(scenario.seed, period, _WEIGHT_STREAM))
 
 
@@ -357,14 +372,9 @@ def _run_baseline_period(scenario: Scenario, g: Graph, period_index: int) -> Dec
 
     n = scenario.n
     true_supply, true_demand = scenario.true_totals()
-    verdicts: dict[int, str] = {}
-    estimates = {q: [] for q in QUANTITIES}
-    for c in engine.controllers:
-        est_supply = n * c.values["supply"]
-        est_demand = n * c.values["demand"]
-        estimates["supply"].append(est_supply)
-        estimates["demand"].append(est_demand)
-        verdicts[c.id] = evaluate_criterion(est_supply, est_demand)
+    estimates = {q: [n * c.values[q] for c in engine.controllers] for q in QUANTITIES}
+    verdicts = {i: evaluate_criterion(estimates["supply"][i], estimates["demand"][i])
+                for i in range(n)}
 
     dev_supply = max(abs(e - true_supply) for e in estimates["supply"])
     dev_demand = max(abs(e - true_demand) for e in estimates["demand"])
@@ -456,19 +466,13 @@ def write_run_artifacts(record: DecisionRecord, out_dir) -> list[str]:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    rec_path = out / "decision_record.json"
-    rec_path.write_text(json.dumps(record.to_json_dict(), indent=2, sort_keys=True) + "\n")
-    written.append(str(rec_path))
+    files = {"decision_record.json":
+             json.dumps(record.to_json_dict(), indent=2, sort_keys=True) + "\n"}
     if record.trajectories is not None:
-        csv_path = out / "trajectory.csv"
-        csv_path.write_text(trajectory_csv_text(record))
-        written.append(str(csv_path))
+        files["trajectory.csv"] = trajectory_csv_text(record)
     if record.graph is not None:
-        edges_path = out / "graph.edges"
-        edges_path.write_text(record.graph.to_edge_list_text())
-        written.append(str(edges_path))
-        dot_path = out / "graph.dot"
-        dot_path.write_text(record.graph.to_dot())
-        written.append(str(dot_path))
-    return written
+        files["graph.edges"] = record.graph.to_edge_list_text()
+        files["graph.dot"] = record.graph.to_dot()
+    for name, text in files.items():
+        (out / name).write_text(text)
+    return [str(out / name) for name in files]

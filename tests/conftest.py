@@ -37,6 +37,11 @@ def ref_weights(ref_graph) -> WeightMatrix:
     return WeightMatrix(np.array(REF_W, dtype=float), ref_graph)
 
 
+def ref_csv_text() -> str:
+    """The reference matrix as the dense CSV that `mgnet verify` reads."""
+    return "\n".join(",".join(repr(float(v)) for v in row) for row in REF_W) + "\n"
+
+
 def checkout_env() -> dict:
     """The current environment with this checkout's src/ first on PYTHONPATH.
 

@@ -150,3 +150,76 @@ def split_horizon_oracle(w: np.ndarray, subset_size: int, k_max: int, rtol: floa
         if feasible:
             return k
     return None
+
+
+# the largest prime below 2**25: a product of two residues is below 2**50, so
+# int64 holds it, and sums of up to 2**13 such products, without overflow
+GF_PRIME = 33554393
+
+
+def random_field_weights(n: int, edges, rng: np.random.Generator, p: int = GF_PRIME) -> np.ndarray:
+    """Independent nonzero residues mod p on the diagonal and on both
+    directions of every edge; zero everywhere else."""
+    w = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        w[i, i] = rng.integers(1, p)
+    for i, j in edges:
+        w[i, j] = rng.integers(1, p)
+        w[j, i] = rng.integers(1, p)
+    return w
+
+
+def rank_mod_p(a: np.ndarray, p: int = GF_PRIME) -> int:
+    """Exact rank over GF(p) by Gaussian elimination on int64 residues."""
+    a = np.array(a, dtype=np.int64) % p
+    rows, cols = a.shape
+    rank = 0
+    for c in range(cols):
+        if rank == rows:
+            break
+        pivots = np.nonzero(a[rank:, c])[0]
+        if pivots.size == 0:
+            continue
+        r = rank + int(pivots[0])
+        a[[rank, r]] = a[[r, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, c]), p - 2, p) % p
+        a[rank + 1:] = (a[rank + 1:] - a[rank + 1:, c, None] * a[rank]) % p
+        rank += 1
+    return rank
+
+
+def gf_split_horizon_oracle(w: np.ndarray, subset_size: int, k_max: int,
+                            p: int = GF_PRIME) -> int | None:
+    """split_horizon_oracle in exact arithmetic: the smallest K <= k_max at
+    which rank([O M]) = n + rank(M) over GF(p) for every observer and every
+    node set of subset_size, with no tolerance anywhere.
+
+    w holds residues mod p; an observer sees itself and every node it
+    shares a nonzero entry with. Operators come from explicit matrix
+    powers mod p, laid out as in stacked_operators.
+    """
+    w = np.asarray(w, dtype=np.int64) % p
+    n = w.shape[0]
+    powers = [np.eye(n, dtype=np.int64)]
+    for _ in range(k_max):
+        powers.append(powers[-1] @ w % p)
+    for k in range(1, k_max + 1):
+        feasible = True
+        for observer in range(n):
+            sel = [j for j in range(n) if j == observer or w[observer, j] or w[j, observer]]
+            q = len(sel)
+            o = np.vstack([powers[L][sel] for L in range(k + 1)])
+            for ys in combinations(range(n), subset_size):
+                m = np.zeros((q * (k + 1), k * subset_size), dtype=np.int64)
+                for L in range(k + 1):
+                    for t in range(L):
+                        block = powers[L - 1 - t][sel][:, list(ys)]
+                        m[q * L:q * (L + 1), subset_size * t:subset_size * (t + 1)] = block
+                if rank_mod_p(np.hstack([o, m]), p) != n + rank_mod_p(m, p):
+                    feasible = False
+                    break
+            if not feasible:
+                break
+        if feasible:
+            return k
+    return None

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from mgnet.cli import main
 
-from conftest import checkout_env
+from conftest import checkout_env, ref_csv_text
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_digest.py"
 LINE = re.compile(r"^(?:[0-9a-f]{64}|exit=\d+)  \S+$")
@@ -37,6 +37,27 @@ def test_golden_set_hashes_what_the_cli_writes(tmp_path):
         sha = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert f"{sha}  golden/resilient-unknown/p1/{name}" in lines
     assert digest("golden", cwd=tmp_path).stdout == proc.stdout
+
+
+def test_verify_set_hashes_what_the_cli_prints(tmp_path, capsys):
+    proc = digest("verify", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert all(LINE.match(line) for line in lines), lines
+    # f in (0, 1) x four bounds, an exit line and a stdout digest each
+    assert len(lines) == 2 * 4 * 2
+    assert list(tmp_path.iterdir()) == []
+
+    weights = tmp_path / "w.csv"
+    weights.write_text(ref_csv_text())
+    for f, bound, code in ((0, None, 0), (1, None, 2), (1, 3, 2)):
+        capsys.readouterr()
+        extra = [] if bound is None else ["--k-max", str(bound)]
+        assert main(["verify", "--weights", str(weights), "--f", str(f), *extra]) == code
+        name = f"verify/f{f}/" + ("cap" if bound is None else f"k{bound}")
+        sha = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert f"exit={code}  {name}" in lines
+        assert f"{sha}  {name}/stdout" in lines
 
 
 def test_unknown_set_is_refused(tmp_path):

@@ -7,12 +7,13 @@ import sys
 
 import pytest
 
+from mgnet import graph as graph_module
 from mgnet.cli import SEED_ENV_VAR, main
 from mgnet.graph import Graph
 from mgnet.scenario import load_golden_scenario, save_scenario, scenario_to_dict
 from mgnet.scenario import scenario_from_dict
 
-from conftest import REF_W, checkout_env
+from conftest import checkout_env, ref_csv_text
 
 # keys that once tuned the numerical policy, each with the value in force on golden
 REMOVED_CONSENSUS_KEYS = {"k_max": 8, "residual_tol": 1e-8, "agreement_tol": 1e-6,
@@ -22,10 +23,6 @@ REMOVED_CONSENSUS_KEYS = {"k_max": 8, "residual_tol": 1e-8, "agreement_tol": 1e-
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-
-
-def ref_csv_text():
-    return "\n".join(",".join(repr(float(v)) for v in row) for row in REF_W) + "\n"
 
 
 class TestRun:
@@ -144,6 +141,23 @@ class TestRun:
         assert "does not fit" in capsys.readouterr().err
 
 
+    def test_fixed_graph_below_two_f_plus_one_exits_two(self, tmp_path, capsys):
+        scenario = tmp_path / "ten.json"
+        scenario.write_text(json.dumps({
+            "microgrids": [{"id": i, "supply": 10.0 + i, "critical_demand": 5.0}
+                           for i in range(10)],
+            "f": 1,
+            "seed": 1,
+        }))
+        gfile = tmp_path / "cycle.edges"
+        gfile.write_text(Graph.from_edges(10, [(i, (i + 1) % 10) for i in range(10)])
+                         .to_edge_list_text())
+        code = main(["run", "--scenario", str(scenario), "--fixed-graph", str(gfile),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert ("FAILED (InfeasibleTopologyError: supplied graph has vertex connectivity "
+                "2 < 2f+1 = 3; witness cut [1, 9])") in capsys.readouterr().out
+
     def test_fixed_graph_of_another_size_exits_one(self, tmp_path, capsys):
         gfile = tmp_path / "k4.edges"
         gfile.write_text(Graph.complete(4).to_edge_list_text())
@@ -178,6 +192,25 @@ class TestGraphCommand:
                      "--attacked-links", "0:1", "--out", str(tmp_path)])
         assert code == 1
         assert "expected 'i-j' pairs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "120", "--f", "2", "--strategy", "responsive"],
+        ["--n", "12", "--f", "1", "--strategy", "preventive"],
+        # the bare seed clique, which its generator does not certify
+        ["--n", "5", "--f", "2", "--strategy", "preventive"],
+    ])
+    def test_one_run_certifies_once(self, tmp_path, monkeypatch, argv):
+        calls = []
+        real = graph_module.vertex_connectivity
+        monkeypatch.setattr(graph_module, "vertex_connectivity",
+                            lambda g: calls.append(g) or real(g))
+        out = tmp_path / "g"
+        assert main(["graph", *argv, "--seed", "1", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        cert = real(calls[0])
+        witness = None if cert.witness_cut is None else sorted(cert.witness_cut)
+        assert json.loads((out / "certificate.json").read_text()) == {
+            "kappa": cert.kappa, "witness_cut": witness}
 
     def test_infeasible_size_exits_two(self, tmp_path, capsys):
         code = main(["graph", "--n", "2", "--f", "1", "--out", str(tmp_path)])

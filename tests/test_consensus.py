@@ -20,7 +20,6 @@ from mgnet import (
     decode_unknown_faults,
     generate_preventive,
     metropolis_weights,
-    run_average_consensus_baseline,
     run_updates,
     synthesize_weights,
     verify_candidate_uniqueness,
@@ -31,8 +30,11 @@ from mgnet.consensus import RANK_RTOL, WEIGHT_DEAD_ZONE, combine_neighborhood, n
 from conftest import REF_SUPPLIES, REF_W
 from oracles import (
     brute_force_connectivity,
+    gf_split_horizon_oracle,
     matrix_iteration_oracle,
     observability_index_oracle,
+    random_field_weights,
+    rank_mod_p,
     split_horizon_oracle,
     stacked_operators,
 )
@@ -109,9 +111,7 @@ class TestInjectionSchedule:
     def test_from_values_sorts_and_pads(self):
         inj = InjectionSchedule.from_values({4: [1.0], 2: [5.0, 6.0]}, horizon=3)
         assert inj.faulty_nodes == (2, 4)
-        assert inj.value(2, 1) == 6.0
-        assert inj.value(4, 1) == 0.0
-        assert inj.value(0, 0) == 0.0
+        assert inj.values.tolist() == [[5.0, 1.0], [6.0, 0.0], [0.0, 0.0]]
 
     def test_series_longer_than_horizon_rejected(self):
         with pytest.raises(ValueError, match="longer than horizon"):
@@ -123,9 +123,7 @@ class TestInjectionSchedule:
 
     def test_empty(self):
         inj = InjectionSchedule.empty(4)
-        assert inj.is_empty
-        assert not InjectionSchedule.from_values({0: [0.5]}, 2).is_empty
-        assert InjectionSchedule.from_values({0: [0.0]}, 2).is_empty
+        assert inj.faulty_nodes == () and inj.values.shape == (4, 0)
 
 
 class TestObservabilityStack:
@@ -273,14 +271,15 @@ class TestVerifyRankCondition:
         with pytest.raises(ValueError):
             verify_rank_condition(ref_weights, 1, k_max=0)
 
-    def test_large_k_max_builds_only_the_horizons_scanned(self, ref_weights, monkeypatch):
-        # stacks at k_max itself would need ~175 TiB here, which no allocator grants
+    def test_large_k_max_builds_only_the_horizons_scanned(self, ref_graph, monkeypatch):
+        # a bound past the cap is clamped to it: one stack per observer, at n + 2
+        w = WeightMatrix(np.array(REF_W, dtype=float), ref_graph)
         horizons = []
         build = consensus.build_observability_stack
         monkeypatch.setattr(consensus, "build_observability_stack",
                             lambda w, i, k: horizons.append(k) or build(w, i, k))
-        assert verify_rank_condition(ref_weights, 0, k_max=10**6) == 1
-        assert set(horizons) == {ref_weights.n + 2}
+        assert verify_rank_condition(w, 0, k_max=10**6) == 1
+        assert horizons == [w.n + 2] * w.n
 
     def test_both_splits_match_the_per_pair_oracle(self):
         rng = np.random.default_rng(4242)
@@ -293,14 +292,33 @@ class TestVerifyRankCondition:
                 pairs = list(combinations(range(n), 2))
                 g = Graph.from_edges(n, [p for p in pairs if rng.random() < 0.6])
             w = _random_pattern_weights(g, rng)
-            # past the default n + 2, so the check also grows its stacks
-            k_max = n + 4
-            full = verify_rank_condition(w, f, k_max)
-            weak = verify_candidate_uniqueness(w, f, k_max)
-            assert full == split_horizon_oracle(w.entries, min(2 * f, n), k_max, RANK_RTOL)
-            assert weak == split_horizon_oracle(w.entries, min(f, n), k_max, RANK_RTOL)
+            full = verify_rank_condition(w, f, n + 2)
+            weak = verify_candidate_uniqueness(w, f, n + 2)
+            # the oracle runs past the cap and finds no horizon the cap missed
+            for found, size in ((full, min(2 * f, n)), (weak, min(f, n))):
+                exact = split_horizon_oracle(w.entries, size, n + 4, RANK_RTOL)
+                assert exact is None or exact <= n + 2
+                assert found == exact
             outcomes += [full, weak]
         assert None in outcomes and any(k is not None for k in outcomes)
+
+    @pytest.mark.parametrize("n, f", [(7, 1), (8, 1), (9, 1), (8, 2)])
+    def test_float_horizon_equals_the_exact_one(self, n, f):
+        # the smallest K under random weights in GF(p), where a rank has no
+        # tolerance, against the float scan on synthesized weights
+        rng = np.random.default_rng(1000 + 10 * n + f)
+        g = generate_preventive(n, f, rng)
+        w = synthesize_weights(g, f, rng)
+        exact = gf_split_horizon_oracle(random_field_weights(n, g.edges, rng), 2 * f, n + 2)
+        assert exact is not None and exact <= n
+        assert verify_rank_condition(w, f) == exact
+
+    def test_rank_mod_p(self):
+        assert rank_mod_p(np.zeros((3, 3), dtype=np.int64)) == 0
+        assert rank_mod_p(np.array([[1, 2], [2, 4]])) == 1
+        assert rank_mod_p(np.array([[1, 2, 3], [4, 5, 6], [7, 8, 10]])) == 3
+        # singular over GF(p) although not over the reals: det = p
+        assert rank_mod_p(np.array([[1, 0], [0, 33554393]])) == 1
 
     def test_uniqueness_split_is_implied_by_the_full_split(self):
         for seed in (21, 22):
@@ -312,7 +330,7 @@ class TestVerifyRankCondition:
 
 
 class TestSplitHorizonMemo:
-    """Each matrix scans its rank split once per (subset size, k_max)."""
+    """Each matrix scans its rank split once per fault-set size; a bound filters the answer."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -341,13 +359,27 @@ class TestSplitHorizonMemo:
         assert len(builds) == scanned
 
     def test_another_key_scans_again(self, fresh, builds):
-        full = verify_rank_condition(fresh, 1, 8)
+        assert verify_rank_condition(fresh, 1, 8) is None
         scanned = len(builds)
-        assert verify_rank_condition(fresh, 1, 4) == full
-        assert len(builds) > scanned
-        scanned = len(builds)
-        assert verify_candidate_uniqueness(fresh, 1, 8) is not None
-        assert len(builds) > scanned
+        # the key is the fault-set size alone, so another bound reads the same scan
+        assert verify_rank_condition(fresh, 1, 4) is None
+        assert len(builds) == scanned
+        # size-1 sets are another key
+        assert verify_candidate_uniqueness(fresh, 1, 8) == 1
+        assert len(builds) == scanned + fresh.n
+
+    def test_bound_filters_the_memoised_horizon(self, builds):
+        g, synthesized = _synthesized_instance(30, n=7, f=1)
+        w = WeightMatrix(synthesized.entries, g)
+        builds.clear()
+        smallest = verify_rank_condition(w, 1)
+        assert smallest == 3
+        for bound in range(1, w.n + 5):
+            # the first passing K in 1..bound, as a scan up to the bound alone finds it
+            expected = split_horizon_oracle(w.entries, 2, min(bound, w.n + 2), RANK_RTOL)
+            assert verify_rank_condition(w, 1, bound) == expected
+            assert expected == (smallest if bound >= smallest else None)
+        assert len(builds) == w.n
 
     def test_entries_are_a_read_only_copy(self, ref_graph):
         src = np.array(REF_W, dtype=float)
@@ -420,7 +452,8 @@ class TestRunUpdates:
 
 
 def _observed(w, trajectory, observer):
-    return ObservationRecord.from_trajectory(w, observer, trajectory)
+    sel = w.selector(observer)
+    return ObservationRecord(observer, sel, np.asarray(trajectory, dtype=float)[:, list(sel)])
 
 
 class TestDecodeKnownFaults:
@@ -603,7 +636,7 @@ class TestBaseline:
     def test_no_injection_converges_to_mean(self, ref_graph):
         rng = np.random.default_rng(55)
         s0 = rng.uniform(0, 100, 6)
-        traj = run_average_consensus_baseline(ref_graph, s0, InjectionSchedule.empty(60), 60)
+        traj = run_updates(metropolis_weights(ref_graph), s0, InjectionSchedule.empty(60), 60)
         dev = np.abs(traj - s0.mean()).max(axis=1)
         assert dev[-1] < 1e-6 * max(1.0, abs(s0.mean()))
         assert np.all(np.diff(dev[10:]) <= 1e-12)
@@ -611,20 +644,15 @@ class TestBaseline:
     def test_injection_shifts_the_conserved_sum(self, ref_graph):
         s0 = np.array(REF_SUPPLIES)
         inj = InjectionSchedule.from_values(REF_INJECTION, 30)
-        traj = run_average_consensus_baseline(ref_graph, s0, inj, 30)
+        traj = run_updates(metropolis_weights(ref_graph), s0, inj, 30)
         assert traj[-1].sum() == pytest.approx(s0.sum() + 45.0, abs=1e-8)
         estimates = 6 * traj[-1]
         assert np.all(np.abs(estimates - s0.sum()) > 5.0)
 
     def test_single_node_is_constant(self):
         g = Graph(1, frozenset())
-        traj = run_average_consensus_baseline(g, [4.2], InjectionSchedule.empty(5), 5)
+        traj = run_updates(metropolis_weights(g), [4.2], InjectionSchedule.empty(5), 5)
         assert np.array_equal(traj, np.full((6, 1), 4.2))
-
-    def test_disconnected_graph_rejected(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError, match="connected"):
-            run_average_consensus_baseline(g, np.zeros(4), InjectionSchedule.empty(3), 3)
 
 
 class TestNumericsHelpers:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mgnet import ConnectivityCertificate, Graph, LinkAttackSet, extend_graph, vertex_connectivity
+from mgnet import graph as graph_module
 
 from oracles import brute_force_connectivity
 
@@ -74,18 +75,9 @@ class TestGraphSerialization:
         with pytest.raises(ValueError, match="line 2"):
             Graph.from_edge_list_text("0 1\n1 -- 2\n")
 
-    def test_dot_round_trip(self, ref_graph):
-        assert Graph.from_dot(ref_graph.to_dot()) == ref_graph
-
-    def test_dot_round_trip_isolated_node(self):
-        g = Graph.from_edges(3, [(0, 1)])
-        text = g.to_dot()
-        assert "2;" in text
-        assert Graph.from_dot(text) == g
-
-    def test_dot_malformed_statement(self):
-        with pytest.raises(ValueError, match="line 2"):
-            Graph.from_dot("graph G {\n0 -> 1;\n}")
+    def test_dot_lists_every_node_then_every_edge(self):
+        g = Graph.from_edges(3, [(1, 0)])
+        assert g.to_dot() == "graph G {\n  0;\n  1;\n  2;\n  0 -- 1;\n}\n"
 
 
 class TestVertexConnectivity:
@@ -122,6 +114,20 @@ class TestVertexConnectivity:
     def test_too_small(self):
         with pytest.raises(ValueError):
             vertex_connectivity(Graph(1, frozenset()))
+
+    def test_certificate_is_computed_once_per_graph(self, monkeypatch):
+        calls = []
+        real = graph_module.vertex_connectivity
+        monkeypatch.setattr(graph_module, "vertex_connectivity",
+                            lambda g: calls.append(g) or real(g))
+        cycle = [(i, (i + 1) % 6) for i in range(6)]
+        g = Graph.from_edges(6, cycle)
+        assert g.certificate() is g.certificate()
+        assert g.certificate() == real(g) == ConnectivityCertificate(2, g.certificate().witness_cut)
+        assert len(calls) == 1
+        # the memo is no part of the value
+        twin = Graph.from_edges(6, cycle)
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
 
     def test_matches_brute_force_on_random_graphs(self):
         # dual route: max-flow certificate vs exhaustive subset removal

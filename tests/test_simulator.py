@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from mgnet import consensus, simulator
+from mgnet import graph as graph_module
 from mgnet import (
     ConfigError,
     Graph,
+    InfeasibleTopologyError,
     InjectionSchedule,
     InternalInvariantError,
     MicrogridProfile,
     RoundEngine,
     SynthesisError,
     WeightMatrix,
+    generate_preventive,
     load_golden_scenario,
     metropolis_weights,
     run_campaign,
@@ -112,6 +115,25 @@ class TestControllerIsolation:
         engine.controllers[0].deliver(msg)
         with pytest.raises(InternalInvariantError, match="duplicate"):
             engine.controllers[0].deliver(msg)
+
+    def test_message_for_a_recorded_round_rejected(self, ref_weights):
+        sc = golden()
+        engine = engine_for(sc, ref_weights, 3, InjectionSchedule.empty(3))
+        node = engine.controllers[0]
+        for sender in sorted(ref_weights.graph.neighbors(0)):
+            for msg in engine.controllers[sender].outgoing(0):
+                node.deliver(msg)
+        node.record_observation(0)
+        late = Message(sender=1, step=0, quantity="demand", value=1.0)
+        with pytest.raises(InternalInvariantError, match="after recording that round"):
+            node.deliver(late)
+
+    def test_inboxes_are_empty_after_a_run(self, ref_weights):
+        # each round's messages are dropped once the controller has recorded them
+        sc = golden()
+        engine = engine_for(sc, ref_weights, 3, InjectionSchedule.empty(3))
+        engine.run()
+        assert all(c.inbox == {"supply": {}, "demand": {}} for c in engine.controllers)
 
     def test_missing_neighbor_input_detected(self, ref_weights):
         sc = golden()
@@ -245,6 +267,32 @@ class TestRunPeriod:
         assert rec.graph == Graph.complete(5)
         assert agent.calls == []
 
+    def test_supplied_graph_below_two_f_plus_one_fails_before_synthesis(self, monkeypatch):
+        # a 10-node cycle is 2-connected and f=1 needs 3: no weight draw is tried
+        cycle = Graph.from_edges(10, [(i, (i + 1) % 10) for i in range(10)])
+        sc = random_scenario(n=10).with_fixed_graph(cycle)
+        agent = CommunicationAgent("preventive", sc.f, sc.seed)
+        draws = []
+        monkeypatch.setattr(simulator, "synthesize_weights", lambda *args: draws.append(args))
+        with pytest.raises(InfeasibleTopologyError,
+                           match=r"connectivity 2 < 2f\+1 = 3; witness cut \[1, 9\]"):
+            run_period(sc, agent, "unknown_faults")
+        assert draws == []
+        # plain averaging needs no certificate
+        assert run_period(sc, agent, "baseline").diagnostics["error"] is None
+
+    def test_supplied_graph_is_certified_once_per_campaign(self, monkeypatch):
+        sc = random_scenario(n=7).with_fixed_graph(
+            generate_preventive(7, 1, np.random.default_rng(2024)))
+        calls = []
+        real = graph_module.vertex_connectivity
+        monkeypatch.setattr(graph_module, "vertex_connectivity",
+                            lambda g: calls.append(g) or real(g))
+        records = run_campaign(sc, 3, CommunicationAgent("preventive", sc.f, sc.seed),
+                               "unknown_faults")
+        assert all(r.diagnostics["error"] is None for r in records)
+        assert len(calls) == 1
+
     def test_fixed_weights_without_pinned_horizon_demand_the_full_split(self):
         data = scenario_to_dict(golden())
         data["consensus"]["k"] = None
@@ -328,7 +376,7 @@ class TestArtifacts:
 
         g = Graph.from_edge_list_text((tmp_path / "graph.edges").read_text())
         assert g == rec.graph
-        assert Graph.from_dot((tmp_path / "graph.dot").read_text()) == rec.graph
+        assert (tmp_path / "graph.dot").read_text() == rec.graph.to_dot()
 
     def test_csv_values_round_trip_bitwise(self, tmp_path):
         sc = random_scenario()

@@ -19,9 +19,12 @@ Sets (all of them when none is named):
           seed 1 periods 0-2
   graph   `mgnet graph` preventive n=40 f=2 and responsive n=60 f=2 with
           attacked links
+  verify  `mgnet verify` on golden's weight matrix as CSV, f 0 and 1, with
+          no `--k-max` and with `--k-max` 1, 3 and 8
 
 Each line is `<sha256>  <set>/<run>/<file>`; a CLI run also prints its
 exit code and a period that raises prints its error instead of digests.
+A verify run writes no files: its digest is of what it prints, `<run>/stdout`.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from mgnet.cli import main as mgnet_main  # noqa: E402
+from mgnet.consensus import WeightMatrix  # noqa: E402
 from mgnet.errors import MgnetError  # noqa: E402
 from mgnet.graph import Graph  # noqa: E402
 from mgnet.scenario import load_golden_scenario, scenario_to_dict  # noqa: E402
@@ -52,15 +56,26 @@ BENCH_RUNS = (("resilient_f1", (1, 2, 3), 8), ("resilient_f2", (1, 2), 4),
 ATTACKED_LINKS = "0-1,2-3,5-9,10-20,30-31,40-59"
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def digests(root: Path, prefix: str) -> list[str]:
-    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {prefix}/{p.relative_to(root)}"
+    return [f"{sha256(p.read_bytes())}  {prefix}/{p.relative_to(root)}"
             for p in sorted(root.rglob("*")) if p.is_file()]
+
+
+def quiet_main(argv: list[str]) -> tuple[int, str]:
+    """mgnet's exit code and standard output; standard error is dropped."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = mgnet_main(argv)
+    return code, stdout.getvalue()
 
 
 def cli_run(name: str, argv: list[str], work: Path) -> list[str]:
     out = work / name
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = mgnet_main([*argv, "--out", str(out)])
+    code, _ = quiet_main([*argv, "--out", str(out)])
     return [f"exit={code}  {name}"] + (digests(out, name) if out.exists() else [])
 
 
@@ -121,8 +136,21 @@ def graph_set(work: Path) -> list[str]:
                        "--attacked-links", ATTACKED_LINKS, "--seed", "1"], work))
 
 
+def verify_set(work: Path) -> list[str]:
+    weights = work / "golden.csv"
+    weights.write_text(WeightMatrix.from_dense(load_golden_scenario().weights.matrix).to_csv_text())
+    lines = []
+    for f in (0, 1):
+        for bound in (None, 1, 3, 8):
+            name = f"verify/f{f}/" + ("cap" if bound is None else f"k{bound}")
+            extra = [] if bound is None else ["--k-max", str(bound)]
+            code, stdout = quiet_main(["verify", "--weights", str(weights), "--f", str(f), *extra])
+            lines += [f"exit={code}  {name}", f"{sha256(stdout.encode())}  {name}/stdout"]
+    return lines
+
+
 SETS = {"golden": golden_set, "fixed": fixed_set, "pinned": pinned_set,
-        "bench": bench_set, "graph": graph_set}
+        "bench": bench_set, "graph": graph_set, "verify": verify_set}
 
 
 def run(names) -> int:
