@@ -23,7 +23,7 @@ from .errors import (
     SynthesisError,
 )
 from .graph import Graph, LinkAttackSet, generate_preventive, generate_responsive
-from .consensus import WeightMatrix, default_k_max, verify_rank_condition
+from .consensus import WeightMatrix, horizon_bound, verify_rank_condition
 from .scenario import golden_scenario_path, load_scenario
 from .simulator import CommunicationAgent, run_campaign, write_run_artifacts
 
@@ -157,8 +157,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         w = WeightMatrix.from_csv_text(text)
     except ValueError as exc:
         raise ConfigError(f"weights file {args.weights}: {exc}") from None
-    cap = default_k_max(w.n)
-    k_max = cap if args.k_max is None else min(args.k_max, cap)
+    k_max = horizon_bound(w.n, args.k_max)
     k = verify_rank_condition(w, args.f, k_max)
     if k is None:
         print(f"rank condition FAILS for f={args.f} at every K <= {k_max}")

@@ -46,6 +46,16 @@ def default_k_max(n: int) -> int:
     return n + 2
 
 
+def horizon_bound(n: int, k_max: int | None) -> int:
+    """Largest horizon a verify_* call checks: k_max clamped to the cap,
+    the cap itself when k_max is None."""
+    cap = default_k_max(n)
+    k_max = cap if k_max is None else min(k_max, cap)
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    return k_max
+
+
 def numerical_rank(a: np.ndarray) -> int | np.ndarray:
     """Rank by singular values above RANK_RTOL times the largest.
 
@@ -285,10 +295,7 @@ def verify_candidate_uniqueness(w: WeightMatrix, f: int, k_max: int | None = Non
 
 
 def _smallest_split_horizon(w: WeightMatrix, subset_size: int, k_max: int | None) -> int | None:
-    cap = default_k_max(w.n)
-    k_max = cap if k_max is None else min(k_max, cap)
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    k_max = horizon_bound(w.n, k_max)
     if subset_size not in w._horizons:
         w._horizons[subset_size] = _scan_split_horizons(w, subset_size)
     k = w._horizons[subset_size]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -141,10 +140,6 @@ class WeightsConfig:
     matrix: tuple[tuple[float, ...], ...] | None = None
 
 
-# the periods of a campaign share one fixed Graph, and so its certificate
-_graph_from_edges = lru_cache(maxsize=1)(Graph.from_edges)
-
-
 @dataclass(frozen=True)
 class Scenario:
     microgrids: tuple[MicrogridProfile, ...]
@@ -176,7 +171,7 @@ class Scenario:
     def fixed_graph(self) -> Graph | None:
         if self.graph.fixed_edges is None:
             return None
-        return _graph_from_edges(self.n, self.graph.fixed_edges)
+        return Graph.from_edges(self.n, self.graph.fixed_edges)
 
 
 @dataclass

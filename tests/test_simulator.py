@@ -281,7 +281,7 @@ class TestRunPeriod:
         # plain averaging needs no certificate
         assert run_period(sc, agent, "baseline").diagnostics["error"] is None
 
-    def test_supplied_graph_is_certified_once_per_campaign(self, monkeypatch):
+    def test_supplied_graph_is_certified_once_per_period(self, monkeypatch):
         sc = random_scenario(n=7).with_fixed_graph(
             generate_preventive(7, 1, np.random.default_rng(2024)))
         calls = []
@@ -291,7 +291,7 @@ class TestRunPeriod:
         records = run_campaign(sc, 3, CommunicationAgent("preventive", sc.f, sc.seed),
                                "unknown_faults")
         assert all(r.diagnostics["error"] is None for r in records)
-        assert len(calls) == 1
+        assert len(calls) == 3
 
     def test_fixed_weights_without_pinned_horizon_demand_the_full_split(self):
         data = scenario_to_dict(golden())
