@@ -123,12 +123,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed, 0)
-    attacks = _parse_attacked_links(args.attacked_links)
     rng = np.random.default_rng(seed)
     if args.strategy == "preventive":
+        if args.attacked_links:
+            raise ConfigError("--attacked-links applies only to --strategy responsive")
         g = generate_preventive(args.n, args.f, rng)
     else:
-        g = generate_responsive(args.n, args.f, attacks, rng)
+        g = generate_responsive(args.n, args.f, _parse_attacked_links(args.attacked_links), rng)
     if g.node_count >= 2:
         cert = g.certificate()
         kappa = cert.kappa

@@ -87,7 +87,8 @@ class WeightMatrix:
     else about the values is assumed (no symmetry, no row sums).
     entries is a read-only copy of the array passed in, so the rank-split
     horizon found for this matrix at each fault-set size is memoised on it
-    and stays valid.
+    and stays valid. Two matrices are equal when their graphs and entry
+    bytes are, and hash alike, so a scenario holding one is a value.
     """
 
     entries: np.ndarray
@@ -108,6 +109,13 @@ class WeightMatrix:
         if off_pattern.any():
             i, j = np.argwhere(off_pattern)[0]
             raise ValueError(f"entry ({i}, {j}) is nonzero but the nodes are not neighbors")
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, WeightMatrix) and self.graph == other.graph
+                and self.entries.tobytes() == other.entries.tobytes())
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.entries.tobytes()))
 
     @property
     def n(self) -> int:

@@ -6,8 +6,8 @@ preserves m-connectivity, and two topology generators (a randomized one
 used before any attack is known, and an attack-aware one that avoids
 compromised links) that share one input check and one certificate.
 Convention: the complete graph on n nodes has connectivity n - 1, so
-the (2f+1)-node seed clique certifies at 2f. A fixed topology is not
-generated: it is the scenario's graph.fixed_edges.
+the (2f+1)-node seed clique certifies at 2f. A supplied topology is not
+generated: the scenario holds it as one Graph, graph.fixed, for a campaign.
 """
 
 from __future__ import annotations

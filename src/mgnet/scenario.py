@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .consensus import BASELINE_STEPS, InjectionSchedule
+from .consensus import BASELINE_STEPS, InjectionSchedule, WeightMatrix
 from .errors import ConfigError
 from .graph import Graph, LinkAttackSet
 
@@ -130,14 +130,15 @@ class ConsensusConfig:
 @dataclass(frozen=True)
 class GraphConfig:
     strategy: str = "preventive"
-    fixed_edges: tuple[tuple[int, int], ...] | None = None
+    fixed: Graph | None = None  # the supplied topology of every period
     regenerate_per_period: bool = True
 
 
-@dataclass(frozen=True)
-class WeightsConfig:
-    kind: str = "random"
-    matrix: tuple[tuple[float, ...], ...] | None = None
+def _fit_weights(entries, g: Graph) -> WeightMatrix:
+    try:
+        return WeightMatrix(entries, g)
+    except ValueError as exc:
+        raise ConfigError(f"weights.matrix does not fit the fixed graph: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ class Scenario:
     seed: int
     consensus: ConsensusConfig = ConsensusConfig()
     graph: GraphConfig = GraphConfig()
-    weights: WeightsConfig = WeightsConfig()
+    weights: WeightMatrix | None = None  # fixed, on graph.fixed; None draws them per period
 
     @property
     def n(self) -> int:
@@ -163,15 +164,13 @@ class Scenario:
         return replace(self, seed=seed)
 
     def with_fixed_graph(self, g: Graph) -> "Scenario":
-        """This scenario with g's edges as graph.fixed_edges, used every period."""
+        """This scenario with g itself as graph.fixed, so a certificate g holds
+        or computes serves the whole campaign; a fixed matrix moves onto g and
+        must fit it."""
         if g.node_count != self.n:
             raise ConfigError(f"fixed graph has {g.node_count} nodes, scenario has {self.n}")
-        return replace(self, graph=replace(self.graph, fixed_edges=tuple(sorted(g.edges))))
-
-    def fixed_graph(self) -> Graph | None:
-        if self.graph.fixed_edges is None:
-            return None
-        return Graph.from_edges(self.n, self.graph.fixed_edges)
+        weights = None if self.weights is None else _fit_weights(self.weights.entries, g)
+        return replace(self, graph=replace(self.graph, fixed=g), weights=weights)
 
 
 @dataclass
@@ -359,14 +358,14 @@ def scenario_from_dict(data: dict) -> Scenario:
     strategy = raw_graph.get("strategy", "preventive")
     if strategy not in ("preventive", "responsive"):
         raise ConfigError(f"graph.strategy: must be 'preventive' or 'responsive', got {strategy!r}")
-    fixed_edges = None
+    fixed = None
     if raw_graph.get("fixed_edges") is not None:
         edge_pairs = _as_pairs(raw_graph["fixed_edges"], "graph.fixed_edges")
         try:
-            fixed_edges = tuple(sorted(Graph.from_edges(n, edge_pairs).edges))
+            fixed = Graph.from_edges(n, edge_pairs)
         except ValueError as exc:
             raise ConfigError(f"graph.fixed_edges: {exc}") from None
-    graph_cfg = GraphConfig(strategy, fixed_edges,
+    graph_cfg = GraphConfig(strategy, fixed,
                             _as_bool(raw_graph.get("regenerate_per_period", True),
                                      "graph.regenerate_per_period"))
 
@@ -377,21 +376,20 @@ def scenario_from_dict(data: dict) -> Scenario:
     wkind = raw_weights.get("type", "random")
     if wkind not in ("random", "fixed"):
         raise ConfigError(f"weights.type: must be 'random' or 'fixed', got {wkind!r}")
-    matrix = None
+    weights = None
     if wkind == "fixed":
         raw_matrix = _require(raw_weights, "matrix", "weights")
         if (not isinstance(raw_matrix, list) or len(raw_matrix) != n
                 or any(not isinstance(r, list) or len(r) != n for r in raw_matrix)):
             raise ConfigError(f"weights.matrix: must be an {n}x{n} array of numbers")
-        matrix = tuple(tuple(_as_number(v, f"weights.matrix[{i}][{j}]")
-                             for j, v in enumerate(row))
-                       for i, row in enumerate(raw_matrix))
-        if fixed_edges is None:
+        matrix = [[_as_number(v, f"weights.matrix[{i}][{j}]") for j, v in enumerate(row)]
+                  for i, row in enumerate(raw_matrix)]
+        if fixed is None:
             raise ConfigError("weights.type 'fixed' requires graph.fixed_edges, since a "
                               "regenerated topology would not match the matrix pattern")
-    weights_cfg = WeightsConfig(wkind, matrix)
+        weights = _fit_weights(matrix, fixed)
 
-    return Scenario(tuple(grids), attack, f, period_hours, seed, cons, graph_cfg, weights_cfg)
+    return Scenario(tuple(grids), attack, f, period_hours, seed, cons, graph_cfg, weights)
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -411,13 +409,13 @@ def scenario_to_dict(s: Scenario) -> dict:
         "consensus": {"k": s.consensus.k, "baseline_steps": s.consensus.baseline_steps},
         "graph": {
             "strategy": s.graph.strategy,
-            "fixed_edges": None if s.graph.fixed_edges is None
-            else [list(e) for e in s.graph.fixed_edges],
+            "fixed_edges": None if s.graph.fixed is None
+            else [list(e) for e in sorted(s.graph.fixed.edges)],
             "regenerate_per_period": s.graph.regenerate_per_period,
         },
         "weights": {
-            "type": s.weights.kind,
-            "matrix": None if s.weights.matrix is None else [list(r) for r in s.weights.matrix],
+            "type": "random" if s.weights is None else "fixed",
+            "matrix": None if s.weights is None else s.weights.entries.tolist(),
         },
     }
     for plan in s.attack.controllers:

@@ -19,7 +19,6 @@ value, which is what plain averaging offers in place of a decode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -80,8 +79,10 @@ class ControllerState:
     Protocol constants (graph, weight matrix, horizon, fault knowledge)
     are public configuration every node carries; other grids' profiles
     and states are not, and never enter here except through messages.
-    A round's inbox is dropped once record_observation has read it, and a
-    message for a round already recorded is rejected like a duplicate.
+    Each quantity has one inbox, for the round being collected;
+    record_observation reads it and starts an empty one. A message for a
+    round already recorded, or for a later round, is rejected like a
+    duplicate.
     """
 
     def __init__(self, node: int, profile: MicrogridProfile, weight_row: np.ndarray,
@@ -92,7 +93,7 @@ class ControllerState:
         self.selector = np.asarray(self.neighborhood, dtype=int)
         self.horizon = horizon
         self.values = {"supply": float(profile.supply), "demand": float(profile.critical_demand)}
-        self.inbox: dict[str, dict[int, dict[int, float]]] = {q: {} for q in QUANTITIES}
+        self.inbox: dict[str, dict[int, float]] = {q: {} for q in QUANTITIES}
         self.samples: dict[str, list[list[float]]] = {q: [] for q in QUANTITIES}
         self._peers = set(self.neighborhood) - {node}
 
@@ -103,18 +104,20 @@ class ControllerState:
         if msg.sender not in self._peers:
             raise InternalInvariantError(
                 f"controller {self.id} received a message from non-neighbor {msg.sender}")
-        if msg.step < len(self.samples[msg.quantity]):
+        collecting = len(self.samples[msg.quantity])
+        if msg.step != collecting:
             raise InternalInvariantError(
                 f"controller {self.id} received a step-{msg.step} message from {msg.sender} "
-                f"after recording that round")
-        bucket = self.inbox[msg.quantity].setdefault(msg.step, {})
-        if msg.sender in bucket:
+                + ("after recording that round" if msg.step < collecting
+                   else f"while collecting round {collecting}"))
+        inbox = self.inbox[msg.quantity]
+        if msg.sender in inbox:
             raise InternalInvariantError(
                 f"controller {self.id} received a duplicate from {msg.sender} at step {msg.step}")
-        bucket[msg.sender] = msg.value
+        inbox[msg.sender] = msg.value
 
     def _neighborhood_row(self, quantity: str, step: int) -> list[float]:
-        bucket = self.inbox[quantity].pop(step, {})
+        bucket, self.inbox[quantity] = self.inbox[quantity], {}
         row = []
         for j in self.neighborhood:
             if j == self.id:
@@ -243,30 +246,20 @@ class CommunicationAgent:
 
 
 def _topology(scenario: Scenario, agent: CommunicationAgent, period: int) -> Graph:
-    fixed = scenario.fixed_graph()
-    if fixed is not None:
-        return fixed
+    if scenario.graph.fixed is not None:
+        return scenario.graph.fixed
     links = scenario.attack.links if scenario.attack.known_to_agent else LinkAttackSet()
     return agent.build_graph(scenario.n, links, period)
 
 
-@lru_cache(maxsize=1)
-def _fixed_weights(matrix: tuple[tuple[float, ...], ...], g: Graph) -> WeightMatrix:
-    # shared by every period on the same matrix and graph: its entries are read-only
-    # and the split horizons it memoises depend on nothing else
-    return WeightMatrix(np.array(matrix, dtype=float), g)
-
-
 def _resilient_weights(scenario: Scenario, g: Graph, period: int) -> WeightMatrix:
-    """The fixed matrix, or weights drawn once the graph is (2f+1)-connected;
-    generated graphs arrive certified, a supplied incomplete one is certified here."""
-    if scenario.weights.kind == "fixed":
-        try:
-            return _fixed_weights(scenario.weights.matrix, g)
-        except ValueError as exc:
-            raise ConfigError(f"weights.matrix does not fit the period graph: {exc}") from None
+    """The scenario's fixed matrix, or weights drawn once the graph is (2f+1)-connected.
+    Generated graphs arrive certified; a supplied incomplete one is certified here, once
+    per campaign, since the scenario holds one Graph (and one matrix) for all periods."""
+    if scenario.weights is not None:
+        return scenario.weights
     m = 2 * scenario.f + 1
-    if scenario.graph.fixed_edges is not None and not g.is_complete():
+    if scenario.graph.fixed is not None and not g.is_complete():
         cert = g.certificate()
         if cert.kappa < m:
             raise InfeasibleTopologyError(
@@ -300,7 +293,7 @@ def _pick_horizon(scenario: Scenario, w: WeightMatrix) -> tuple[int, str]:
     smallest = verify_rank_condition(w, scenario.f)
     if smallest is not None:
         return max(smallest, floor), "full"
-    if scenario.weights.kind == "fixed" and cc.k is not None:
+    if scenario.weights is not None and cc.k is not None:
         if verify_candidate_uniqueness(w, scenario.f, floor) is not None:
             return floor, "per_candidate"
         raise SynthesisError(
@@ -310,7 +303,7 @@ def _pick_horizon(scenario: Scenario, w: WeightMatrix) -> tuple[int, str]:
         f"weights do not satisfy the recovery rank condition for f={scenario.f} "
         f"within the horizon cap K <= {k_max}" + (
             "; supply consensus.k to run a fixed matrix under the weaker "
-            "per-hypothesis split" if scenario.weights.kind == "fixed" else ""))
+            "per-hypothesis split" if scenario.weights is not None else ""))
 
 
 def run_period(scenario: Scenario, agent: CommunicationAgent, decode_mode: str,
@@ -356,7 +349,7 @@ def _run_resilient_period(scenario: Scenario, g: Graph, decode_mode: str,
         "mode": decode_mode,
         "k": k,
         "rank_split": rank_split,
-        "weights_source": scenario.weights.kind,
+        "weights_source": "random" if scenario.weights is None else "fixed",
         "declared_fault_set": list(declared) if decode_mode == "known_faults" else None,
         "controllers": per_controller,
     })
@@ -425,7 +418,7 @@ def run_campaign(scenario: Scenario, periods: int, agent: CommunicationAgent,
                  decode_mode: str) -> list[DecisionRecord]:
     """Run several decision periods; per-period failures become error records.
 
-    Without regeneration or fixed edges, the first completed period's graph is pinned.
+    Without regeneration or a fixed graph, the first completed period's graph is pinned.
     """
     if periods < 1:
         raise ValueError("periods must be at least 1")
@@ -433,7 +426,7 @@ def run_campaign(scenario: Scenario, periods: int, agent: CommunicationAgent,
     for p in range(periods):
         try:
             record = run_period(scenario, agent, decode_mode, p)
-            if not scenario.graph.regenerate_per_period and scenario.graph.fixed_edges is None:
+            if not scenario.graph.regenerate_per_period and scenario.graph.fixed is None:
                 scenario = scenario.with_fixed_graph(record.graph)
         except (InfeasibleTopologyError, SynthesisError, DecodeError, InternalInvariantError) as exc:
             record = DecisionRecord(

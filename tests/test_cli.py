@@ -113,7 +113,7 @@ class TestRun:
         assert not (tmp_path / "o").exists()
 
     def test_fixed_graph_override(self, tmp_path):
-        ref = load_golden_scenario().fixed_graph()
+        ref = load_golden_scenario().graph.fixed
         gfile = tmp_path / "ref.edges"
         gfile.write_text(ref.to_edge_list_text())
         out = tmp_path / "o"
@@ -186,6 +186,17 @@ class TestGraphCommand:
         assert code == 0
         g = Graph.from_edge_list_text((out / "graph.edges").read_text())
         assert (0, 1) not in g.edges and (2, 3) not in g.edges
+
+    def test_preventive_with_attacked_links_exits_one(self, tmp_path, capsys):
+        # the preventive generator never reads attacked links, so asking for
+        # them is refused rather than ignored
+        out = tmp_path / "g"
+        code = main(["graph", "--n", "8", "--f", "1", "--strategy", "preventive",
+                     "--attacked-links", "0-1,2-99", "--seed", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--attacked-links" in err and "--strategy responsive" in err
+        assert not out.exists()
 
     def test_bad_link_syntax_exits_one(self, tmp_path, capsys):
         code = main(["graph", "--n", "6", "--f", "1", "--strategy", "responsive",

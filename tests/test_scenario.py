@@ -64,7 +64,8 @@ class TestScenarioParsing:
         assert sc.n == 4
         assert sc.true_totals() == (100.0, 20.0)
         assert sc.graph.strategy == "preventive"
-        assert sc.weights.kind == "random"
+        assert sc.graph.fixed is None
+        assert sc.weights is None
 
     def test_ids_must_cover_range(self):
         data = minimal_dict()
@@ -148,6 +149,16 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="fixed_edges"):
             scenario_from_dict(data)
 
+    def test_fixed_weights_must_fit_the_fixed_graph(self):
+        # REF_W couples nodes 0 and 2; without that edge the file fails at load
+        edges = [list(e) for e in REF_EDGES if e != (0, 2)] + [[0, 4]]
+        data = minimal_dict(n=6, graph={"fixed_edges": edges},
+                            weights={"type": "fixed", "matrix": REF_W})
+        with pytest.raises(ConfigError, match=re.escape(
+                "weights.matrix does not fit the fixed graph: entry (0, 2) is nonzero "
+                "but the nodes are not neighbors")):
+            scenario_from_dict(data)
+
     def test_fixed_weights_shape_checked(self):
         data = minimal_dict(
             n=6,
@@ -209,7 +220,15 @@ class TestScenarioParsing:
             weights={"type": "fixed", "matrix": REF_W},
         )
         sc = scenario_from_dict(data)
-        assert scenario_from_dict(scenario_to_dict(sc)) == sc
+        again = scenario_from_dict(scenario_to_dict(sc))
+        assert again == sc and hash(again) == hash(sc)
+        assert again.weights is not sc.weights and again.weights == sc.weights
+        assert again.weights.graph is again.graph.fixed
+        assert scenario_to_dict(again) == scenario_to_dict(sc)
+        tweaked = [row[:] for row in REF_W]
+        tweaked[0][0] = 6
+        assert scenario_from_dict({**data, "weights": {"type": "fixed", "matrix": tweaked}}) != sc
+        assert hash(load_golden_scenario()) == hash(load_golden_scenario())
 
     def test_save_and_load(self, tmp_path):
         sc = scenario_from_dict(minimal_dict())
@@ -280,6 +299,6 @@ class TestGoldenScenario:
         assert sc.true_totals() == (pytest.approx(441.44), pytest.approx(380.06))
         assert sc.attack.compromised_nodes == (3,)
         assert sc.consensus.k == 3
-        assert sc.fixed_graph() is not None
-        assert sorted(sc.fixed_graph().edges) == sorted(REF_EDGES)
-        assert np.array_equal(np.array(sc.weights.matrix), np.array(REF_W, dtype=float))
+        assert sorted(sc.graph.fixed.edges) == sorted(REF_EDGES)
+        assert np.array_equal(sc.weights.entries, np.array(REF_W, dtype=float))
+        assert sc.weights.graph is sc.graph.fixed

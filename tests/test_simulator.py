@@ -128,6 +128,16 @@ class TestControllerIsolation:
         with pytest.raises(InternalInvariantError, match="after recording that round"):
             node.deliver(late)
 
+    def test_message_for_a_later_round_rejected(self, ref_weights):
+        # a controller collects one round at a time; nothing waits for a later one
+        sc = golden()
+        engine = engine_for(sc, ref_weights, 3, InjectionSchedule.empty(3))
+        early = Message(sender=1, step=1, quantity="supply", value=1.0)
+        with pytest.raises(InternalInvariantError, match="step-1 message from 1 while "
+                                                         "collecting round 0"):
+            engine.controllers[0].deliver(early)
+        assert engine.controllers[0].inbox == {"supply": {}, "demand": {}}
+
     def test_inboxes_are_empty_after_a_run(self, ref_weights):
         # each round's messages are dropped once the controller has recorded them
         sc = golden()
@@ -217,12 +227,10 @@ class TestRunPeriod:
 
     def test_fixed_weights_scanned_once_per_campaign(self, monkeypatch):
         # golden's fixed matrix fails the full split and passes the per-candidate
-        # one; later periods read both answers back from the same matrix
+        # one; later periods read both answers back from the scenario's matrix
         sc = golden()
         builds = []
         build = consensus.build_observability_stack
-        # the matrix outlives a campaign; start from an empty cache
-        simulator._fixed_weights.cache_clear()
         monkeypatch.setattr(consensus, "build_observability_stack",
                             lambda w, i, k: builds.append(k) or build(w, i, k))
         records = run_campaign(sc, 4, CommunicationAgent(sc.graph.strategy, sc.f, sc.seed),
@@ -259,13 +267,24 @@ class TestRunPeriod:
 
     def test_with_fixed_graph_replaces_the_topology(self):
         sc = random_scenario()
-        pinned = sc.with_fixed_graph(Graph.complete(5))
-        assert sc.graph.fixed_edges is None
-        assert pinned.fixed_graph() == Graph.complete(5)
+        g = Graph.complete(5)
+        pinned = sc.with_fixed_graph(g)
+        assert sc.graph.fixed is None
+        assert pinned.graph.fixed is g
         agent = CommunicationAgent("preventive", sc.f, sc.seed)
         rec = run_period(pinned, agent, "unknown_faults", 2)
-        assert rec.graph == Graph.complete(5)
+        assert rec.graph is g
         assert agent.calls == []
+
+    def test_with_fixed_graph_moves_fixed_weights_onto_it(self):
+        sc = golden()
+        g = Graph.complete(6)
+        moved = sc.with_fixed_graph(g)
+        assert moved.weights.graph is g
+        assert np.array_equal(moved.weights.entries, sc.weights.entries)
+        with pytest.raises(ConfigError, match=r"weights\.matrix does not fit the fixed graph: "
+                                              r"entry \(0, 2\) is nonzero"):
+            sc.with_fixed_graph(Graph.from_edges(6, [(i, i + 1) for i in range(5)]))
 
     def test_supplied_graph_below_two_f_plus_one_fails_before_synthesis(self, monkeypatch):
         # a 10-node cycle is 2-connected and f=1 needs 3: no weight draw is tried
@@ -281,9 +300,10 @@ class TestRunPeriod:
         # plain averaging needs no certificate
         assert run_period(sc, agent, "baseline").diagnostics["error"] is None
 
-    def test_supplied_graph_is_certified_once_per_period(self, monkeypatch):
-        sc = random_scenario(n=7).with_fixed_graph(
-            generate_preventive(7, 1, np.random.default_rng(2024)))
+    def test_supplied_graph_is_certified_once_per_campaign(self, monkeypatch):
+        # a newly built graph, so no generator has certified this instance
+        drawn = generate_preventive(7, 1, np.random.default_rng(2024))
+        sc = random_scenario(n=7).with_fixed_graph(Graph(7, drawn.edges))
         calls = []
         real = graph_module.vertex_connectivity
         monkeypatch.setattr(graph_module, "vertex_connectivity",
@@ -291,7 +311,18 @@ class TestRunPeriod:
         records = run_campaign(sc, 3, CommunicationAgent("preventive", sc.f, sc.seed),
                                "unknown_faults")
         assert all(r.diagnostics["error"] is None for r in records)
-        assert len(calls) == 3
+        assert len(calls) == 1
+
+        # a pinned first draw keeps the instance its generator certified
+        calls.clear()
+        data = scenario_to_dict(random_scenario(n=8))
+        data["graph"]["regenerate_per_period"] = False
+        pinned = scenario_from_dict(data)
+        records = run_campaign(pinned, 4, CommunicationAgent("preventive", pinned.f, pinned.seed),
+                               "unknown_faults")
+        assert all(r.diagnostics["error"] is None for r in records)
+        assert len({id(r.graph) for r in records}) == 1
+        assert len(calls) == 1
 
     def test_fixed_weights_without_pinned_horizon_demand_the_full_split(self):
         data = scenario_to_dict(golden())

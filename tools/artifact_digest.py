@@ -10,7 +10,9 @@ into temporary directories.
 Sets (all of them when none is named):
 
   golden  `mgnet run --scenario golden`, three modes, `--periods` 1 and 4
-  fixed   the same with `--fixed-graph` set to K6, three modes, 3 periods
+  fixed   the same with `--fixed-graph` set to K6, three modes, 3 periods;
+          and once, resilient-unknown, on the 6-node path graph, which the
+          golden weight matrix does not fit (a configuration error, exit 1)
   pinned  golden's microgrids on a preventive graph drawn once and kept
           (`regenerate_per_period: false`), random weights, three modes,
           4 periods
@@ -19,8 +21,8 @@ Sets (all of them when none is named):
           seed 1 periods 0-2
   graph   `mgnet graph` preventive n=40 f=2 and responsive n=60 f=2 with
           attacked links
-  verify  `mgnet verify` on golden's weight matrix as CSV, f 0 and 1, with
-          no `--k-max` and with `--k-max` 1, 3 and 8
+  verify  `mgnet verify` on golden's weight matrix (`scenario.weights`) as
+          CSV, f 0 and 1, with no `--k-max` and with `--k-max` 1, 3 and 8
 
 Each line is `<sha256>  <set>/<run>/<file>`; a CLI run also prints its
 exit code and a period that raises prints its error instead of digests.
@@ -42,7 +44,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from mgnet.cli import main as mgnet_main  # noqa: E402
-from mgnet.consensus import WeightMatrix  # noqa: E402
 from mgnet.errors import MgnetError  # noqa: E402
 from mgnet.graph import Graph  # noqa: E402
 from mgnet.scenario import load_golden_scenario, scenario_to_dict  # noqa: E402
@@ -87,12 +88,14 @@ def golden_set(work: Path) -> list[str]:
 
 
 def fixed_set(work: Path) -> list[str]:
-    edges = work / "k6.edges"
-    edges.write_text(Graph.complete(6).to_edge_list_text())
-    return [line for mode in MODES
-            for line in cli_run(f"fixed/{mode}",
-                                ["run", "--scenario", "golden", "--mode", mode, "--periods", "3",
-                                 "--fixed-graph", str(edges)], work)]
+    k6, path6 = work / "k6.edges", work / "path6.edges"
+    k6.write_text(Graph.complete(6).to_edge_list_text())
+    path6.write_text(Graph.from_edges(6, [(i, i + 1) for i in range(5)]).to_edge_list_text())
+    runs = [(f"fixed/{mode}", mode, k6) for mode in MODES]
+    runs.append(("fixed/path6", "resilient-unknown", path6))
+    return [line for name, mode, edges in runs
+            for line in cli_run(name, ["run", "--scenario", "golden", "--mode", mode,
+                                       "--periods", "3", "--fixed-graph", str(edges)], work)]
 
 
 def pinned_set(work: Path) -> list[str]:
@@ -138,7 +141,7 @@ def graph_set(work: Path) -> list[str]:
 
 def verify_set(work: Path) -> list[str]:
     weights = work / "golden.csv"
-    weights.write_text(WeightMatrix.from_dense(load_golden_scenario().weights.matrix).to_csv_text())
+    weights.write_text(load_golden_scenario().weights.to_csv_text())
     lines = []
     for f in (0, 1):
         for bound in (None, 1, 3, 8):
