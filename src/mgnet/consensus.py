@@ -12,7 +12,9 @@ and recovery of S(0) at every node, whatever <= f nodes the attacker
 corrupts, reduces to a rank split between the two column blocks. The
 weights are synthesized at random until the split holds; the decoders
 then solve the stacked least-squares system, either for a declared
-fault set or by sweeping all candidate sets up to the bound.
+fault set or by sweeping all candidate sets up to the bound. The sweep
+first screens every candidate by its residual outside col(O) and solves
+exactly only those the screen cannot rule out.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ RANK_RTOL = 1e-9
 RESIDUAL_TOL = 1e-8
 AGREEMENT_RTOL = 1e-6
 CONDITION_LIMIT = 1e12
+SCREEN_MARGIN = 1e3
 WEIGHT_DEAD_ZONE = 1e-3
 BASELINE_STEPS = 30
 SYNTHESIS_ATTEMPTS = 40
@@ -469,26 +472,54 @@ def decode_known_faults(stack: ObservabilityStack, obs: ObservationRecord, fault
     )
 
 
+def _screened_candidates(stack: ObservabilityStack, y: np.ndarray, f: int) -> list[tuple[int, ...]]:
+    """Candidate fault sets of size <= f, in sweep order, that may be consistent.
+
+    P, an orthonormal basis of part of the complement of col(O), projects
+    y and the injection operator once; one batched QR per size then gives
+    each candidate Y the residual of P^T y outside col(P^T M^Y). That
+    residual never exceeds the exact least-squares residual of [O M^Y],
+    which lstsq's truncated solve cannot beat, and a QR basis that spans
+    more than col(P^T M^Y) (zero or dependent columns) only lowers it. So
+    a candidate screened above SCREEN_MARGIN times RESIDUAL_TOL, the margin
+    covering rounding, is one decode_known_faults would reject as
+    inconsistent. Without a complement (rows <= n) or with a block at
+    least as wide as it is tall, the residual is zero and nothing is cut.
+    """
+    n = stack.o.shape[1]
+    p = np.linalg.svd(stack.o)[0][:, n:]
+    z, projected = y @ p, p.T @ stack.injection
+    limit = SCREEN_MARGIN * RESIDUAL_TOL * max(float(np.linalg.norm(y)), 1e-300)
+    kept: list[tuple[int, ...]] = []
+    for size in range(f + 1):
+        cands = list(combinations(range(n), size))
+        cols = _injection_columns(n, stack.k, np.array(cands, dtype=int).reshape(len(cands), size))
+        q = np.linalg.qr(np.moveaxis(projected[:, cols], 1, 0))[0]
+        misfit = np.linalg.norm(z - (q @ (z @ q)[..., None])[..., 0], axis=-1)
+        kept += [c for c, r in zip(cands, misfit) if not r > limit]
+    return kept
+
+
 def decode_unknown_faults(stack: ObservabilityStack, obs: ObservationRecord, f: int) -> DecodeResult:
     """Sweep every candidate fault set of size <= f and require agreement.
 
-    A candidate is kept when decode_known_faults finds it consistent. The
-    rank condition at size 2f guarantees all kept candidates decode the
-    same initial state, so a relative gap above AGREEMENT_RTOL means the
-    stacked systems are too ill-conditioned to trust and is raised as an
-    invariant violation rather than papered over.
+    A candidate is kept when decode_known_faults finds it consistent; the
+    ones _screened_candidates proves inconsistent are never solved, which
+    changes no result since decode_known_faults would reject each of them.
+    The rank condition at size 2f guarantees all kept candidates decode
+    the same initial state, so a relative gap above AGREEMENT_RTOL means
+    the stacked systems are too ill-conditioned to trust and is raised as
+    an invariant violation rather than papered over.
     """
     _check_observation(stack, obs)
     if f < 0:
         raise ValueError("fault bound f must be non-negative")
-    n = stack.o.shape[1]
     results: list[DecodeResult] = []
-    for size in range(f + 1):
-        for cand in combinations(range(n), size):
-            try:
-                results.append(decode_known_faults(stack, obs, cand))
-            except DecodeInconsistencyError:
-                continue
+    for cand in _screened_candidates(stack, obs.samples.reshape(-1), f):
+        try:
+            results.append(decode_known_faults(stack, obs, cand))
+        except DecodeInconsistencyError:
+            continue
     if not results:
         raise DecodeFailureError(f"no fault set of size <= {f} explains the observations")
     ref = results[0]

@@ -376,6 +376,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     wkind = raw_weights.get("type", "random")
     if wkind not in ("random", "fixed"):
         raise ConfigError(f"weights.type: must be 'random' or 'fixed', got {wkind!r}")
+    if wkind == "random" and raw_weights.get("matrix") is not None:
+        raise ConfigError("weights.matrix: only weights.type 'fixed' reads a matrix; "
+                          "'random' draws new weights every period")
     weights = None
     if wkind == "fixed":
         raw_matrix = _require(raw_weights, "matrix", "weights")

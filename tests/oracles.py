@@ -2,9 +2,12 @@
 
 Everything here is built from first principles on plain ints, sets and
 dense numpy arrays. No imports from the package under test: the whole
-point is that these share no code path with what they certify.
+point is that these share no code path with what they certify. The one
+exception, unscreened_unknown_decode, is handed the single-hypothesis
+solve as an argument and certifies only the sweep built around it.
 """
 
+import json
 from itertools import combinations
 
 import numpy as np
@@ -112,6 +115,37 @@ def stacked_decode_oracle(w: np.ndarray, observer: int, trajectory: np.ndarray,
     a = np.hstack([o, m]) if m.shape[1] else o
     sol = np.linalg.lstsq(a, y, rcond=None)[0]
     return sol[:n], float(np.linalg.norm(a @ sol - y))
+
+
+def unscreened_unknown_decode(decode_known, inconsistent, n: int, f: int,
+                              agreement_rtol: float) -> str:
+    """The unknown-fault sweep with no screen: every node set of size <= f,
+    in combinations order, goes through decode_known, which returns a
+    result with initial_values and to_json_dict() or raises inconsistent.
+
+    Returns the JSON text of the first consistent result with every
+    consistent set listed; "no consistent fault set" when none is; and
+    "disagreement" when a consistent result's initial state differs from
+    the first one's by more than agreement_rtol relative to the larger
+    infinity norm of the two.
+    """
+    kept = []
+    for size in range(f + 1):
+        for cand in combinations(range(n), size):
+            try:
+                kept.append((cand, decode_known(cand)))
+            except inconsistent:
+                continue
+    if not kept:
+        return "no consistent fault set"
+    first = kept[0][1].initial_values
+    for _, res in kept[1:]:
+        scale = max(np.abs(first).max(), np.abs(res.initial_values).max())
+        if scale > 0 and np.abs(first - res.initial_values).max() / scale > agreement_rtol:
+            return "disagreement"
+    answer = kept[0][1].to_json_dict()
+    answer["consistent_fault_sets"] = [list(c) for c, _ in kept]
+    return json.dumps(answer)
 
 
 def observability_index_oracle(w: np.ndarray, observer: int, k_max: int) -> int | None:

@@ -99,6 +99,16 @@ class TestRun:
         assert "weights.kind: unknown field" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_matrix_with_random_weights_exits_one(self, tmp_path, capsys):
+        data = scenario_to_dict(load_golden_scenario())
+        data["weights"]["type"] = "random"
+        path = tmp_path / "random.json"
+        path.write_text(json.dumps(data))
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "weights.matrix: only weights.type 'fixed'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("key", sorted(REMOVED_CONSENSUS_KEYS))
     def test_removed_consensus_key_exits_one(self, tmp_path, capsys, key):
         # the numerical policy is fixed in mgnet.consensus; a scenario that

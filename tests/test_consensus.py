@@ -1,5 +1,6 @@
 """Weight synthesis, rank verification, the update law, and both decoders."""
 
+import json
 from itertools import combinations
 
 import numpy as np
@@ -25,7 +26,13 @@ from mgnet import (
     verify_candidate_uniqueness,
     verify_rank_condition,
 )
-from mgnet.consensus import RANK_RTOL, WEIGHT_DEAD_ZONE, combine_neighborhood, numerical_rank
+from mgnet.consensus import (
+    AGREEMENT_RTOL,
+    RANK_RTOL,
+    WEIGHT_DEAD_ZONE,
+    combine_neighborhood,
+    numerical_rank,
+)
 
 from conftest import REF_SUPPLIES, REF_W
 from oracles import (
@@ -37,6 +44,7 @@ from oracles import (
     rank_mod_p,
     split_horizon_oracle,
     stacked_operators,
+    unscreened_unknown_decode,
 )
 
 REF_INJECTION = {3: [30.0, -45.0, 60.0]}
@@ -302,15 +310,16 @@ class TestVerifyRankCondition:
             outcomes += [full, weak]
         assert None in outcomes and any(k is not None for k in outcomes)
 
-    @pytest.mark.parametrize("n, f", [(7, 1), (8, 1), (9, 1), (8, 2)])
+    @pytest.mark.parametrize("n, f", [(7, 1), (8, 1), (9, 1), (8, 2), (10, 2), (14, 1)])
     def test_float_horizon_equals_the_exact_one(self, n, f):
         # the smallest K under random weights in GF(p), where a rank has no
-        # tolerance, against the float scan on synthesized weights
+        # tolerance, against the float scan on synthesized weights; (10, 2) and
+        # (14, 1) are the shapes of the resilient benchmark workloads
         rng = np.random.default_rng(1000 + 10 * n + f)
         g = generate_preventive(n, f, rng)
         w = synthesize_weights(g, f, rng)
         exact = gf_split_horizon_oracle(random_field_weights(n, g.edges, rng), 2 * f, n + 2)
-        assert exact is not None and exact <= n
+        assert exact == n - 2 * f - 2
         assert verify_rank_condition(w, f) == exact
 
     def test_rank_mod_p(self):
@@ -623,6 +632,91 @@ class TestDecodeUnknownFaults:
         stack = build_observability_stack(ref_weights, 0, 3)
         with pytest.raises(ValueError):
             decode_unknown_faults(stack, _observed(ref_weights, traj, 0), -1)
+
+
+def _all_candidates(n: int, f: int) -> list[tuple[int, ...]]:
+    return [c for size in range(f + 1) for c in combinations(range(n), size)]
+
+
+def _screen_instance(n: int, f: int, injected: int, seed: int):
+    """Synthesized weights at the split horizon and one run of them with
+    random injections at `injected` random nodes (none when 0)."""
+    _, w = _synthesized_instance(seed, n=n, f=f)
+    k = verify_rank_condition(w, f)
+    rng = np.random.default_rng(seed + 1)
+    nodes = rng.choice(n, size=injected, replace=False)
+    inj = InjectionSchedule.from_values({int(v): rng.normal(0, 30, k).tolist() for v in nodes}, k)
+    return w, run_updates(w, rng.uniform(0, 1000, n), inj, k), k
+
+
+SCREEN_CASES = [(8, 1, 1, 300), (9, 1, 1, 310), (8, 2, 1, 320), (8, 2, 2, 330),
+                (8, 1, 0, 340), (8, 2, 0, 350)]
+
+
+class TestDecodeScreen:
+    """decode_unknown_faults solves only the candidates its screen keeps;
+    the answer must be the unscreened sweep's, byte for byte."""
+
+    @staticmethod
+    def _outcomes(w, traj, k, f, observer):
+        stack = build_observability_stack(w, observer, k)
+        obs = _observed(w, traj, observer)
+        try:
+            screened = json.dumps(decode_unknown_faults(stack, obs, f).to_json_dict())
+        except DecodeFailureError:
+            screened = "no consistent fault set"
+        except InternalInvariantError as exc:
+            assert "disagree" in str(exc)
+            screened = "disagreement"
+        reference = unscreened_unknown_decode(
+            lambda cand: decode_known_faults(stack, obs, cand), DecodeInconsistencyError,
+            w.n, f, AGREEMENT_RTOL)
+        return screened, reference
+
+    @pytest.mark.parametrize("n, f, injected, seed", SCREEN_CASES)
+    def test_screened_sweep_equals_the_unscreened_one(self, n, f, injected, seed):
+        w, traj, k = _screen_instance(n, f, injected, seed)
+        for observer in range(n):
+            screened, reference = self._outcomes(w, traj, k, f, observer)
+            assert screened == reference
+            if injected == 0:
+                # every candidate explains a clean run, so none may be skipped
+                found = json.loads(screened)["consistent_fault_sets"]
+                assert found == [list(c) for c in _all_candidates(n, f)]
+
+    @pytest.mark.parametrize("n, f, seed", [(8, 1, 360), (8, 2, 370)])
+    def test_faults_beyond_the_bound_fail_both_sweeps(self, n, f, seed):
+        w, traj, k = _screen_instance(n, f, f + 1, seed)
+        for observer in range(n):
+            assert self._outcomes(w, traj, k, f, observer) == ("no consistent fault set",) * 2
+
+    @pytest.mark.parametrize("n, f, injected, seed", SCREEN_CASES)
+    def test_every_dropped_candidate_is_inconsistent(self, n, f, injected, seed):
+        w, traj, k = _screen_instance(n, f, injected, seed)
+        dropped = 0
+        for observer in range(n):
+            stack = build_observability_stack(w, observer, k)
+            obs = _observed(w, traj, observer)
+            kept = consensus._screened_candidates(stack, obs.samples.reshape(-1), f)
+            assert kept == [c for c in _all_candidates(n, f) if c in kept]
+            for cand in set(_all_candidates(n, f)) - set(kept):
+                with pytest.raises(DecodeInconsistencyError):
+                    decode_known_faults(stack, obs, cand)
+                dropped += 1
+        # with an attacker the screen must actually spare exact solves
+        assert (dropped > 0) == (injected > 0)
+
+    def test_no_complement_of_the_state_block_screens_nothing(self):
+        # q(k+1) <= n rows leave O no complement to project on, so every
+        # candidate is kept whatever the observation
+        _, w = _synthesized_instance(380, n=9, f=1)
+        observer = min(range(w.n), key=lambda i: len(w.selector(i)))
+        q = len(w.selector(observer))
+        k = w.n // q - 1
+        stack = build_observability_stack(w, observer, k)
+        assert stack.o.shape[0] <= w.n
+        y = np.random.default_rng(381).normal(0, 100, stack.o.shape[0])
+        assert consensus._screened_candidates(stack, y, 2) == _all_candidates(w.n, 2)
 
 
 class TestBaseline:

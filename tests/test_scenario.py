@@ -144,6 +144,16 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}\[1\]: expected"):
             scenario_from_dict(data)
 
+    def test_random_weights_refuse_a_matrix(self):
+        # the matrix was once dropped without a word and the weights drawn anyway
+        data = minimal_dict(n=6, graph={"fixed_edges": [list(e) for e in REF_EDGES]},
+                            weights={"type": "random", "matrix": REF_W})
+        with pytest.raises(ConfigError, match=r"^weights\.matrix: only weights\.type 'fixed'"):
+            scenario_from_dict(data)
+        # the null matrix that scenario_to_dict writes for random weights still loads
+        data["weights"]["matrix"] = None
+        assert scenario_from_dict(data).weights is None
+
     def test_fixed_weights_require_fixed_edges(self):
         data = minimal_dict(n=6, weights={"type": "fixed", "matrix": REF_W})
         with pytest.raises(ConfigError, match="fixed_edges"):

@@ -17,7 +17,7 @@ Sets (all of them when none is named):
           (`regenerate_per_period: false`), random weights, three modes,
           4 periods
   bench   `run_period` on the benchmark workloads: resilient_f1 seeds 1-3
-          periods 0-7, resilient_f2 seeds 1-2 periods 0-3, baseline_large
+          periods 0-7, resilient_f2 seeds 1-3 periods 0-3, baseline_large
           seed 1 periods 0-2
   graph   `mgnet graph` preventive n=40 f=2 and responsive n=60 f=2 with
           attacked links
@@ -52,7 +52,7 @@ from mgnet.simulator import run_period, write_run_artifacts  # noqa: E402
 import workloads  # noqa: E402
 
 MODES = ("resilient-known", "resilient-unknown", "baseline")
-BENCH_RUNS = (("resilient_f1", (1, 2, 3), 8), ("resilient_f2", (1, 2), 4),
+BENCH_RUNS = (("resilient_f1", (1, 2, 3), 8), ("resilient_f2", (1, 2, 3), 4),
               ("baseline_large", (1,), 3))
 ATTACKED_LINKS = "0-1,2-3,5-9,10-20,30-31,40-59"
 
