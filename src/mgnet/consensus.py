@@ -39,6 +39,7 @@ RESIDUAL_TOL = 1e-8
 AGREEMENT_RTOL = 1e-6
 CONDITION_LIMIT = 1e12
 SCREEN_MARGIN = 1e3
+SPLIT_PIN_MARGIN = 2.0
 WEIGHT_DEAD_ZONE = 1e-3
 BASELINE_STEPS = 30
 SYNTHESIS_ATTEMPTS = 40
@@ -243,6 +244,7 @@ class ObservabilityStack:
     k: int
     observer: int
     selector: tuple[int, ...]
+    _screens: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def m(self, fault_nodes) -> np.ndarray:
         """M^Y: the injection columns of fault set Y, step-major over sorted Y."""
@@ -284,8 +286,6 @@ def verify_rank_condition(w: WeightMatrix, f: int, k_max: int | None = None) -> 
     k_max only filters its answer: the first passing K in 1..n+2 is at
     most k_max exactly when it is the first passing K in 1..k_max.
     """
-    if f < 0:
-        raise ValueError("fault bound f must be non-negative")
     return _smallest_split_horizon(w, min(2 * f, w.n), k_max)
 
 
@@ -300,12 +300,12 @@ def verify_candidate_uniqueness(w: WeightMatrix, f: int, k_max: int | None = Non
     enforces cross-candidate agreement at runtime instead of by
     construction.
     """
-    if f < 0:
-        raise ValueError("fault bound f must be non-negative")
     return _smallest_split_horizon(w, min(f, w.n), k_max)
 
 
 def _smallest_split_horizon(w: WeightMatrix, subset_size: int, k_max: int | None) -> int | None:
+    if subset_size < 0:
+        raise ValueError("fault bound f must be non-negative")
     k_max = horizon_bound(w.n, k_max)
     if subset_size not in w._horizons:
         w._horizons[subset_size] = _scan_split_horizons(w, subset_size)
@@ -313,60 +313,76 @@ def _smallest_split_horizon(w: WeightMatrix, subset_size: int, k_max: int | None
     return k if k is not None and k <= k_max else None
 
 
+def _split_holds(a: np.ndarray, n: int, s: np.ndarray | None = None) -> bool:
+    """Whether rank([O M]) = n + rank(M) for each a = [O M] of a batch, O its
+    first n columns, from s, the singular values of a (computed if not given).
+    Rank r < n fails. With z nonzero columns in M, interlacing (sigma_z(M) >=
+    sigma_{n+z}([O M])) pins rank(M) = z when r = n + z and s[r-1] exceeds
+    SPLIT_PIN_MARGIN times the cut. Rounding moves s by about 1e-14 s[0], so
+    any margin over 1 + 1e-4 covers both SVDs."""
+    s = np.linalg.svd(a, compute_uv=False) if s is None else s
+    r = np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
+    if np.any(r < n):
+        return False
+    m = a[..., n:]
+    z = np.count_nonzero(np.any(m != 0, axis=-2), axis=-1)
+    smallest_kept = np.take_along_axis(s, r[..., None] - 1, axis=-1)[..., 0]
+    rest = (r != n + z) | (smallest_kept <= SPLIT_PIN_MARGIN * RANK_RTOL * s[..., 0])
+    return bool(np.all(r[rest] == n + numerical_rank(m[rest])))
+
+
 def _scan_split_horizons(w: WeightMatrix, subset_size: int) -> int | None:
     """First K in 1..n+2 at which every observer splits every node set of
-    subset_size, or None. Each observer's stack is built once, at the cap,
-    and shorter horizons read its leading blocks. Observers that see the
-    fewest neighbours are the likeliest to fail, so they go first."""
+    subset_size, or None. Each observer's [O | injection] is built once, at
+    the cap, and every [O M^Y] is gathered from its leading rows; fewer than
+    n rows fail with no SVD. Observers that see the fewest neighbours are
+    the likeliest to fail, so they go first."""
     n = w.n
     cap = default_k_max(n)
     subsets = np.array(list(combinations(range(n), subset_size)), dtype=int)
+    state = np.broadcast_to(np.arange(n), (len(subsets), n))
     observers = sorted(range(n), key=lambda i: len(w.selector(i)))
-    stacks = [build_observability_stack(w, i, cap) for i in observers]
+    blocks = [(len(stack.selector), np.hstack([stack.o, stack.injection]))
+              for stack in (build_observability_stack(w, i, cap) for i in observers)]
     for k in range(1, cap + 1):
-        cols = _injection_columns(n, k, subsets)
-        for stack in stacks:
-            rows = len(stack.selector) * (k + 1)
-            m = np.moveaxis(stack.injection[:rows, cols], 1, 0)
-            o = np.broadcast_to(stack.o[:rows], (len(subsets), rows, n))
-            split = numerical_rank(np.concatenate([o, m], axis=2))
-            if np.any(split != n + numerical_rank(m)):
+        cols = np.hstack([state, n + _injection_columns(n, k, subsets)])
+        for q, block in blocks:
+            if q * (k + 1) < n or not _split_holds(np.moveaxis(block[:q * (k + 1), cols], 1, 0), n):
                 break
         else:
             return k
     return None
 
 
-def _sample_weight(rng: np.random.Generator) -> float:
-    # uniform on [-1, 1] with a dead zone so no entry is numerically "almost zero"
-    while True:
-        v = float(rng.uniform(-1.0, 1.0))
-        if abs(v) >= WEIGHT_DEAD_ZONE:
-            return v
-
-
 def synthesize_weights(g: Graph, f: int, rng: np.random.Generator) -> WeightMatrix:
     """Draw random pattern-respecting weights until the rank split holds.
 
     Each draw must pass within the horizon cap. Almost any draw works when
-    the graph is (2f+1)-connected, so the cap of SYNTHESIS_ATTEMPTS draws
-    only trips on graphs that cannot support the fault bound. The caller
-    certifies connectivity beforehand: generated graphs are certified by
-    their generator, and the simulator certifies a supplied graph before
-    it draws weights for it.
+    the graph is (2f+1)-connected, up to about n = 20 at f = 1, beyond which
+    float64 ranks fail on ill-conditioned stacks; the cap of SYNTHESIS_ATTEMPTS
+    draws trips on either. The caller certifies connectivity beforehand:
+    generated graphs are certified by their generator, and the simulator
+    certifies a supplied graph before it draws weights for it.
     """
-    n = g.node_count
     for _ in range(SYNTHESIS_ATTEMPTS):
-        entries = np.zeros((n, n))
-        for i in range(n):
-            for j in sorted({i} | set(g.neighbors(i))):
-                entries[i, j] = _sample_weight(rng)
-        w = WeightMatrix(entries, g)
+        w = draw_weights(g, rng)
         if verify_rank_condition(w, f) is not None:
             return w
     raise SynthesisError(
-        f"no weight draw satisfied the rank condition for f={f} after "
-        f"{SYNTHESIS_ATTEMPTS} attempts; the graph likely lacks 2f+1 connectivity")
+        f"no weight draw satisfied the rank condition for f={f} after {SYNTHESIS_ATTEMPTS} "
+        f"attempts: the graph lacks 2f+1 connectivity, or float64 ranks fail at n={g.node_count}")
+
+
+def draw_weights(g: Graph, rng: np.random.Generator) -> WeightMatrix:
+    """One draw on g's pattern, row by row, each entry uniform on [-1, 1] outside
+    a dead zone so that no entry is numerically "almost zero"."""
+    n = g.node_count
+    entries = np.zeros((n, n))
+    for i in range(n):
+        for j in sorted({i} | set(g.neighbors(i))):
+            while abs(entries[i, j]) < WEIGHT_DEAD_ZONE:
+                entries[i, j] = float(rng.uniform(-1.0, 1.0))
+    return WeightMatrix(entries, g)
 
 
 def run_updates(w: WeightMatrix, initial, inj: InjectionSchedule, k: int) -> np.ndarray:
@@ -456,10 +472,10 @@ def decode_known_faults(stack: ObservabilityStack, obs: ObservationRecord, fault
         raise DecodeInconsistencyError(
             f"fault set {key} leaves relative residual {rel:.3e} (tol {RESIDUAL_TOL:.1e})")
     rank_a = int(np.sum(svals > RANK_RTOL * svals[0])) if svals.size and svals[0] > 0 else 0
-    if rank_a != n + numerical_rank(m):
+    if not _split_holds(a, n, svals):
         raise InternalInvariantError(
             f"fault hypothesis {key} explains the observations but does not pin down "
-            f"the initial state (stacked rank {rank_a}, need {n + numerical_rank(m)})")
+            f"the initial state (stacked rank {rank_a} is not {n} plus the injection rank)")
     cond = float(svals[0] / svals[rank_a - 1])
     s0 = solution[:n].copy()
     return DecodeResult(
@@ -475,26 +491,32 @@ def decode_known_faults(stack: ObservabilityStack, obs: ObservationRecord, fault
 def _screened_candidates(stack: ObservabilityStack, y: np.ndarray, f: int) -> list[tuple[int, ...]]:
     """Candidate fault sets of size <= f, in sweep order, that may be consistent.
 
-    P, an orthonormal basis of part of the complement of col(O), projects
-    y and the injection operator once; one batched QR per size then gives
-    each candidate Y the residual of P^T y outside col(P^T M^Y). That
-    residual never exceeds the exact least-squares residual of [O M^Y],
-    which lstsq's truncated solve cannot beat, and a QR basis that spans
-    more than col(P^T M^Y) (zero or dependent columns) only lowers it. So
-    a candidate screened above SCREEN_MARGIN times RESIDUAL_TOL, the margin
-    covering rounding, is one decode_known_faults would reject as
-    inconsistent. Without a complement (rows <= n) or with a block at
-    least as wide as it is tall, the residual is zero and nothing is cut.
+    P, an orthonormal basis of part of the complement of col(O), and one
+    batched QR per size of P^T M^Y are kept on the stack per bound, so
+    every y screened against it gets each candidate's residual of P^T y
+    outside col(P^T M^Y) from them. That never exceeds the exact residual
+    of [O M^Y], which lstsq's truncated solve cannot beat, and a QR basis
+    spanning more than col(P^T M^Y) (zero or dependent columns) only
+    lowers it. So a candidate screened above SCREEN_MARGIN times
+    RESIDUAL_TOL, the margin covering rounding, is one decode_known_faults
+    would reject. Without a complement (rows <= n) or with a block at least
+    as wide as it is tall, the residual is zero and nothing is cut.
     """
     n = stack.o.shape[1]
-    p = np.linalg.svd(stack.o)[0][:, n:]
-    z, projected = y @ p, p.T @ stack.injection
+    if f not in stack._screens:
+        p = np.linalg.svd(stack.o)[0][:, n:]
+        projected = p.T @ stack.injection
+        per_size = []
+        for size in range(f + 1):
+            cands = list(combinations(range(n), size))
+            cols = _injection_columns(n, stack.k, np.array(cands, dtype=int).reshape(len(cands), size))
+            per_size.append((cands, np.linalg.qr(np.moveaxis(projected[:, cols], 1, 0))[0]))
+        stack._screens[f] = p, per_size
+    p, per_size = stack._screens[f]
+    z = y @ p
     limit = SCREEN_MARGIN * RESIDUAL_TOL * max(float(np.linalg.norm(y)), 1e-300)
     kept: list[tuple[int, ...]] = []
-    for size in range(f + 1):
-        cands = list(combinations(range(n), size))
-        cols = _injection_columns(n, stack.k, np.array(cands, dtype=int).reshape(len(cands), size))
-        q = np.linalg.qr(np.moveaxis(projected[:, cols], 1, 0))[0]
+    for cands, q in per_size:
         misfit = np.linalg.norm(z - (q @ (z @ q)[..., None])[..., 0], axis=-1)
         kept += [c for c, r in zip(cands, misfit) if not r > limit]
     return kept

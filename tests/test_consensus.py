@@ -200,8 +200,10 @@ class TestVerifyRankCondition:
         # {0, 1}; rank([O M]) stays one short of full split at K = 4
         stack = build_observability_stack(ref_weights, 2, 4)
         m = stack.m((0, 1))
-        assert numerical_rank(np.hstack([stack.o, m])) == 13
+        a = np.hstack([stack.o, m])
+        assert numerical_rank(a) == 13
         assert 6 + numerical_rank(m) == 14
+        assert not consensus._split_holds(a, 6)
 
     def test_fault_free_equals_observability_index(self):
         for seed in (11, 12, 13):
@@ -401,6 +403,87 @@ class TestSplitHorizonMemo:
         assert w.entries[0, 0] == REF_W[0][0]
 
 
+class TestSplitPin:
+    """One SVD of [O M] decides the split wherever it can: a rank below n
+    fails, and rank n + z with z nonzero columns in M and the smallest
+    kept singular value clear of the cut pins rank(M) = z. numerical_rank
+    runs on M only for the fault sets left open."""
+
+    @pytest.fixture
+    def rank_of_m(self, monkeypatch):
+        batches = []
+        rank = consensus.numerical_rank
+        def counted(a):
+            if len(a):
+                batches.append(len(a))
+            return rank(a)
+        monkeypatch.setattr(consensus, "numerical_rank", counted)
+        return batches
+
+    @pytest.mark.parametrize("n, f, seed", [(14, 1, 5), (10, 2, 6)])
+    def test_scan_matches_the_per_pair_oracle(self, n, f, seed):
+        rng = np.random.default_rng(seed)
+        w = synthesize_weights(generate_preventive(n, f, rng), f, rng)
+        assert verify_rank_condition(w, f) == split_horizon_oracle(
+            w.entries, 2 * f, n + 2, RANK_RTOL) == n - 2 * f - 2
+        assert verify_candidate_uniqueness(w, f) == split_horizon_oracle(
+            w.entries, f, n + 2, RANK_RTOL)
+
+    @pytest.mark.parametrize("g, f", [
+        (Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)]), 1),
+        (generate_preventive(8, 1, np.random.default_rng(8)), 2),
+    ], ids=["cycle8-f1", "kappa3-n8-f2"])
+    def test_draws_that_fail_to_the_cap_match_the_oracle(self, g, f):
+        # below 2f+1 connectivity the full split fails at every horizon
+        w = consensus.draw_weights(g, np.random.default_rng(9))
+        assert verify_rank_condition(w, f) is None
+        assert split_horizon_oracle(w.entries, 2 * f, w.n + 2, RANK_RTOL) is None
+        assert verify_candidate_uniqueness(w, f) == split_horizon_oracle(
+            w.entries, f, w.n + 2, RANK_RTOL)
+
+    def test_rank_of_m_runs_only_where_the_pin_leaves_it_open(self, rank_of_m):
+        rng = np.random.default_rng(5)
+        w = synthesize_weights(generate_preventive(14, 1, rng), 1, rng)
+        k = verify_rank_condition(w, 1)
+        rank_of_m.clear()
+        pairs = 0
+        for i in range(w.n):
+            stack = build_observability_stack(w, i, k)
+            a = np.stack([np.hstack([stack.o, stack.m(y)]) for y in combinations(range(w.n), 2)])
+            assert consensus._split_holds(a, w.n)
+            pairs += len(a)
+        # about 4% of the (observer, pair) systems keep M's rank open here
+        assert 0 < sum(rank_of_m) <= 0.1 * pairs
+
+    def test_kept_value_within_the_margin_is_not_pinned(self, rank_of_m):
+        for ratio, fallbacks in ((1.5, [1]), (3.0, [])):
+            rank_of_m.clear()
+            m = np.array([[0.0], [ratio * RANK_RTOL], [0.0]])
+            assert consensus._split_holds(np.hstack([[[1.0], [0.0], [0.0]], m]), 1)
+            assert rank_of_m == fallbacks
+
+    def test_zero_columns_count_against_the_pin(self, rank_of_m):
+        # M's third column is zero: rank n + 2 with z = 2 pins, and a dependent
+        # nonzero column instead leaves z = 3 and M's rank open
+        a = np.zeros((5, 4))
+        a[0, 0], a[1, 1], a[2, 2] = 1.0, 0.5, 0.25
+        assert consensus._split_holds(a, 1) and rank_of_m == []
+        a[:, 3] = a[:, 2]
+        assert consensus._split_holds(a, 1) and rank_of_m == [1]
+
+    def test_rank_below_n_fails_without_rank_of_m(self, rank_of_m):
+        # [O M] of all ones has rank 1 < n = 2
+        assert not consensus._split_holds(np.ones((1, 4, 3)), 2)
+        assert rank_of_m == []
+
+    def test_decoder_pins_its_split(self, ref_weights, rank_of_m):
+        inj = InjectionSchedule.from_values(REF_INJECTION, 3)
+        traj = run_updates(ref_weights, REF_SUPPLIES, inj, 3)
+        stack = build_observability_stack(ref_weights, 0, 3)
+        decode_known_faults(stack, _observed(ref_weights, traj, 0), (3,))
+        assert rank_of_m == []
+
+
 class TestSynthesizeWeights:
     def test_result_passes_verification(self):
         g, w = _synthesized_instance(77, n=6, f=1)
@@ -423,6 +506,19 @@ class TestSynthesizeWeights:
         path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(SynthesisError, match="rank condition for f=1 after 40 attempts"):
             synthesize_weights(path, 1, np.random.default_rng(0))
+
+    def test_failure_names_both_causes(self):
+        # the simulator certifies connectivity first, so float64 is the other suspect
+        path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(SynthesisError, match="lacks 2f\\+1 connectivity, or float64 .* n=4"):
+            synthesize_weights(path, 1, np.random.default_rng(0))
+
+    def test_result_is_the_first_passing_draw(self):
+        g = generate_preventive(7, 1, np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        draws = [consensus.draw_weights(g, rng) for _ in range(3)]
+        first = next(w for w in draws if verify_rank_condition(w, 1) is not None)
+        assert synthesize_weights(g, 1, np.random.default_rng(4)) == first
 
 
 class TestRunUpdates:

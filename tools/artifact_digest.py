@@ -23,10 +23,17 @@ Sets (all of them when none is named):
           attacked links
   verify  `mgnet verify` on golden's weight matrix (`scenario.weights`) as
           CSV, f 0 and 1, with no `--k-max` and with `--k-max` 1, 3 and 8
+  split   the rank-split scan on the first three weight draws of period 0's
+          synthesis, seeds 1-2 of the resilient_f<f> recipe at (n, f) =
+          (10,1), (14,1), (18,1), (8,2), (10,2), (12,2): thin-margin shapes
+          the bench set does not reach, n=18 seed 2's first draw among
+          them, where the scan finds no horizon
 
 Each line is `<sha256>  <set>/<run>/<file>`; a CLI run also prints its
 exit code and a period that raises prints its error instead of digests.
 A verify run writes no files: its digest is of what it prints, `<run>/stdout`.
+A split line gives the horizons themselves, `k2f=<K or None> kf=<K or None>`,
+for fault sets of size 2f and f.
 """
 
 from __future__ import annotations
@@ -43,7 +50,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+from mgnet import simulator  # noqa: E402
 from mgnet.cli import main as mgnet_main  # noqa: E402
+from mgnet.consensus import draw_weights, verify_candidate_uniqueness, verify_rank_condition  # noqa: E402
 from mgnet.errors import MgnetError  # noqa: E402
 from mgnet.graph import Graph  # noqa: E402
 from mgnet.scenario import load_golden_scenario, scenario_to_dict  # noqa: E402
@@ -55,6 +64,7 @@ MODES = ("resilient-known", "resilient-unknown", "baseline")
 BENCH_RUNS = (("resilient_f1", (1, 2, 3), 8), ("resilient_f2", (1, 2, 3), 4),
               ("baseline_large", (1,), 3))
 ATTACKED_LINKS = "0-1,2-3,5-9,10-20,30-31,40-59"
+SPLIT_SHAPES = ((10, 1), (14, 1), (18, 1), (8, 2), (10, 2), (12, 2))
 
 
 def sha256(data: bytes) -> str:
@@ -152,8 +162,25 @@ def verify_set(work: Path) -> list[str]:
     return lines
 
 
+def split_set(work: Path) -> list[str]:
+    specs = workloads.load_specs()
+    lines = []
+    for n, f in SPLIT_SHAPES:
+        inputs = {**specs[f"resilient_f{f}"]["inputs"], "n": n}
+        for seed in (1, 2):
+            scenario, agent = workloads.build(inputs, seed)
+            g = simulator._topology(scenario, agent, 0)
+            rng = simulator._rng(scenario.seed, 0, simulator._WEIGHT_STREAM)
+            for draw in range(3):
+                w = draw_weights(g, rng)
+                lines.append(f"k2f={verify_rank_condition(w, f)} "
+                             f"kf={verify_candidate_uniqueness(w, f)}  "
+                             f"split/n{n}-f{f}/s{seed}/draw{draw}")
+    return lines
+
+
 SETS = {"golden": golden_set, "fixed": fixed_set, "pinned": pinned_set,
-        "bench": bench_set, "graph": graph_set, "verify": verify_set}
+        "bench": bench_set, "graph": graph_set, "verify": verify_set, "split": split_set}
 
 
 def run(names) -> int:
