@@ -19,6 +19,8 @@ exactly only those the screen cannot rule out.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -43,6 +45,7 @@ SPLIT_PIN_MARGIN = 2.0
 WEIGHT_DEAD_ZONE = 1e-3
 BASELINE_STEPS = 30
 SYNTHESIS_ATTEMPTS = 40
+SPLIT_CHUNK_ENTRIES = 8192  # least SVD work, in matrix entries, worth a thread
 
 
 def default_k_max(n: int) -> int:
@@ -60,17 +63,40 @@ def horizon_bound(n: int, k_max: int | None) -> int:
     return k_max
 
 
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix, or of each matrix of a stack split along axis 0
+    into one chunk per core the process may run on, each of at least one matrix and
+    SPLIT_CHUNK_ENTRIES entries: the caller solves the first chunk, a thread each other
+    one, and all are joined before any error is raised. Each matrix gets the same
+    LAPACK call on the same bytes in any chunk, so no value depends on the split."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parts = min(cores or 1, len(a), a.size // SPLIT_CHUNK_ENTRIES) if a.ndim > 2 else 1
+    chunks = np.array_split(a, max(parts, 1))
+    out, errors = [None] * len(chunks), []
+    def solve(j: int) -> None:
+        try:
+            out[j] = np.linalg.svd(chunks[j], compute_uv=False)
+        except BaseException as exc:
+            errors.append(exc)
+    threads = [threading.Thread(target=solve, args=(j,)) for j in range(1, len(chunks))]
+    for t in threads:
+        t.start()
+    solve(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return np.concatenate(out)
+
+
 def numerical_rank(a: np.ndarray) -> int | np.ndarray:
     """Rank by singular values above RANK_RTOL times the largest.
 
     A stack of matrices, shape (..., rows, cols), gets one rank per
-    matrix from a single batched SVD; a plain matrix gets an int.
+    matrix from _singular_values; a plain matrix gets an int.
     """
-    if a.size == 0:
-        ranks = np.zeros(a.shape[:-2], dtype=int)
-    else:
-        s = np.linalg.svd(a, compute_uv=False)
-        ranks = np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
+    s = _singular_values(a)
+    ranks = np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
@@ -320,7 +346,7 @@ def _split_holds(a: np.ndarray, n: int, s: np.ndarray | None = None) -> bool:
     sigma_{n+z}([O M])) pins rank(M) = z when r = n + z and s[r-1] exceeds
     SPLIT_PIN_MARGIN times the cut. Rounding moves s by about 1e-14 s[0], so
     any margin over 1 + 1e-4 covers both SVDs."""
-    s = np.linalg.svd(a, compute_uv=False) if s is None else s
+    s = _singular_values(a) if s is None else s
     r = np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
     if np.any(r < n):
         return False
@@ -336,7 +362,8 @@ def _scan_split_horizons(w: WeightMatrix, subset_size: int) -> int | None:
     subset_size, or None. Each observer's [O | injection] is built once, at
     the cap, and every [O M^Y] is gathered from its leading rows; fewer than
     n rows fail with no SVD. Observers that see the fewest neighbours are
-    the likeliest to fail, so they go first."""
+    the likeliest to fail, so they go first, one at a time: a failing horizon
+    stops at its first failing observer. _singular_values splits each batch."""
     n = w.n
     cap = default_k_max(n)
     subsets = np.array(list(combinations(range(n), subset_size)), dtype=int)

@@ -1,6 +1,9 @@
 """Weight synthesis, rank verification, the update law, and both decoders."""
 
 import json
+import os
+import sys
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -403,6 +406,13 @@ class TestSplitHorizonMemo:
         assert w.entries[0, 0] == REF_W[0][0]
 
 
+# graphs below 2f+1 connectivity, on which the full split fails to the cap
+CAP_FAILING_GRAPHS = [
+    pytest.param(Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)]), 1, id="cycle8-f1"),
+    pytest.param(generate_preventive(8, 1, np.random.default_rng(8)), 2, id="kappa3-n8-f2"),
+]
+
+
 class TestSplitPin:
     """One SVD of [O M] decides the split wherever it can: a rank below n
     fails, and rank n + z with z nonzero columns in M and the smallest
@@ -429,10 +439,7 @@ class TestSplitPin:
         assert verify_candidate_uniqueness(w, f) == split_horizon_oracle(
             w.entries, f, n + 2, RANK_RTOL)
 
-    @pytest.mark.parametrize("g, f", [
-        (Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)]), 1),
-        (generate_preventive(8, 1, np.random.default_rng(8)), 2),
-    ], ids=["cycle8-f1", "kappa3-n8-f2"])
+    @pytest.mark.parametrize("g, f", CAP_FAILING_GRAPHS)
     def test_draws_that_fail_to_the_cap_match_the_oracle(self, g, f):
         # below 2f+1 connectivity the full split fails at every horizon
         w = consensus.draw_weights(g, np.random.default_rng(9))
@@ -482,6 +489,131 @@ class TestSplitPin:
         stack = build_observability_stack(ref_weights, 0, 3)
         decode_known_faults(stack, _observed(ref_weights, traj, 0), (3,))
         assert rank_of_m == []
+
+
+HOST_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+class TestParallelSplit:
+    """Each observer's SVD batch is split across the cores the process may
+    run on; no singular value, and so no horizon, depends on how many."""
+
+    @pytest.fixture
+    def cores(self, monkeypatch):
+        def force(count):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                                raising=False)
+        return force
+
+    @pytest.fixture
+    def svd_threads(self, monkeypatch):
+        # the thread of every SVD the helper runs
+        idents = []
+        svd = np.linalg.svd
+        def recorded(a, *args, **kwargs):
+            idents.append(threading.get_ident())
+            return svd(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        return idents
+
+    @pytest.fixture(scope="class", params=[(14, 1, 5), (10, 2, 6)], ids=["n14-f1", "n10-f2"])
+    def passing_draw(self, request):
+        n, f, seed = request.param
+        rng = np.random.default_rng(seed)
+        return synthesize_weights(generate_preventive(n, f, rng), f, rng), f
+
+    def test_chunks_equal_one_batched_svd(self, passing_draw, cores, monkeypatch):
+        w, f = passing_draw
+        batches = []
+        holds = consensus._split_holds
+        monkeypatch.setattr(consensus, "_split_holds",
+                            lambda a, n: batches.append(a) or holds(a, n))
+        assert consensus._scan_split_horizons(w, 2 * f) == w.n - 2 * f - 2
+        # the passing horizon checks every observer, each with one batch
+        passing = batches[-w.n:]
+        assert all(len(a) == len(list(combinations(range(w.n), 2 * f))) for a in passing)
+        for count in (1, 2, 3, HOST_CORES):
+            cores(count)
+            for a in passing:
+                chunked = consensus._singular_values(a)
+                assert chunked.tobytes() == np.linalg.svd(a, compute_uv=False).tobytes()
+
+    def test_scan_does_not_depend_on_the_core_count(self, passing_draw, cores):
+        w, f = passing_draw
+        for size, expected in ((2 * f, w.n - 2 * f - 2), (f, verify_candidate_uniqueness(w, f))):
+            for count in (1, 3, HOST_CORES):
+                cores(count)
+                assert consensus._scan_split_horizons(w, size) == expected
+
+    @pytest.mark.parametrize("g, f", CAP_FAILING_GRAPHS)
+    def test_cap_failing_scan_does_not_depend_on_the_core_count(self, g, f, cores):
+        w = consensus.draw_weights(g, np.random.default_rng(9))
+        for size, expected in ((2 * f, None), (f, verify_candidate_uniqueness(w, f))):
+            for count in (1, 3, HOST_CORES):
+                cores(count)
+                assert consensus._scan_split_horizons(w, size) == expected
+
+    def test_every_chunk_runs_and_no_thread_outlives_the_scan(self, passing_draw, cores,
+                                                               svd_threads):
+        w, f = passing_draw
+        cores(3)
+        before = threading.active_count()
+        assert consensus._scan_split_horizons(w, 2 * f) == w.n - 2 * f - 2
+        assert threading.active_count() == before
+        assert len(set(svd_threads)) >= 3
+
+    def test_more_chunks_than_cores_under_fast_switching(self, cores):
+        a = np.random.default_rng(12).standard_normal((16, 64, 64))
+        expected = np.linalg.svd(a, compute_uv=False).tobytes()
+        cores(8)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert consensus._singular_values(a).tobytes() == expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["caller", "helper"])
+    def test_error_in_a_chunk_reaches_the_caller(self, failing, cores, monkeypatch):
+        caller = threading.get_ident()
+        svd = np.linalg.svd
+        def fails_on_one_thread(a, *args, **kwargs):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", fails_on_one_thread)
+        cores(3)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            consensus._singular_values(np.ones((6, 8, consensus.SPLIT_CHUNK_ENTRIES // 8)))
+        assert threading.active_count() == before
+
+    def test_one_matrix_starts_no_thread(self, cores, svd_threads):
+        _, w = _synthesized_instance(31)
+        svd_threads.clear()
+        cores(3)
+        caller = threading.get_ident()
+        # work enough for three chunks, but in one matrix
+        a = np.ones((64, 3 * consensus.SPLIT_CHUNK_ENTRIES // 64))
+        assert numerical_rank(a) == 1
+        assert numerical_rank(a[None]).tolist() == [1]
+        # f = 0: one fault set, the empty one, so every batch holds one matrix
+        assert consensus._scan_split_horizons(w, 0) is not None
+        assert svd_threads and set(svd_threads) == {caller}
+
+    def test_small_batch_starts_no_thread(self, cores, svd_threads):
+        cores(3)
+        rows = consensus.SPLIT_CHUNK_ENTRIES // 8
+        # under two chunks' worth of entries in three matrices: one chunk
+        consensus._singular_values(np.ones((3, rows, 5)))
+        assert set(svd_threads) == {threading.get_ident()}
+        # two chunks' worth: the caller and one thread
+        svd_threads.clear()
+        consensus._singular_values(np.ones((2, rows, 8)))
+        assert len(set(svd_threads)) == 2
 
 
 class TestSynthesizeWeights:
