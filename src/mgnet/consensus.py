@@ -115,15 +115,16 @@ class WeightMatrix:
 
     entries[i, j] may be nonzero only for j in N(i) or j = i; nothing
     else about the values is assumed (no symmetry, no row sums).
-    entries is a read-only copy of the array passed in, so the rank-split
-    horizon found for this matrix at each fault-set size is memoised on it
-    and stays valid. Two matrices are equal when their graphs and entry
+    entries is a read-only copy of the array passed in, so each observer's
+    operator and the rank-split horizon at each fault-set size are memoised
+    on it and stay valid. Two matrices are equal when their graphs and entry
     bytes are, and hash alike, so a scenario holding one is a value.
     """
 
     entries: np.ndarray
     graph: Graph
     _horizons: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = np.array(self.entries, dtype=float)
@@ -261,8 +262,8 @@ class ObservabilityStack:
     the same snapshots: column s*n + j is node j's injection at step s,
     and block (t, s) is C W^(t-1-s) for t > s and zero otherwise, so
     column block s is (s+1)q zero rows over O_{k-1-s}. No block depends
-    on k, so the operators of any shorter horizon K are, up to rounding
-    in the matrix products, the leading q(K+1) rows and n*K columns.
+    on k, so o and injection are exactly the leading q(k+1) rows of the
+    observer's operator at the horizon cap, its first n and next n*k columns.
     """
 
     o: np.ndarray
@@ -278,22 +279,30 @@ class ObservabilityStack:
         return self.injection[:, _injection_columns(self.o.shape[1], self.k, key)]
 
 
+def _operator(w: WeightMatrix, observer: int) -> np.ndarray:
+    """The observer's [O | injection] at the horizon cap, read-only, memoised on w."""
+    if observer not in w._operators:
+        sel, n, k = w.selector(observer), w.n, default_k_max(w.n)
+        o = c = np.eye(n)[list(sel), :]
+        a = np.zeros((len(sel) * (k + 1), n * (k + 1)))
+        for step in reversed(range(k)):
+            # o is O_{k-1-step} here: the operator seen by the injection at step
+            a[(step + 1) * len(sel):, (step + 1) * n:(step + 2) * n] = o
+            o = np.vstack([c, o @ w.entries])
+        a[:, :n] = o
+        a.flags.writeable = False
+        w._operators[observer] = a
+    return w._operators[observer]
+
+
 def build_observability_stack(w: WeightMatrix, observer: int, k: int) -> ObservabilityStack:
-    if k < 1:
-        raise ValueError("horizon k must be at least 1")
+    """The leading q(k+1) rows and n(k+1) columns of the observer's operator, as views."""
+    if not 1 <= k <= default_k_max(w.n):
+        raise ValueError(f"horizon k={k} is outside 1..{default_k_max(w.n)}, the cap n + 2")
     if not 0 <= observer < w.n:
         raise ValueError(f"observer {observer} out of range")
-    sel = w.selector(observer)
-    q, n = len(sel), w.n
-    c = np.eye(n)[list(sel), :]
-    o = c
-    injection = np.zeros((q * (k + 1), n * k))
-    for level in range(k):
-        # o is O_level here: the operator seen by the injection at step k-1-level
-        step = k - 1 - level
-        injection[(step + 1) * q:, step * n:(step + 1) * n] = o
-        o = np.vstack([c, o @ w.entries])
-    return ObservabilityStack(o=o, injection=injection, k=k, observer=observer, selector=sel)
+    a = _operator(w, observer)[:len(w.selector(observer)) * (k + 1), :w.n * (k + 1)]
+    return ObservabilityStack(a[:, :w.n], a[:, w.n:], k, observer, w.selector(observer))
 
 
 def verify_rank_condition(w: WeightMatrix, f: int, k_max: int | None = None) -> int | None:
@@ -359,8 +368,8 @@ def _split_holds(a: np.ndarray, n: int, s: np.ndarray | None = None) -> bool:
 
 def _scan_split_horizons(w: WeightMatrix, subset_size: int) -> int | None:
     """First K in 1..n+2 at which every observer splits every node set of
-    subset_size, or None. Each observer's [O | injection] is built once, at
-    the cap, and every [O M^Y] is gathered from its leading rows; fewer than
+    subset_size, or None. Every [O M^Y] is gathered from the leading rows of
+    the observer's memoised operator, the one the decoders read; fewer than
     n rows fail with no SVD. Observers that see the fewest neighbours are
     the likeliest to fail, so they go first, one at a time: a failing horizon
     stops at its first failing observer. _singular_values splits each batch."""
@@ -369,8 +378,7 @@ def _scan_split_horizons(w: WeightMatrix, subset_size: int) -> int | None:
     subsets = np.array(list(combinations(range(n), subset_size)), dtype=int)
     state = np.broadcast_to(np.arange(n), (len(subsets), n))
     observers = sorted(range(n), key=lambda i: len(w.selector(i)))
-    blocks = [(len(stack.selector), np.hstack([stack.o, stack.injection]))
-              for stack in (build_observability_stack(w, i, cap) for i in observers)]
+    blocks = [(len(w.selector(i)), _operator(w, i)) for i in observers]
     for k in range(1, cap + 1):
         cols = np.hstack([state, n + _injection_columns(n, k, subsets)])
         for q, block in blocks:
@@ -495,7 +503,7 @@ def decode_known_faults(stack: ObservabilityStack, obs: ObservationRecord, fault
     solution, _, _, svals = np.linalg.lstsq(a, y, rcond=None)
     misfit = float(np.linalg.norm(a @ solution - y))
     rel = misfit / max(float(np.linalg.norm(y)), 1e-300)
-    if rel > RESIDUAL_TOL:
+    if not rel <= RESIDUAL_TOL:
         raise DecodeInconsistencyError(
             f"fault set {key} leaves relative residual {rel:.3e} (tol {RESIDUAL_TOL:.1e})")
     rank_a = int(np.sum(svals > RANK_RTOL * svals[0])) if svals.size and svals[0] > 0 else 0
@@ -573,7 +581,7 @@ def decode_unknown_faults(stack: ObservabilityStack, obs: ObservationRecord, f: 
         raise DecodeFailureError(f"no fault set of size <= {f} explains the observations")
     ref = results[0]
     for other in results[1:]:
-        if _relative_gap(ref.initial_values, other.initial_values) > AGREEMENT_RTOL:
+        if not _relative_gap(ref.initial_values, other.initial_values) <= AGREEMENT_RTOL:
             raise InternalInvariantError(
                 "consistent fault hypotheses disagree on the recovered state; "
                 "the stacked systems are too ill-conditioned to trust")

@@ -296,8 +296,8 @@ class LinkAttackSet:
 
 def _certified_topology(n: int, f: int, strategy: str, build) -> Graph:
     """Check (n, f), lay out build(2f+1), certify it unless it is the bare seed clique."""
-    if f < 0:
-        raise ValueError("fault bound f must be non-negative")
+    if f < 0 or n < 1:
+        raise ValueError(f"need n >= 1 and fault bound f >= 0, got n={n}, f={f}")
     m = 2 * f + 1
     if n < m:
         raise InfeasibleTopologyError(f"need at least {m} nodes for fault bound {f}, got {n}")

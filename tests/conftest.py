@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mgnet import Graph, WeightMatrix
+from mgnet import Graph, WeightMatrix, consensus
 
 # Integer weight matrix of the bundled six-grid scenario. Its pattern
 # implies the 10-edge, connectivity-3 reference graph below.
@@ -35,6 +35,22 @@ def ref_graph() -> Graph:
 @pytest.fixture(scope="session")
 def ref_weights(ref_graph) -> WeightMatrix:
     return WeightMatrix(np.array(REF_W, dtype=float), ref_graph)
+
+
+@pytest.fixture
+def operator_builds(monkeypatch) -> list:
+    """The observer of every operator build: each call of consensus._operator,
+    from the scan or build_observability_stack, that finds no memo entry."""
+    built = []
+    operator = consensus._operator
+
+    def counted(w, observer):
+        if observer not in w._operators:
+            built.append(observer)
+        return operator(w, observer)
+
+    monkeypatch.setattr(consensus, "_operator", counted)
+    return built
 
 
 def ref_csv_text() -> str:

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mgnet import graph as graph_module
@@ -76,6 +77,21 @@ class TestRun:
         code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "FAILED (SynthesisError" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["resilient-known", "resilient-unknown"])
+    def test_overflowing_attack_fails_the_decode(self, tmp_path, capsys, mode):
+        # an injection of 1e308 overflows the rounds to inf and NaN; no fault
+        # hypothesis may be called consistent with such samples
+        data = scenario_to_dict(load_golden_scenario())
+        data["attack"]["controllers"][0]["injection"] = {"type": "constant", "value": 1e308}
+        path = tmp_path / "overflow.json"
+        save_scenario(scenario_from_dict(data), path)
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            assert main(["run", "--scenario", str(path), "--mode", mode, "--out", str(out)]) == 2
+        assert "period 0: FAILED (Decode" in capsys.readouterr().out
+        record = json.loads((out / "decision_record.json").read_text())
+        assert record["diagnostics"]["error"].startswith("Decode")
 
     def test_missing_scenario_exits_one(self, tmp_path, capsys):
         code = main(["run", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
@@ -237,6 +253,13 @@ class TestGraphCommand:
         code = main(["graph", "--n", "2", "--f", "1", "--out", str(tmp_path)])
         assert code == 2
         assert "need at least 3 nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, f", [("0", "0"), ("-3", "1")])
+    def test_non_positive_node_count_exits_one(self, tmp_path, capsys, n, f):
+        out = tmp_path / "g"
+        assert main(["graph", "--n", n, "--f", f, "--out", str(out)]) == 1
+        assert "n >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyCommand:

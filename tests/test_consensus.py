@@ -175,15 +175,27 @@ class TestObservabilityStack:
             for k in range(1, w.n + 2):
                 short = build_observability_stack(w, observer, k)
                 rows = q * (k + 1)
-                assert np.allclose(long.o[:rows], short.o, rtol=0, atol=1e-12)
-                assert np.allclose(long.injection[:rows, :w.n * k], short.injection,
-                                   rtol=0, atol=1e-12)
+                assert np.array_equal(long.o[:rows], short.o)
+                assert np.array_equal(long.injection[:rows, :w.n * k], short.injection)
 
     def test_argument_validation(self, ref_weights):
         with pytest.raises(ValueError):
             build_observability_stack(ref_weights, 0, 0)
         with pytest.raises(ValueError):
             build_observability_stack(ref_weights, 9, 2)
+
+    def test_horizon_past_the_cap_rejected(self, ref_weights):
+        with pytest.raises(ValueError, match="cap n \\+ 2"):
+            build_observability_stack(ref_weights, 0, ref_weights.n + 3)
+
+    def test_stacks_are_read_only_views_of_one_operator(self, ref_graph, operator_builds):
+        w = WeightMatrix(np.array(REF_W, dtype=float), ref_graph)
+        stacks = [build_observability_stack(w, 2, k) for k in (1, 3, w.n + 2)]
+        assert operator_builds == [2]
+        for stack in stacks:
+            assert np.shares_memory(stack.o, w._operators[2])
+            assert np.shares_memory(stack.injection, w._operators[2])
+            assert not stack.o.flags.writeable and not stack.injection.flags.writeable
 
 
 class TestVerifyRankCondition:
@@ -284,15 +296,14 @@ class TestVerifyRankCondition:
         with pytest.raises(ValueError):
             verify_rank_condition(ref_weights, 1, k_max=0)
 
-    def test_large_k_max_builds_only_the_horizons_scanned(self, ref_graph, monkeypatch):
-        # a bound past the cap is clamped to it: one stack per observer, at n + 2
+    def test_large_k_max_builds_only_the_horizons_scanned(self, ref_graph, operator_builds):
+        # a bound past the cap is clamped to it: one operator per observer, at n + 2
         w = WeightMatrix(np.array(REF_W, dtype=float), ref_graph)
-        horizons = []
-        build = consensus.build_observability_stack
-        monkeypatch.setattr(consensus, "build_observability_stack",
-                            lambda w, i, k: horizons.append(k) or build(w, i, k))
         assert verify_rank_condition(w, 0, k_max=10**6) == 1
-        assert horizons == [w.n + 2] * w.n
+        assert sorted(operator_builds) == list(range(w.n))
+        cap = w.n + 2
+        assert [w._operators[i].shape for i in range(w.n)] == [
+            (len(w.selector(i)) * (cap + 1), w.n * (cap + 1)) for i in range(w.n)]
 
     def test_both_splits_match_the_per_pair_oracle(self):
         rng = np.random.default_rng(4242)
@@ -344,48 +355,51 @@ class TestVerifyRankCondition:
 
 
 class TestSplitHorizonMemo:
-    """Each matrix scans its rank split once per fault-set size; a bound filters the answer."""
+    """Each matrix scans its rank split once per fault-set size and builds each
+    observer's operator once for all sizes; a bound filters the answer."""
 
     @pytest.fixture
-    def builds(self, monkeypatch):
-        horizons = []
-        build = consensus.build_observability_stack
-        monkeypatch.setattr(consensus, "build_observability_stack",
-                            lambda w, i, k: horizons.append(k) or build(w, i, k))
-        return horizons
+    def scans(self, monkeypatch):
+        sizes = []
+        scan = consensus._scan_split_horizons
+        monkeypatch.setattr(consensus, "_scan_split_horizons",
+                            lambda w, size: sizes.append(size) or scan(w, size))
+        return sizes
 
     @pytest.fixture
     def fresh(self, ref_graph):
         # a new matrix per test, so no other test can have warmed its memo
         return WeightMatrix(np.array(REF_W, dtype=float), ref_graph)
 
-    def test_repeated_check_builds_nothing(self, fresh, builds):
+    def test_repeated_check_builds_nothing(self, fresh, operator_builds, scans):
         assert verify_rank_condition(fresh, 1, 8) is None
-        assert len(builds) == fresh.n
+        assert sorted(operator_builds) == list(range(fresh.n)) and scans == [2]
         assert verify_rank_condition(fresh, 1, 8) is None
         # k_max=None means n + 2, which is the horizon already scanned
         assert verify_rank_condition(fresh, 1) is None
+        assert scans == [2]
+        # the size-0 scan reads the operators the size-2 scan built
         assert verify_rank_condition(fresh, 0) == 1
-        scanned = len(builds)
         assert verify_rank_condition(fresh, 0) == 1
         # f=0 asks both splits for size-0 fault sets: one scan serves them
         assert verify_candidate_uniqueness(fresh, 0) == 1
-        assert len(builds) == scanned
+        assert scans == [2, 0] and len(operator_builds) == fresh.n
 
-    def test_another_key_scans_again(self, fresh, builds):
+    def test_another_key_scans_again(self, fresh, operator_builds, scans):
         assert verify_rank_condition(fresh, 1, 8) is None
-        scanned = len(builds)
         # the key is the fault-set size alone, so another bound reads the same scan
         assert verify_rank_condition(fresh, 1, 4) is None
-        assert len(builds) == scanned
-        # size-1 sets are another key
+        assert scans == [2]
+        operators = dict(fresh._operators)
+        # size-1 sets are another key, scanned on the operators already built
         assert verify_candidate_uniqueness(fresh, 1, 8) == 1
-        assert len(builds) == scanned + fresh.n
+        assert scans == [2, 1] and len(operator_builds) == fresh.n
+        assert all(fresh._operators[i] is operators[i] for i in range(fresh.n))
 
-    def test_bound_filters_the_memoised_horizon(self, builds):
+    def test_bound_filters_the_memoised_horizon(self, operator_builds):
         g, synthesized = _synthesized_instance(30, n=7, f=1)
         w = WeightMatrix(synthesized.entries, g)
-        builds.clear()
+        operator_builds.clear()
         smallest = verify_rank_condition(w, 1)
         assert smallest == 3
         for bound in range(1, w.n + 5):
@@ -393,7 +407,7 @@ class TestSplitHorizonMemo:
             expected = split_horizon_oracle(w.entries, 2, min(bound, w.n + 2), RANK_RTOL)
             assert verify_rank_condition(w, 1, bound) == expected
             assert expected == (smallest if bound >= smallest else None)
-        assert len(builds) == w.n
+        assert len(operator_builds) == w.n
 
     def test_entries_are_a_read_only_copy(self, ref_graph):
         src = np.array(REF_W, dtype=float)
@@ -735,6 +749,14 @@ class TestDecodeKnownFaults:
         with pytest.raises(DecodeInconsistencyError, match="residual"):
             decode_known_faults(stack, _observed(ref_weights, traj, 0), (5,))
 
+    def test_non_finite_residual_is_inconsistent(self, ref_weights):
+        # a NaN residual compares false against any tolerance: it must fail closed
+        traj = run_updates(ref_weights, REF_SUPPLIES, InjectionSchedule.empty(3), 3)
+        traj[2, 1] = np.nan
+        stack = build_observability_stack(ref_weights, 0, 3)
+        with pytest.raises(DecodeInconsistencyError, match="nan"):
+            decode_known_faults(stack, _observed(ref_weights, traj, 0), (3,))
+
     def test_underdetermined_state_raises_invariant_error(self):
         # two isolated nodes: observer 0 can never learn node 1's value,
         # and a silent minimum-norm answer would be wrong
@@ -778,6 +800,25 @@ class TestDecodeKnownFaults:
 
 
 class TestDecodeUnknownFaults:
+    def test_non_finite_samples_explain_nothing(self, ref_weights):
+        inj = InjectionSchedule.from_values(REF_INJECTION, 3)
+        traj = run_updates(ref_weights, REF_SUPPLIES, inj, 3)
+        traj[3, 0] = np.inf
+        stack = build_observability_stack(ref_weights, 0, 3)
+        with pytest.raises(DecodeFailureError), np.errstate(invalid="ignore"):
+            decode_unknown_faults(stack, _observed(ref_weights, traj, 0), 1)
+
+    def test_non_finite_gap_is_disagreement(self, ref_weights, monkeypatch):
+        # fault-free samples: every candidate is consistent, and a NaN gap
+        # between any two must not pass the agreement check
+        traj = run_updates(ref_weights, REF_SUPPLIES, InjectionSchedule.empty(3), 3)
+        stack = build_observability_stack(ref_weights, 0, 3)
+        obs = _observed(ref_weights, traj, 0)
+        assert len(decode_unknown_faults(stack, obs, 1).consistent_fault_sets) > 1
+        monkeypatch.setattr(consensus, "_relative_gap", lambda a, b: float("nan"))
+        with pytest.raises(InternalInvariantError, match="disagree"):
+            decode_unknown_faults(stack, obs, 1)
+
     def test_true_fault_set_is_found(self):
         rng = np.random.default_rng(90)
         for seed in range(4):

@@ -45,6 +45,14 @@ class TestPreventive:
         with pytest.raises(ValueError):
             generate_preventive(5, -1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n, f", [(0, 0), (-3, 1)])
+    def test_non_positive_node_count_is_a_bad_value(self, n, f):
+        # a bad value, not an infeasible request; checked before the 2f+1 bound
+        with pytest.raises(ValueError, match="n >= 1"):
+            generate_preventive(n, f, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="n >= 1"):
+            generate_responsive(n, f, LinkAttackSet(), np.random.default_rng(0))
+
     def test_same_rng_state_reproduces(self):
         a = generate_preventive(9, 1, np.random.default_rng(123))
         b = generate_preventive(9, 1, np.random.default_rng(123))

@@ -207,36 +207,53 @@ class TestRunPeriod:
         assert rec.recovered_demand_total == pytest.approx(demand, rel=1e-9)
         assert rec.unanimous()
 
-    def test_one_split_scan_per_weight_draw(self, monkeypatch):
+    def test_one_split_scan_per_weight_draw(self, monkeypatch, operator_builds):
         # the golden system with synthesized weights: the horizon pick reads
         # synthesis's certificate instead of scanning the winning draw again
         data = scenario_to_dict(golden())
         data["weights"] = {"type": "random"}
         sc = scenario_from_dict(data)
-        draws, builds = [], []
-        check, build = consensus.verify_rank_condition, consensus.build_observability_stack
+        draws = []
+        check = consensus.verify_rank_condition
         monkeypatch.setattr(consensus, "verify_rank_condition",
                             lambda *args: draws.append(args) or check(*args))
-        # the decoders build through the simulator's own binding, not counted here
-        monkeypatch.setattr(consensus, "build_observability_stack",
-                            lambda w, i, k: builds.append(k) or build(w, i, k))
         rec = run_period(sc, CommunicationAgent(sc.graph.strategy, sc.f, sc.seed),
                          "unknown_faults")
         assert rec.diagnostics["rank_split"] == "full"
-        assert draws and len(builds) == sc.n * len(draws)
+        # one operator per observer and draw, the decoders' stacks included
+        assert draws and len(operator_builds) == sc.n * len(draws)
 
-    def test_fixed_weights_scanned_once_per_campaign(self, monkeypatch):
+    def test_decode_stacks_are_the_scanned_operators(self, monkeypatch, operator_builds):
+        # every stack a controller decodes from is a view of the operator the
+        # scan built on the period's matrix; decoding builds none
+        sc = random_scenario(n=6)
+        drawn, stacks = [], []
+        draw, build = consensus.draw_weights, simulator.build_observability_stack
+        monkeypatch.setattr(consensus, "draw_weights",
+                            lambda g, rng: drawn.append(draw(g, rng)) or drawn[-1])
+        monkeypatch.setattr(simulator, "build_observability_stack",
+                            lambda w, i, k: stacks.append((w, i, build(w, i, k))) or stacks[-1][2])
+        for mode in ("unknown_faults", "known_faults"):
+            for log in (drawn, stacks, operator_builds):
+                log.clear()
+            rec = run_period(sc, CommunicationAgent("preventive", sc.f, sc.seed), mode)
+            assert rec.diagnostics["error"] is None
+            assert [i for _, i, _ in stacks] == list(range(sc.n))
+            assert len(operator_builds) == sc.n * len(drawn)
+            for w, i, stack in stacks:
+                assert w is drawn[-1]
+                assert np.shares_memory(stack.o, w._operators[i])
+                assert np.shares_memory(stack.injection, w._operators[i])
+
+    def test_fixed_weights_scanned_once_per_campaign(self, operator_builds):
         # golden's fixed matrix fails the full split and passes the per-candidate
-        # one; later periods read both answers back from the scenario's matrix
+        # one; both scans, and every period's decoding, read the n operators
+        # built on the scenario's matrix in period 0
         sc = golden()
-        builds = []
-        build = consensus.build_observability_stack
-        monkeypatch.setattr(consensus, "build_observability_stack",
-                            lambda w, i, k: builds.append(k) or build(w, i, k))
         records = run_campaign(sc, 4, CommunicationAgent(sc.graph.strategy, sc.f, sc.seed),
                                "unknown_faults")
         assert all(r.diagnostics["error"] is None for r in records)
-        assert len(builds) == sc.n * 2
+        assert len(operator_builds) == sc.n
 
     def test_baseline_mode_reports_estimate_deviation(self):
         sc = golden()
