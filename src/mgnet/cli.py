@@ -15,13 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DecodeError,
-    InfeasibleTopologyError,
-    InternalInvariantError,
-    SynthesisError,
-)
+from .errors import PERIOD_FAILURES, ConfigError
 from .graph import Graph, LinkAttackSet, generate_preventive, generate_responsive
 from .consensus import WeightMatrix, horizon_bound, verify_rank_condition
 from .scenario import golden_scenario_path, load_scenario
@@ -210,7 +204,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InfeasibleTopologyError, SynthesisError, DecodeError, InternalInvariantError) as exc:
+    except PERIOD_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

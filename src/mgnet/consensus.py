@@ -100,13 +100,13 @@ def numerical_rank(a: np.ndarray) -> int | np.ndarray:
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
-def combine_neighborhood(row: np.ndarray, selector: np.ndarray, values: np.ndarray) -> float:
-    """One node's update: weighted mix of its own and neighbor values.
-
-    Shared by the compact iteration and the distributed round engine so
-    the two produce bit-identical trajectories.
-    """
-    return float(np.dot(row[selector], values))
+def combine_neighborhood(weights: np.ndarray, values, injection: float | None = None) -> float:
+    """One node's update: its row of W on its closed neighbourhood dotted with that
+    neighbourhood's values, both in selector order, plus a compromised node's injection.
+    The round engine and run_updates step every node through it, so their
+    trajectories agree bit for bit."""
+    nxt = float(np.dot(weights, values))
+    return nxt if injection is None else nxt + injection
 
 
 @dataclass(frozen=True)
@@ -427,17 +427,15 @@ def run_updates(w: WeightMatrix, initial, inj: InjectionSchedule, k: int) -> np.
         raise ValueError(f"initial state must have shape ({w.n},)")
     if inj.horizon != k:
         raise ValueError(f"injection horizon {inj.horizon} must equal k={k}")
-    selectors = [np.array(w.selector(i), dtype=int) for i in range(w.n)]
+    selectors = [np.array(w.selector(i)) for i in range(w.n)]
+    rows = [w.entries[i, sel] for i, sel in enumerate(selectors)]
+    series = dict(zip(inj.faulty_nodes, inj.values.T))
     traj = np.zeros((k + 1, w.n))
     traj[0] = start
     for step in range(k):
-        cur = traj[step]
-        nxt = np.empty(w.n)
-        for i in range(w.n):
-            nxt[i] = combine_neighborhood(w.entries[i], selectors[i], cur[selectors[i]])
-        for col, node in enumerate(inj.faulty_nodes):
-            nxt[node] = nxt[node] + inj.values[step, col]
-        traj[step + 1] = nxt
+        for i, sel in enumerate(selectors):
+            u = series[i][step] if i in series else None
+            traj[step + 1, i] = combine_neighborhood(rows[i], traj[step, sel], u)
     return traj
 
 
@@ -498,15 +496,14 @@ def decode_known_faults(stack: ObservabilityStack, obs: ObservationRecord, fault
     key = tuple(sorted(int(v) for v in fault_set))
     n = stack.o.shape[1]
     y = obs.samples.reshape(-1)
-    m = stack.m(key)
-    a = np.hstack([stack.o, m]) if m.shape[1] else stack.o
+    a = np.hstack([stack.o, stack.m(key)])
     solution, _, _, svals = np.linalg.lstsq(a, y, rcond=None)
     misfit = float(np.linalg.norm(a @ solution - y))
     rel = misfit / max(float(np.linalg.norm(y)), 1e-300)
     if not rel <= RESIDUAL_TOL:
         raise DecodeInconsistencyError(
             f"fault set {key} leaves relative residual {rel:.3e} (tol {RESIDUAL_TOL:.1e})")
-    rank_a = int(np.sum(svals > RANK_RTOL * svals[0])) if svals.size and svals[0] > 0 else 0
+    rank_a = int(np.sum(svals > RANK_RTOL * svals[0]))
     if not _split_holds(a, n, svals):
         raise InternalInvariantError(
             f"fault hypothesis {key} explains the observations but does not pin down "

@@ -31,3 +31,7 @@ class DecodeFailureError(DecodeError):
 
 class InternalInvariantError(MgnetError):
     """A condition the algorithms guarantee was violated at runtime."""
+
+
+# Each ends only its decision period, recorded as its error (CLI exit 2); a ConfigError aborts.
+PERIOD_FAILURES = (InfeasibleTopologyError, SynthesisError, DecodeError, InternalInvariantError)

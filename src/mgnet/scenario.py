@@ -293,8 +293,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(raw_attack, dict):
         raise ConfigError("scenario.attack: must be an object")
     _reject_unknown(raw_attack, ("controllers", "links", "known_to_agent"), "attack")
+    raw_plans = raw_attack.get("controllers", [])
+    if not isinstance(raw_plans, list):
+        raise ConfigError("attack.controllers: must be a list")
     plans = []
-    for pos, item in enumerate(raw_attack.get("controllers", [])):
+    for pos, item in enumerate(raw_plans):
         ctx = f"attack.controllers[{pos}]"
         if not isinstance(item, dict):
             raise ConfigError(f"{ctx}: must be an object")

@@ -37,6 +37,7 @@ from .consensus import (
     verify_rank_condition,
 )
 from .errors import (
+    PERIOD_FAILURES,
     ConfigError,
     DecodeError,
     InfeasibleTopologyError,
@@ -85,12 +86,10 @@ class ControllerState:
     duplicate.
     """
 
-    def __init__(self, node: int, profile: MicrogridProfile, weight_row: np.ndarray,
-                 selector: tuple[int, ...], horizon: int):
+    def __init__(self, node: int, profile: MicrogridProfile, weights: WeightMatrix, horizon: int):
         self.id = node
-        self.weight_row = np.asarray(weight_row, dtype=float)
-        self.neighborhood = tuple(int(v) for v in selector)
-        self.selector = np.asarray(self.neighborhood, dtype=int)
+        self.neighborhood = weights.selector(node)
+        self.weights = weights.entries[node, list(self.neighborhood)]
         self.horizon = horizon
         self.values = {"supply": float(profile.supply), "demand": float(profile.critical_demand)}
         self.inbox: dict[str, dict[int, float]] = {q: {} for q in QUANTITIES}
@@ -136,14 +135,10 @@ class ControllerState:
             self.samples[q].append(self._neighborhood_row(q, step))
 
     def advance(self, step: int, injection: float | None) -> None:
-        """Step from the rows record_observation(step) stored; in the lockstep
-        it always follows that call, so each row is assembled once."""
+        """Step each quantity through combine_neighborhood from the row record_observation(step)
+        stored; in the lockstep it always follows that call, so each row is assembled once."""
         for q in QUANTITIES:
-            vals = np.array(self.samples[q][step], dtype=float)
-            nxt = combine_neighborhood(self.weight_row, self.selector, vals)
-            if injection is not None:
-                nxt = nxt + injection
-            self.values[q] = nxt
+            self.values[q] = combine_neighborhood(self.weights, self.samples[q][step], injection)
 
     def observation_record(self, quantity: str) -> ObservationRecord:
         return ObservationRecord(self.id, self.neighborhood,
@@ -176,8 +171,7 @@ class RoundEngine:
         self.horizon = horizon
         self.deliveries = 0
         self.controllers = [
-            ControllerState(i, profiles[i], weights.entries[i], weights.selector(i), horizon)
-            for i in range(n)
+            ControllerState(i, profiles[i], weights, horizon) for i in range(n)
         ]
         self._injection_column = {node: col for col, node in enumerate(schedule.faulty_nodes)}
 
@@ -366,6 +360,8 @@ def _run_baseline_period(scenario: Scenario, g: Graph, period_index: int) -> Dec
     n = scenario.n
     true_supply, true_demand = scenario.true_totals()
     estimates = {q: [n * c.values[q] for c in engine.controllers] for q in QUANTITIES}
+    if not np.all(np.isfinite([estimates[q] for q in QUANTITIES])):
+        raise DecodeError("plain averaging overflowed: some estimates are not finite")
     verdicts = {i: evaluate_criterion(estimates["supply"][i], estimates["demand"][i])
                 for i in range(n)}
 
@@ -428,7 +424,7 @@ def run_campaign(scenario: Scenario, periods: int, agent: CommunicationAgent,
             record = run_period(scenario, agent, decode_mode, p)
             if not scenario.graph.regenerate_per_period and scenario.graph.fixed is None:
                 scenario = scenario.with_fixed_graph(record.graph)
-        except (InfeasibleTopologyError, SynthesisError, DecodeError, InternalInvariantError) as exc:
+        except PERIOD_FAILURES as exc:
             record = DecisionRecord(
                 period=DecisionPeriod(p, scenario.period_hours),
                 per_controller_verdict={i: UNDECIDED for i in range(scenario.n)},

@@ -93,6 +93,27 @@ class TestRun:
         record = json.loads((out / "decision_record.json").read_text())
         assert record["diagnostics"]["error"].startswith("Decode")
 
+    def test_overflowing_baseline_fails_the_period(self, tmp_path, capsys):
+        data = scenario_to_dict(load_golden_scenario())
+        data["attack"]["controllers"][0]["injection"] = {"type": "constant", "value": 1e308}
+        path = tmp_path / "overflow.json"
+        save_scenario(scenario_from_dict(data), path)
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            assert main(["run", "--scenario", str(path), "--mode", "baseline",
+                         "--out", str(out)]) == 2
+        assert "period 0: FAILED (DecodeError: plain averaging overflowed" in capsys.readouterr().out
+        record = json.loads((out / "decision_record.json").read_text())
+        assert record["diagnostics"]["error"].startswith("DecodeError: plain averaging overflowed")
+
+    def test_attack_controllers_not_a_list_exits_one(self, tmp_path, capsys):
+        data = scenario_to_dict(load_golden_scenario())
+        data["attack"]["controllers"] = 5
+        path = tmp_path / "controllers.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "error: attack.controllers: must be a list" in capsys.readouterr().err
+
     def test_missing_scenario_exits_one(self, tmp_path, capsys):
         code = main(["run", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == 1

@@ -782,6 +782,26 @@ class TestDecodeKnownFaults:
         with pytest.raises(ValueError, match="belong"):
             decode_known_faults(stack, _observed(ref_weights, traj, 1), ())
 
+    @pytest.mark.parametrize("instance", ["golden", "n10-f2"])
+    def test_empty_fault_set_solves_o_alone(self, instance, ref_weights):
+        # [O M^()] is O itself: the decode must be lstsq on O, byte for byte
+        if instance == "golden":
+            w, k = ref_weights, 3
+        else:
+            rng = np.random.default_rng(6)
+            w = synthesize_weights(generate_preventive(10, 2, rng), 2, rng)
+            k = verify_rank_condition(w, 2)
+        s0 = np.random.default_rng(7).uniform(0, 1000, w.n)
+        traj = run_updates(w, s0, InjectionSchedule.empty(k), k)
+        for i in range(w.n):
+            stack = build_observability_stack(w, i, k)
+            obs = _observed(w, traj, i)
+            res = decode_known_faults(stack, obs, ())
+            solution, _, _, svals = np.linalg.lstsq(stack.o, obs.samples.reshape(-1), rcond=None)
+            assert res.initial_values.tobytes() == solution.tobytes()
+            assert res.total == float(solution.sum())
+            assert res.condition_number == float(svals[0] / svals[-1])
+
     def test_linearity_in_observations(self, ref_weights):
         rng = np.random.default_rng(73)
         k = 3
@@ -1031,7 +1051,11 @@ class TestNumericsHelpers:
         assert numerical_rank(np.zeros((4, 3, 0))).tolist() == [0, 0, 0, 0]
 
     def test_combine_neighborhood_is_a_masked_dot(self):
-        row = np.array([2.0, 0.0, -1.0, 0.5])
-        sel = np.array([0, 2, 3])
+        # the weights come already restricted to the closed neighbourhood
+        weights = np.array([2.0, -1.0, 0.5])
         vals = np.array([10.0, 3.0, 4.0])
-        assert combine_neighborhood(row, sel, vals) == 2.0 * 10.0 + (-1.0) * 3.0 + 0.5 * 4.0
+        mixed = 2.0 * 10.0 + (-1.0) * 3.0 + 0.5 * 4.0
+        assert combine_neighborhood(weights, vals) == mixed
+        assert type(combine_neighborhood(weights, vals)) is float
+        assert combine_neighborhood(weights, vals, 1.5) == mixed + 1.5
+        assert combine_neighborhood(weights, vals, None) == mixed

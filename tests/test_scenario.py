@@ -128,6 +128,12 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match=rf"^{path}: unknown field"):
             scenario_from_dict(minimal_dict(**overrides))
 
+    @pytest.mark.parametrize("controllers", [5, None, "ab", {"node": 3}],
+                             ids=["int", "null", "string", "object"])
+    def test_attack_controllers_must_be_a_list(self, controllers):
+        with pytest.raises(ConfigError, match=r"^attack\.controllers: must be a list$"):
+            scenario_from_dict(minimal_dict(attack={"controllers": controllers}))
+
     def test_attack_link_out_of_range(self):
         data = minimal_dict(attack={"links": [[0, 9]]})
         with pytest.raises(ConfigError, match=r"attack\.links"):

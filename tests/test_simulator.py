@@ -70,6 +70,13 @@ class TestEngineFaithfulness:
         expected = run_updates(w, REF_SUPPLIES, inj, steps)
         assert np.array_equal(run.trajectories["supply"], expected)
 
+    @pytest.mark.parametrize("kind", ["golden", "metropolis"])
+    def test_controllers_hold_their_restricted_row(self, kind, ref_weights):
+        w = ref_weights if kind == "golden" else metropolis_weights(ref_weights.graph)
+        engine = engine_for(golden(), w, 3, InjectionSchedule.empty(3))
+        for i, c in enumerate(engine.controllers):
+            assert c.weights.tobytes() == w.entries[i, list(w.selector(i))].tobytes()
+
     def test_observations_are_exact_trajectory_slices(self, ref_weights):
         sc = golden()
         inj = InjectionSchedule.from_values({3: [30.0, -45.0, 60.0]}, 3)
@@ -399,6 +406,19 @@ class TestRunCampaign:
             assert rec.recovered_supply_total is None
             assert set(rec.per_controller_verdict.values()) == {"undecided"}
             assert not rec.unanimous()
+
+    def test_overflowing_baseline_period_becomes_an_error_record(self):
+        # plain averaging under a 1e308 injection overflows; each period fails on its own
+        data = scenario_to_dict(golden())
+        data["attack"]["controllers"][0]["injection"] = {"type": "constant", "value": 1e308}
+        sc = scenario_from_dict(data)
+        with np.errstate(all="ignore"):
+            records = run_campaign(sc, 2, CommunicationAgent(sc.graph.strategy, sc.f, sc.seed),
+                                   "baseline")
+        assert [rec.period.index for rec in records] == [0, 1]
+        for rec in records:
+            assert rec.diagnostics["error"].startswith("DecodeError: plain averaging overflowed")
+            assert set(rec.per_controller_verdict.values()) == {"undecided"}
 
     def test_period_count_validated(self):
         with pytest.raises(ValueError):
