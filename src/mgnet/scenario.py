@@ -324,6 +324,11 @@ def scenario_from_dict(data: dict) -> Scenario:
             params = tuple((name, _as_number(_require(inj, name, f"{ctx}.injection"),
                                              f"{ctx}.injection.{name}"))
                            for name in _INJECTION_FIELDS[kind])
+            got = dict(params)
+            if got.get("std", 0.0) < 0:
+                raise ConfigError(f"{ctx}.injection.std: must be non-negative")
+            if got.get("low", 0.0) > got.get("high", 0.0):
+                raise ConfigError(f"{ctx}.injection.low: must not exceed {ctx}.injection.high")
         plans.append(InjectionPlan(node, kind, values, params))
     nodes = [p.node for p in plans]
     if len(set(nodes)) != len(nodes):

@@ -2,12 +2,12 @@
 
 Each microgrid controller is a little state machine that sees only its
 own profile and the messages arriving over edges of the period's graph.
-The engine is the delivery medium: it routes messages strictly along
-edges and counts each delivery, holds the attack schedule, and corrupts
-the compromised controllers' updates; each controller rejects messages
-from non-neighbours and duplicates. It also keeps a medium-level copy
-of every step's state so a run can be checked bit-for-bit against the
-compact-form iteration.
+The engine is the delivery medium: it routes one payload per sender and
+round strictly along edges and counts each value delivered, holds the
+attack schedule, and corrupts the compromised controllers' updates;
+each controller rejects messages from non-neighbours and duplicates. It
+also keeps a medium-level copy of every step's state so a run can be
+checked bit-for-bit against the compact-form iteration.
 
 Record conventions: in resilient modes the record's scalar totals are
 the mean of the per-controller decoded totals (every controller recovers
@@ -68,10 +68,11 @@ def _rng(seed: int, period: int, stream: int) -> np.random.Generator:
 
 @dataclass
 class Message:
+    """One controller's broadcast for one round: its values in QUANTITIES order."""
+
     sender: int
     step: int
-    quantity: str
-    value: float
+    values: tuple[float, ...]
 
 
 class ControllerState:
@@ -80,8 +81,8 @@ class ControllerState:
     Protocol constants (graph, weight matrix, horizon, fault knowledge)
     are public configuration every node carries; other grids' profiles
     and states are not, and never enter here except through messages.
-    Each quantity has one inbox, for the round being collected;
-    record_observation reads it and starts an empty one. A message for a
+    The inbox holds one payload per sender for the round being collected;
+    record_observation reads it and starts an empty one. A payload for a
     round already recorded, or for a later round, is rejected like a
     duplicate.
     """
@@ -92,47 +93,40 @@ class ControllerState:
         self.weights = weights.entries[node, list(self.neighborhood)]
         self.horizon = horizon
         self.values = {"supply": float(profile.supply), "demand": float(profile.critical_demand)}
-        self.inbox: dict[str, dict[int, float]] = {q: {} for q in QUANTITIES}
+        self.inbox: dict[int, tuple[float, ...]] = {}
         self.samples: dict[str, list[list[float]]] = {q: [] for q in QUANTITIES}
         self._peers = set(self.neighborhood) - {node}
 
-    def outgoing(self, step: int) -> list[Message]:
-        return [Message(self.id, step, q, self.values[q]) for q in QUANTITIES]
+    def outgoing(self, step: int) -> Message:
+        return Message(self.id, step, tuple(self.values[q] for q in QUANTITIES))
 
     def deliver(self, msg: Message) -> None:
         if msg.sender not in self._peers:
             raise InternalInvariantError(
                 f"controller {self.id} received a message from non-neighbor {msg.sender}")
-        collecting = len(self.samples[msg.quantity])
+        collecting = len(self.samples[QUANTITIES[0]])
         if msg.step != collecting:
             raise InternalInvariantError(
                 f"controller {self.id} received a step-{msg.step} message from {msg.sender} "
                 + ("after recording that round" if msg.step < collecting
                    else f"while collecting round {collecting}"))
-        inbox = self.inbox[msg.quantity]
-        if msg.sender in inbox:
+        if msg.sender in self.inbox:
             raise InternalInvariantError(
                 f"controller {self.id} received a duplicate from {msg.sender} at step {msg.step}")
-        inbox[msg.sender] = msg.value
-
-    def _neighborhood_row(self, quantity: str, step: int) -> list[float]:
-        bucket, self.inbox[quantity] = self.inbox[quantity], {}
-        row = []
-        for j in self.neighborhood:
-            if j == self.id:
-                row.append(self.values[quantity])
-            elif j in bucket:
-                row.append(bucket[j])
-            else:
-                raise InternalInvariantError(
-                    f"controller {self.id} is missing step-{step} input from {j}")
-        return row
+        self.inbox[msg.sender] = msg.values
 
     def record_observation(self, step: int) -> None:
-        for q in QUANTITIES:
-            if len(self.samples[q]) > self.horizon:
-                raise InternalInvariantError("observation window exceeded the horizon")
-            self.samples[q].append(self._neighborhood_row(q, step))
+        if len(self.samples[QUANTITIES[0]]) > self.horizon:
+            raise InternalInvariantError("observation window exceeded the horizon")
+        bucket, self.inbox = self.inbox, {}
+        bucket[self.id] = self.outgoing(step).values
+        try:
+            payloads = [bucket[j] for j in self.neighborhood]
+        except KeyError as exc:
+            raise InternalInvariantError(
+                f"controller {self.id} is missing step-{step} input from {exc.args[0]}") from None
+        for q, row in zip(QUANTITIES, zip(*payloads)):
+            self.samples[q].append(list(row))
 
     def advance(self, step: int, injection: float | None) -> None:
         """Step each quantity through combine_neighborhood from the row record_observation(step)
@@ -178,12 +172,10 @@ class RoundEngine:
     def _exchange(self, step: int) -> None:
         # inboxes are keyed by sender, so delivery order changes nothing
         for sender in self.controllers:
-            outgoing = sender.outgoing(step)
+            msg = sender.outgoing(step)
             for nb in self.graph.neighbors(sender.id):
-                receiver = self.controllers[nb]
-                for msg in outgoing:
-                    receiver.deliver(msg)
-                    self.deliveries += 1
+                self.controllers[nb].deliver(msg)
+                self.deliveries += len(msg.values)
 
     def run(self) -> EngineRun:
         n = self.graph.node_count
@@ -327,6 +319,8 @@ def _run_resilient_period(scenario: Scenario, g: Graph, decode_mode: str,
         decoded = {}
         for q in QUANTITIES:
             obs = run.observations[q][i]
+            if not np.isfinite(obs.samples).all():
+                raise DecodeError(f"controller {i}'s {q} observations are not finite (float64 overflow)")
             if decode_mode == "known_faults":
                 decoded[q] = decode_known_faults(stack, obs, declared)
             else:

@@ -93,6 +93,20 @@ class TestRun:
         record = json.loads((out / "decision_record.json").read_text())
         assert record["diagnostics"]["error"].startswith("Decode")
 
+    @pytest.mark.parametrize("mode", ["resilient-known", "resilient-unknown"])
+    def test_overflowing_attack_names_the_non_finite_observations(self, tmp_path, capsys, mode):
+        data = scenario_to_dict(load_golden_scenario())
+        data["attack"]["controllers"][0]["injection"] = {"type": "constant", "value": 1e308}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            assert main(["run", "--scenario", str(path), "--mode", mode, "--out", str(out)]) == 2
+        error = "DecodeError: controller 0's supply observations are not finite (float64 overflow)"
+        assert f"period 0: FAILED ({error})" in capsys.readouterr().out
+        record = json.loads((out / "decision_record.json").read_text())
+        assert record["diagnostics"]["error"] == error
+
     def test_overflowing_baseline_fails_the_period(self, tmp_path, capsys):
         data = scenario_to_dict(load_golden_scenario())
         data["attack"]["controllers"][0]["injection"] = {"type": "constant", "value": 1e308}
@@ -144,6 +158,16 @@ class TestRun:
         code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "weights.matrix: only weights.type 'fixed'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_injection_std_exits_one(self, tmp_path, capsys):
+        data = scenario_to_dict(load_golden_scenario())
+        data["attack"]["controllers"][0]["injection"] = {"type": "normal", "mean": 0.0, "std": -5.0}
+        path = tmp_path / "std.json"
+        path.write_text(json.dumps(data))
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "error: attack.controllers[0].injection.std: must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key", sorted(REMOVED_CONSENSUS_KEYS))

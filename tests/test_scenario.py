@@ -101,6 +101,18 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="unknown kind"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("injection, message", [
+        ({"type": "normal", "mean": 0.0, "std": -5.0},
+         r"attack\.controllers\[0\]\.injection\.std: must be non-negative"),
+        ({"type": "uniform", "low": 50.0, "high": -50.0},
+         r"attack\.controllers\[0\]\.injection\.low: must not exceed "
+         r"attack\.controllers\[0\]\.injection\.high"),
+    ])
+    def test_impossible_injection_parameters(self, injection, message):
+        data = minimal_dict(attack={"controllers": [{"node": 0, "injection": injection}]})
+        with pytest.raises(ConfigError, match=message):
+            scenario_from_dict(data)
+
     def test_non_string_injection_kind(self):
         data = minimal_dict(attack={"controllers": [
             {"node": 0, "injection": {"type": ["uniform"]}}]})

@@ -77,15 +77,16 @@ class TestEngineFaithfulness:
         for i, c in enumerate(engine.controllers):
             assert c.weights.tobytes() == w.entries[i, list(w.selector(i))].tobytes()
 
-    def test_observations_are_exact_trajectory_slices(self, ref_weights):
+    @pytest.mark.parametrize("quantity", ["supply", "demand"])
+    def test_observations_are_exact_trajectory_slices(self, quantity, ref_weights):
         sc = golden()
         inj = InjectionSchedule.from_values({3: [30.0, -45.0, 60.0]}, 3)
         run = engine_for(sc, ref_weights, 3, inj).run()
         for i in range(6):
             sel = list(ref_weights.selector(i))
-            rec = run.observations["supply"][i]
+            rec = run.observations[quantity][i]
             assert rec.selector == tuple(sel)
-            assert np.array_equal(rec.samples, run.trajectories["supply"][:, sel])
+            assert np.array_equal(rec.samples, run.trajectories[quantity][:, sel])
 
     def test_delivery_count_is_every_edge_both_ways_each_round(self, ref_weights):
         sc = golden()
@@ -110,7 +111,7 @@ class TestControllerIsolation:
     def test_non_neighbor_message_rejected(self, ref_weights):
         sc = golden()
         engine = engine_for(sc, ref_weights, 3, InjectionSchedule.empty(3))
-        outsider = Message(sender=4, step=0, quantity="supply", value=1.0)
+        outsider = Message(sender=4, step=0, values=(1.0, 2.0))
         # node 4 is not adjacent to node 0 in the reference graph
         with pytest.raises(InternalInvariantError, match="non-neighbor"):
             engine.controllers[0].deliver(outsider)
@@ -118,7 +119,7 @@ class TestControllerIsolation:
     def test_duplicate_message_rejected(self, ref_weights):
         sc = golden()
         engine = engine_for(sc, ref_weights, 3, InjectionSchedule.empty(3))
-        msg = Message(sender=1, step=0, quantity="supply", value=1.0)
+        msg = Message(sender=1, step=0, values=(1.0, 2.0))
         engine.controllers[0].deliver(msg)
         with pytest.raises(InternalInvariantError, match="duplicate"):
             engine.controllers[0].deliver(msg)
@@ -128,10 +129,9 @@ class TestControllerIsolation:
         engine = engine_for(sc, ref_weights, 3, InjectionSchedule.empty(3))
         node = engine.controllers[0]
         for sender in sorted(ref_weights.graph.neighbors(0)):
-            for msg in engine.controllers[sender].outgoing(0):
-                node.deliver(msg)
+            node.deliver(engine.controllers[sender].outgoing(0))
         node.record_observation(0)
-        late = Message(sender=1, step=0, quantity="demand", value=1.0)
+        late = Message(sender=1, step=0, values=(1.0, 2.0))
         with pytest.raises(InternalInvariantError, match="after recording that round"):
             node.deliver(late)
 
@@ -139,18 +139,18 @@ class TestControllerIsolation:
         # a controller collects one round at a time; nothing waits for a later one
         sc = golden()
         engine = engine_for(sc, ref_weights, 3, InjectionSchedule.empty(3))
-        early = Message(sender=1, step=1, quantity="supply", value=1.0)
+        early = Message(sender=1, step=1, values=(1.0, 2.0))
         with pytest.raises(InternalInvariantError, match="step-1 message from 1 while "
                                                          "collecting round 0"):
             engine.controllers[0].deliver(early)
-        assert engine.controllers[0].inbox == {"supply": {}, "demand": {}}
+        assert engine.controllers[0].inbox == {}
 
     def test_inboxes_are_empty_after_a_run(self, ref_weights):
-        # each round's messages are dropped once the controller has recorded them
+        # each round's payloads are dropped once the controller has recorded them
         sc = golden()
         engine = engine_for(sc, ref_weights, 3, InjectionSchedule.empty(3))
         engine.run()
-        assert all(c.inbox == {"supply": {}, "demand": {}} for c in engine.controllers)
+        assert all(c.inbox == {} for c in engine.controllers)
 
     def test_missing_neighbor_input_detected(self, ref_weights):
         sc = golden()
