@@ -2,6 +2,9 @@
 
 Each microgrid controller is a little state machine that sees only its
 own profile and the messages arriving over edges of the period's graph.
+Its state is the payload it broadcasts, its values in QUANTITIES order:
+inside the engine a quantity is a position in that tuple, and names are
+given only where the period records are built.
 The engine is the delivery medium: it routes one payload per sender and
 round strictly along edges and counts each value delivered, holds the
 attack schedule, and corrupts the compromised controllers' updates;
@@ -78,13 +81,15 @@ class Message:
 class ControllerState:
     """One microgrid's controller; starts from its own profile and knows nothing else.
 
+    Its state is the payload it broadcasts, values, in QUANTITIES order.
     Protocol constants (graph, weight matrix, horizon, fault knowledge)
     are public configuration every node carries; other grids' profiles
     and states are not, and never enter here except through messages.
     The inbox holds one payload per sender for the round being collected;
     record_observation reads it and starts an empty one. A payload for a
     round already recorded, or for a later round, is rejected like a
-    duplicate.
+    duplicate. rounds[k] holds round k's rows, one per quantity, each in
+    selector order.
     """
 
     def __init__(self, node: int, profile: MicrogridProfile, weights: WeightMatrix, horizon: int):
@@ -92,19 +97,19 @@ class ControllerState:
         self.neighborhood = weights.selector(node)
         self.weights = weights.entries[node, list(self.neighborhood)]
         self.horizon = horizon
-        self.values = {"supply": float(profile.supply), "demand": float(profile.critical_demand)}
+        self.values = (float(profile.supply), float(profile.critical_demand))
         self.inbox: dict[int, tuple[float, ...]] = {}
-        self.samples: dict[str, list[list[float]]] = {q: [] for q in QUANTITIES}
+        self.rounds: list[tuple[tuple[float, ...], ...]] = []
         self._peers = set(self.neighborhood) - {node}
 
     def outgoing(self, step: int) -> Message:
-        return Message(self.id, step, tuple(self.values[q] for q in QUANTITIES))
+        return Message(self.id, step, self.values)
 
     def deliver(self, msg: Message) -> None:
         if msg.sender not in self._peers:
             raise InternalInvariantError(
                 f"controller {self.id} received a message from non-neighbor {msg.sender}")
-        collecting = len(self.samples[QUANTITIES[0]])
+        collecting = len(self.rounds)
         if msg.step != collecting:
             raise InternalInvariantError(
                 f"controller {self.id} received a step-{msg.step} message from {msg.sender} "
@@ -116,27 +121,27 @@ class ControllerState:
         self.inbox[msg.sender] = msg.values
 
     def record_observation(self, step: int) -> None:
-        if len(self.samples[QUANTITIES[0]]) > self.horizon:
+        if len(self.rounds) > self.horizon:
             raise InternalInvariantError("observation window exceeded the horizon")
         bucket, self.inbox = self.inbox, {}
-        bucket[self.id] = self.outgoing(step).values
+        bucket[self.id] = self.values
         try:
             payloads = [bucket[j] for j in self.neighborhood]
         except KeyError as exc:
             raise InternalInvariantError(
                 f"controller {self.id} is missing step-{step} input from {exc.args[0]}") from None
-        for q, row in zip(QUANTITIES, zip(*payloads)):
-            self.samples[q].append(list(row))
+        self.rounds.append(tuple(zip(*payloads)))
 
     def advance(self, step: int, injection: float | None) -> None:
         """Step each quantity through combine_neighborhood from the row record_observation(step)
         stored; in the lockstep it always follows that call, so each row is assembled once."""
-        for q in QUANTITIES:
-            self.values[q] = combine_neighborhood(self.weights, self.samples[q][step], injection)
+        self.values = tuple(combine_neighborhood(self.weights, row, injection)
+                            for row in self.rounds[step])
 
     def observation_record(self, quantity: str) -> ObservationRecord:
+        pos = QUANTITIES.index(quantity)
         return ObservationRecord(self.id, self.neighborhood,
-                                 np.array(self.samples[quantity], dtype=float))
+                                 np.array([rows[pos] for rows in self.rounds], dtype=float))
 
 
 @dataclass
@@ -178,24 +183,23 @@ class RoundEngine:
                 self.deliveries += len(msg.values)
 
     def run(self) -> EngineRun:
-        n = self.graph.node_count
-        states = {q: np.zeros((self.horizon + 1, n)) for q in QUANTITIES}
-        for k in range(self.horizon + 1):
-            self._exchange(k)
-            for c in self.controllers:
-                c.record_observation(k)
-            for q in QUANTITIES:
-                # medium-level snapshot for the faithfulness check; controllers
-                # themselves never see this array
-                states[q][k] = [c.values[q] for c in self.controllers]
-            if k < self.horizon:
+        # medium-level snapshot for the faithfulness check; controllers never see it
+        states = np.zeros((self.horizon + 1, self.graph.node_count, len(QUANTITIES)))
+        # an overflowing run is reported by the period's finiteness checks, not by numpy
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(self.horizon + 1):
+                self._exchange(k)
                 for c in self.controllers:
-                    col = self._injection_column.get(c.id)
-                    c.advance(k, None if col is None else float(self.schedule.values[k, col]))
-        observations = {
-            q: [c.observation_record(q) for c in self.controllers] for q in QUANTITIES
-        }
-        return EngineRun(observations, states, self.deliveries)
+                    c.record_observation(k)
+                states[k] = [c.values for c in self.controllers]
+                if k < self.horizon:
+                    for c in self.controllers:
+                        col = self._injection_column.get(c.id)
+                        c.advance(k, None if col is None else float(self.schedule.values[k, col]))
+        return EngineRun(
+            {q: [c.observation_record(q) for c in self.controllers] for q in QUANTITIES},
+            {q: np.ascontiguousarray(states[:, :, pos]) for pos, q in enumerate(QUANTITIES)},
+            self.deliveries)
 
 
 @dataclass
@@ -316,22 +320,19 @@ def _run_resilient_period(scenario: Scenario, g: Graph, decode_mode: str,
     totals = {q: [] for q in QUANTITIES}
     for i in range(scenario.n):
         stack = build_observability_stack(w, i, k)
-        decoded = {}
+        entry = per_controller[str(i)] = {}
         for q in QUANTITIES:
             obs = run.observations[q][i]
             if not np.isfinite(obs.samples).all():
                 raise DecodeError(f"controller {i}'s {q} observations are not finite (float64 overflow)")
             if decode_mode == "known_faults":
-                decoded[q] = decode_known_faults(stack, obs, declared)
+                decoded = decode_known_faults(stack, obs, declared)
             else:
-                decoded[q] = decode_unknown_faults(stack, obs, scenario.f)
-            totals[q].append(decoded[q].total)
-        verdicts[i] = evaluate_criterion(decoded["supply"].total, decoded["demand"].total)
-        per_controller[str(i)] = {
-            "supply": decoded["supply"].to_json_dict(),
-            "demand": decoded["demand"].to_json_dict(),
-            "verdict": verdicts[i],
-        }
+                decoded = decode_unknown_faults(stack, obs, scenario.f)
+            totals[q].append(decoded.total)
+            entry[q] = decoded.to_json_dict()
+        verdicts[i] = evaluate_criterion(*(totals[q][i] for q in QUANTITIES))
+        entry["verdict"] = verdicts[i]
 
     return _period_record(scenario, g, period_index, run, verdicts, totals, {
         "mode": decode_mode,
@@ -352,30 +353,25 @@ def _run_baseline_period(scenario: Scenario, g: Graph, period_index: int) -> Dec
     run = engine.run()
 
     n = scenario.n
-    true_supply, true_demand = scenario.true_totals()
-    estimates = {q: [n * c.values[q] for c in engine.controllers] for q in QUANTITIES}
-    if not np.all(np.isfinite([estimates[q] for q in QUANTITIES])):
+    truth = dict(zip(QUANTITIES, scenario.true_totals()))
+    estimates = {q: [n * c.values[pos] for c in engine.controllers]
+                 for pos, q in enumerate(QUANTITIES)}
+    if not np.isfinite(list(estimates.values())).all():
         raise DecodeError("plain averaging overflowed: some estimates are not finite")
-    verdicts = {i: evaluate_criterion(estimates["supply"][i], estimates["demand"][i])
-                for i in range(n)}
-
-    dev_supply = max(abs(e - true_supply) for e in estimates["supply"])
-    dev_demand = max(abs(e - true_demand) for e in estimates["demand"])
+    verdicts = {i: evaluate_criterion(*(estimates[q][i] for q in QUANTITIES)) for i in range(n)}
+    controllers = {}
+    for i in range(n):
+        controllers[str(i)] = {f"{q}_estimate": estimates[q][i] for q in QUANTITIES}
+        controllers[str(i)]["verdict"] = verdicts[i]
+    deviation = {q: max(abs(e - truth[q]) for e in estimates[q]) for q in QUANTITIES}
     return _period_record(scenario, g, period_index, run, verdicts, estimates, {
         "mode": "baseline",
         "k": steps,
         "weights_source": "metropolis",
-        "controllers": {
-            str(i): {
-                "supply_estimate": estimates["supply"][i],
-                "demand_estimate": estimates["demand"][i],
-                "verdict": verdicts[i],
-            }
-            for i in range(n)
-        },
-        "true_totals": {"supply": true_supply, "demand": true_demand},
-        "max_estimate_deviation": {"supply": dev_supply, "demand": dev_demand},
-        "estimates_reliable": bool(max(dev_supply, dev_demand) <= 1e-6 * max(true_supply, true_demand, 1.0)),
+        "controllers": controllers,
+        "true_totals": truth,
+        "max_estimate_deviation": deviation,
+        "estimates_reliable": bool(max(deviation.values()) <= 1e-6 * max(*truth.values(), 1.0)),
     })
 
 

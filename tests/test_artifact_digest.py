@@ -64,3 +64,15 @@ def test_unknown_set_is_refused(tmp_path):
     proc = digest("golden", "nonsense", cwd=tmp_path)
     assert proc.returncode == 2
     assert "nonsense" in proc.stderr and proc.stdout == ""
+
+
+def test_overflow_set_digests_the_error_records(tmp_path):
+    proc = digest("overflow", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert all(LINE.match(line) for line in lines), lines
+    # every period of every mode fails: an exit line and two error records per mode
+    assert [line for line in lines if line.startswith("exit=")] == [
+        f"exit=2  overflow/{mode}" for mode in ("resilient-known", "resilient-unknown", "baseline")]
+    assert len(lines) == 3 * 3
+    assert list(tmp_path.iterdir()) == []

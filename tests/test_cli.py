@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,22 @@ class TestRun:
         assert f"period 0: FAILED ({error})" in capsys.readouterr().out
         record = json.loads((out / "decision_record.json").read_text())
         assert record["diagnostics"]["error"] == error
+
+    @pytest.mark.parametrize("mode", ["resilient-known", "resilient-unknown"])
+    def test_overflowing_attack_prints_no_numpy_warning(self, tmp_path, capsys, mode):
+        # the period's error names the overflow; numpy stays silent about it
+        data = scenario_to_dict(load_golden_scenario())
+        data["attack"]["controllers"][0]["injection"] = {"type": "constant", "value": 1e308}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--scenario", str(path), "--mode", mode,
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        error = "DecodeError: controller 0's supply observations are not finite (float64 overflow)"
+        assert f"period 0: FAILED ({error})" in capsys.readouterr().out
 
     def test_overflowing_baseline_fails_the_period(self, tmp_path, capsys):
         data = scenario_to_dict(load_golden_scenario())

@@ -270,6 +270,21 @@ class TestRunPeriod:
         assert max(dev["supply"], dev["demand"]) > 5.0
         assert not rec.diagnostics["estimates_reliable"]
 
+    def test_baseline_record_names_each_quantity_from_its_trajectory(self):
+        # each controller's estimate is n times its own final value of that quantity,
+        # and the truth and deviation fields are keyed by the same names
+        sc = golden()
+        rec = run_period(sc, CommunicationAgent(sc.graph.strategy, sc.f, sc.seed), "baseline")
+        diag = rec.diagnostics
+        truth = dict(zip(("supply", "demand"), sc.true_totals()))
+        assert diag["true_totals"] == truth
+        for q in ("supply", "demand"):
+            estimates = [diag["controllers"][str(i)][f"{q}_estimate"] for i in range(sc.n)]
+            assert estimates == [sc.n * rec.trajectories[q][-1, i] for i in range(sc.n)]
+            assert diag["max_estimate_deviation"][q] == max(abs(e - truth[q]) for e in estimates)
+        assert truth["supply"] != truth["demand"]
+        assert not np.array_equal(rec.trajectories["supply"], rec.trajectories["demand"])
+
     def test_run_period_is_deterministic(self):
         sc = random_scenario()
         records = [

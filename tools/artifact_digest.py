@@ -28,6 +28,8 @@ Sets (all of them when none is named):
           (10,1), (14,1), (18,1), (8,2), (10,2), (12,2): thin-margin shapes
           the bench set does not reach, n=18 seed 2's first draw among
           them, where the scan finds no horizon
+  overflow  golden with controller 0's injection a constant 1e308, three
+          modes, 2 periods: every period overflows float64 and fails (exit 2)
 
 Each line is `<sha256>  <set>/<run>/<file>`; a CLI run also prints its
 exit code and a period that raises prints its error instead of digests.
@@ -121,6 +123,17 @@ def pinned_set(work: Path) -> list[str]:
                                 work)]
 
 
+def overflow_set(work: Path) -> list[str]:
+    data = scenario_to_dict(load_golden_scenario())
+    data["attack"]["controllers"][0]["injection"] = {"type": "constant", "value": 1e308}
+    path = work / "overflow.json"
+    path.write_text(json.dumps(data))
+    return [line for mode in MODES
+            for line in cli_run(f"overflow/{mode}",
+                                ["run", "--scenario", str(path), "--mode", mode, "--periods", "2"],
+                                work)]
+
+
 def bench_set(work: Path) -> list[str]:
     specs = workloads.load_specs()
     lines = []
@@ -180,7 +193,8 @@ def split_set(work: Path) -> list[str]:
 
 
 SETS = {"golden": golden_set, "fixed": fixed_set, "pinned": pinned_set,
-        "bench": bench_set, "graph": graph_set, "verify": verify_set, "split": split_set}
+        "bench": bench_set, "graph": graph_set, "verify": verify_set, "split": split_set,
+        "overflow": overflow_set}
 
 
 def run(names) -> int:
