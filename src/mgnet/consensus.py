@@ -363,7 +363,7 @@ def _split_holds(a: np.ndarray, n: int, s: np.ndarray | None = None) -> bool:
     z = np.count_nonzero(np.any(m != 0, axis=-2), axis=-1)
     smallest_kept = np.take_along_axis(s, r[..., None] - 1, axis=-1)[..., 0]
     rest = (r != n + z) | (smallest_kept <= SPLIT_PIN_MARGIN * RANK_RTOL * s[..., 0])
-    return bool(np.all(r[rest] == n + numerical_rank(m[rest])))
+    return bool(not rest.any() or np.all(r[rest] == n + numerical_rank(m[rest])))
 
 
 def _scan_split_horizons(w: WeightMatrix, subset_size: int) -> int | None:

@@ -208,7 +208,8 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
     a minimum-degree pivot against each of its non-neighbors, plus every
     non-adjacent pair of pivot neighbors. Any minimum cut either misses
     the pivot (first family finds it) or contains it, in which case the
-    pivot has neighbors in two separated components (second family).
+    pivot has neighbors in two separated components (second family). A
+    disconnected graph needs no special case: its empty cut misses the pivot.
 
     The network is built once and each pair runs on a copy. Node v splits
     into entry 2v and exit 2v+1 joined by a unit arc, so saturating it
@@ -222,8 +223,6 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
         raise ValueError("vertex connectivity needs at least 2 nodes")
     if g.is_complete():
         return ConnectivityCertificate(n - 1, None)
-    if not g.is_connected():
-        return ConnectivityCertificate(0, frozenset())
 
     pivot = min(range(n), key=g.degree)
     pivot_nbrs = sorted(g.neighbors(pivot))
@@ -294,34 +293,33 @@ class LinkAttackSet:
                 raise ValueError(f"attacked link ({i}, {j}) out of range for {node_count} nodes")
 
 
-def _certified_topology(n: int, f: int, strategy: str, build) -> Graph:
-    """Check (n, f), lay out build(2f+1), certify it unless it is the bare seed clique."""
+def _connectivity_target(n: int, f: int) -> int:
+    """2f+1, the connectivity n nodes need for fault bound f, once (n, f) are checked."""
     if f < 0 or n < 1:
         raise ValueError(f"need n >= 1 and fault bound f >= 0, got n={n}, f={f}")
     m = 2 * f + 1
     if n < m:
         raise InfeasibleTopologyError(f"need at least {m} nodes for fault bound {f}, got {n}")
-    g = build(m)
-    if n >= m + 1:
-        cert = g.certificate()
-        if cert.kappa < m:
-            raise InternalInvariantError(
-                f"{strategy} generator produced kappa={cert.kappa} < {m}")
+    return m
+
+
+def _certified(g: Graph, m: int, strategy: str) -> Graph:
+    """g, once its certificate shows kappa >= m; the bare seed clique needs none."""
+    if g.node_count > m and g.certificate().kappa < m:
+        raise InternalInvariantError(
+            f"{strategy} generator produced kappa={g.certificate().kappa} < {m}")
     return g
 
 
 def _grow(seed: list[int], rest: list[int], m: int, attacks: LinkAttackSet,
           rng: np.random.Generator) -> frozenset[Edge]:
     """Edges of a clique on seed, then each node of rest joined to m random
-    present nodes over links attacks does not forbid, in the order given."""
+    present nodes over links attacks does not forbid, in the order given;
+    every seed node is such a target, so each step has m to draw from."""
     present = list(seed)
     edges = {_norm_edge(a, b) for a, b in combinations(present, 2)}
-    for step, v in enumerate(rest):
+    for v in rest:
         safe = [p for p in present if not attacks.forbids(v, p)]
-        if len(safe) < m:
-            raise InfeasibleTopologyError(
-                f"extension step {step}: node {v} has only {len(safe)} safe links "
-                f"to the current graph, needs {m}")
         picks = rng.choice(len(safe), size=m, replace=False)
         edges.update(_norm_edge(v, safe[int(p)]) for p in picks)
         present.append(v)
@@ -337,12 +335,10 @@ def generate_preventive(n: int, f: int, rng: np.random.Generator) -> Graph:
     each decision period is what keeps an attacker from planning around
     a fixed layout.
     """
-    def build(m: int) -> Graph:
-        order = [int(v) for v in rng.permutation(n)]
-        edges = _grow(order[:m], order[m:], m, LinkAttackSet(), rng)
-        return Graph(n, edges).relabeled([int(p) for p in rng.permutation(n)])
-
-    return _certified_topology(n, f, "preventive", build)
+    m = _connectivity_target(n, f)
+    order = [int(v) for v in rng.permutation(n)]
+    g = Graph(n, _grow(order[:m], order[m:], m, LinkAttackSet(), rng))
+    return _certified(g.relabeled([int(p) for p in rng.permutation(n)]), m, "preventive")
 
 
 def generate_responsive(n: int, f: int, attacks: LinkAttackSet, rng: np.random.Generator) -> Graph:
@@ -350,21 +346,15 @@ def generate_responsive(n: int, f: int, attacks: LinkAttackSet, rng: np.random.G
 
     Seeds a clique on 2f+1 nodes none of whose incident links are
     attacked, then extends one node at a time over safe links only.
-    Raises when the seed pool is short or an extension step cannot find
-    2f+1 safe targets; there is no backtracking over addition order.
+    Raises when fewer than 2f+1 nodes touch no attacked link; no later
+    step can run short, since every seed node is a safe target for it.
     """
-    def build(m: int) -> Graph:
-        attacks.validate_range(n)
-        clean = [v for v in range(n) if not attacks.touches(v)]
-        if len(clean) < m:
-            raise InfeasibleTopologyError(
-                f"only {len(clean)} nodes have no attacked links; the seed clique needs {m}")
-        picks = rng.choice(len(clean), size=m, replace=False)
-        seed = [clean[int(p)] for p in picks]
-        rest = [int(v) for v in rng.permutation(n) if int(v) not in seed]
-        edges = _grow(seed, rest, m, attacks, rng)
-        if any(attacks.forbids(i, j) for i, j in edges):
-            raise InternalInvariantError("responsive generator used a forbidden link")
-        return Graph(n, edges)
-
-    return _certified_topology(n, f, "responsive", build)
+    m = _connectivity_target(n, f)
+    attacks.validate_range(n)
+    clean = [v for v in range(n) if not attacks.touches(v)]
+    if len(clean) < m:
+        raise InfeasibleTopologyError(
+            f"only {len(clean)} nodes have no attacked links; the seed clique needs {m}")
+    seed = [clean[int(p)] for p in rng.choice(len(clean), size=m, replace=False)]
+    rest = [int(v) for v in rng.permutation(n) if int(v) not in seed]
+    return _certified(Graph(n, _grow(seed, rest, m, attacks, rng)), m, "responsive")

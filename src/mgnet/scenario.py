@@ -211,6 +211,14 @@ def _reject_unknown(data: dict, allowed, ctx: str) -> None:
                 f"{ctx}.{key}: unknown field (expected one of: {', '.join(sorted(allowed))})")
 
 
+def _as_object(value, allowed, ctx: str) -> dict:
+    """value, a dict with only allowed keys; a section's fields drop its "scenario." prefix."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{ctx}: must be an object")
+    _reject_unknown(value, allowed, ctx.removeprefix("scenario."))
+    return value
+
+
 def _require(data: dict, key: str, ctx: str):
     if key not in data:
         raise ConfigError(f"{ctx}.{key}: missing required field")
@@ -228,6 +236,12 @@ def _as_number(value, ctx: str) -> float:
 def _as_int(value, ctx: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{ctx}: expected an integer, got {value!r}")
+    return value
+
+
+def _non_negative(value, ctx: str):
+    if value < 0:
+        raise ConfigError(f"{ctx}: must be non-negative")
     return value
 
 
@@ -260,48 +274,36 @@ def scenario_from_dict(data: dict) -> Scenario:
     grids = []
     for pos, item in enumerate(raw_grids):
         ctx = f"microgrids[{pos}]"
-        if not isinstance(item, dict):
-            raise ConfigError(f"{ctx}: must be an object")
-        _reject_unknown(item, ("id", "supply", "critical_demand", "label"), ctx)
+        _as_object(item, ("id", "supply", "critical_demand", "label"), ctx)
         gid = _as_int(_require(item, "id", ctx), f"{ctx}.id")
         supply = _as_number(_require(item, "supply", ctx), f"{ctx}.supply")
         demand = _as_number(_require(item, "critical_demand", ctx), f"{ctx}.critical_demand")
-        if supply < 0:
-            raise ConfigError(f"{ctx}.supply: must be non-negative")
-        if demand < 0:
-            raise ConfigError(f"{ctx}.critical_demand: must be non-negative")
+        _non_negative(supply, f"{ctx}.supply")
+        _non_negative(demand, f"{ctx}.critical_demand")
         label = item.get("label", "")
         if not isinstance(label, str):
             raise ConfigError(f"{ctx}.label: expected a string, got {label!r}")
-        grids.append(MicrogridProfile(gid, supply, demand, label))
+        grids.append(MicrogridProfile(_non_negative(gid, f"{ctx}.id"), supply, demand, label))
     if sorted(p.id for p in grids) != list(range(len(grids))):
         raise ConfigError("scenario.microgrids: ids must be exactly 0..n-1")
     grids.sort(key=lambda p: p.id)
     n = len(grids)
 
-    f = _as_int(_require(data, "f", "scenario"), "scenario.f")
-    if f < 0:
-        raise ConfigError("scenario.f: must be non-negative")
-    seed = _as_int(_require(data, "seed", "scenario"), "scenario.seed")
-    if seed < 0:
-        raise ConfigError("scenario.seed: must be non-negative")
+    f = _non_negative(_as_int(_require(data, "f", "scenario"), "scenario.f"), "scenario.f")
+    seed = _non_negative(_as_int(_require(data, "seed", "scenario"), "scenario.seed"), "scenario.seed")
     period_hours = _as_number(data.get("period_hours", 1.0), "scenario.period_hours")
     if period_hours <= 0:
         raise ConfigError("scenario.period_hours: must be positive")
 
-    raw_attack = data.get("attack", {})
-    if not isinstance(raw_attack, dict):
-        raise ConfigError("scenario.attack: must be an object")
-    _reject_unknown(raw_attack, ("controllers", "links", "known_to_agent"), "attack")
+    raw_attack = _as_object(data.get("attack", {}), ("controllers", "links", "known_to_agent"),
+                            "scenario.attack")
     raw_plans = raw_attack.get("controllers", [])
     if not isinstance(raw_plans, list):
         raise ConfigError("attack.controllers: must be a list")
     plans = []
     for pos, item in enumerate(raw_plans):
         ctx = f"attack.controllers[{pos}]"
-        if not isinstance(item, dict):
-            raise ConfigError(f"{ctx}: must be an object")
-        _reject_unknown(item, ("node", "injection"), ctx)
+        _as_object(item, ("node", "injection"), ctx)
         node = _as_int(_require(item, "node", ctx), f"{ctx}.node")
         if not 0 <= node < n:
             raise ConfigError(f"{ctx}.node: {node} out of range for {n} microgrids")
@@ -325,8 +327,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                                              f"{ctx}.injection.{name}"))
                            for name in _INJECTION_FIELDS[kind])
             got = dict(params)
-            if got.get("std", 0.0) < 0:
-                raise ConfigError(f"{ctx}.injection.std: must be non-negative")
+            _non_negative(got.get("std", 0.0), f"{ctx}.injection.std")
             if got.get("low", 0.0) > got.get("high", 0.0):
                 raise ConfigError(f"{ctx}.injection.low: must not exceed {ctx}.injection.high")
         plans.append(InjectionPlan(node, kind, values, params))
@@ -345,10 +346,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     attack = AttackSpec(tuple(plans), links,
                         _as_bool(raw_attack.get("known_to_agent", False), "attack.known_to_agent"))
 
-    raw_cons = data.get("consensus", {})
-    if not isinstance(raw_cons, dict):
-        raise ConfigError("scenario.consensus: must be an object")
-    _reject_unknown(raw_cons, ("k", "baseline_steps"), "consensus")
+    raw_cons = _as_object(data.get("consensus", {}), ("k", "baseline_steps"), "scenario.consensus")
     cons = ConsensusConfig(
         k=None if raw_cons.get("k") is None else _as_int(raw_cons["k"], "consensus.k"),
         baseline_steps=_as_int(raw_cons.get("baseline_steps", BASELINE_STEPS),
@@ -359,10 +357,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         if value is not None and value < 1:
             raise ConfigError(f"consensus.{name}: must be at least 1")
 
-    raw_graph = data.get("graph", {})
-    if not isinstance(raw_graph, dict):
-        raise ConfigError("scenario.graph: must be an object")
-    _reject_unknown(raw_graph, ("strategy", "fixed_edges", "regenerate_per_period"), "graph")
+    raw_graph = _as_object(data.get("graph", {}), ("strategy", "fixed_edges", "regenerate_per_period"),
+                           "scenario.graph")
     strategy = raw_graph.get("strategy", "preventive")
     if strategy not in ("preventive", "responsive"):
         raise ConfigError(f"graph.strategy: must be 'preventive' or 'responsive', got {strategy!r}")
@@ -377,10 +373,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                             _as_bool(raw_graph.get("regenerate_per_period", True),
                                      "graph.regenerate_per_period"))
 
-    raw_weights = data.get("weights", {})
-    if not isinstance(raw_weights, dict):
-        raise ConfigError("scenario.weights: must be an object")
-    _reject_unknown(raw_weights, ("type", "matrix"), "weights")
+    raw_weights = _as_object(data.get("weights", {}), ("type", "matrix"), "scenario.weights")
     wkind = raw_weights.get("type", "random")
     if wkind not in ("random", "fixed"):
         raise ConfigError(f"weights.type: must be 'random' or 'fixed', got {wkind!r}")

@@ -76,3 +76,25 @@ def test_overflow_set_digests_the_error_records(tmp_path):
         f"exit=2  overflow/{mode}" for mode in ("resilient-known", "resilient-unknown", "baseline")]
     assert len(lines) == 3 * 3
     assert list(tmp_path.iterdir()) == []
+
+
+def test_graph_set_pins_the_generators_refusals(tmp_path, capsys):
+    proc = digest("graph", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert all(LINE.match(line) for line in lines), lines
+    # two graphs with three artifacts each, five refusals with their stderr, an exit line per run
+    assert [line for line in lines if line.startswith("exit=")] == [
+        "exit=0  graph/preventive-n40-f2", "exit=0  graph/responsive-n60-f2",
+        "exit=2  graph/n4-f2", "exit=2  graph/responsive-n6-f1-seed-pool", "exit=1  graph/n0-f0",
+        "exit=1  graph/responsive-n6-f1-range", "exit=2  graph/responsive-n3-f2-range"]
+    assert len(lines) == 2 * 4 + 5 * 2
+    assert list(tmp_path.iterdir()) == []
+
+    # (n, f) is checked before the attacked links' range
+    capsys.readouterr()
+    assert main(["graph", "--n", "3", "--f", "2", "--strategy", "responsive",
+                 "--attacked-links", "0-9", "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: need at least 5 nodes for fault bound 2, got 3\n"
+    assert f"{hashlib.sha256(err.encode()).hexdigest()}  graph/responsive-n3-f2-range/stderr" in lines

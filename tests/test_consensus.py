@@ -504,6 +504,23 @@ class TestSplitPin:
         decode_known_faults(stack, _observed(ref_weights, traj, 0), (3,))
         assert rank_of_m == []
 
+    def test_no_singular_values_of_an_empty_stack(self, monkeypatch):
+        # a batch the pin settles whole leaves numerical_rank nothing to rank
+        leading = []
+        svd = consensus._singular_values
+        def recorded(a):
+            leading.append(a.shape[0])
+            return svd(a)
+        monkeypatch.setattr(consensus, "_singular_values", recorded)
+        rng = np.random.default_rng(5)
+        w = synthesize_weights(generate_preventive(10, 1, rng), 1, rng)
+        k = verify_rank_condition(w, 1)
+        inj = InjectionSchedule.from_values({3: rng.normal(0, 40, k).tolist()}, k)
+        traj = run_updates(w, rng.uniform(0, 100, w.n), inj, k)
+        for i in range(w.n):
+            decode_unknown_faults(build_observability_stack(w, i, k), _observed(w, traj, i), 1)
+        assert leading and 0 not in leading
+
 
 HOST_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 

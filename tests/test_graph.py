@@ -1,5 +1,7 @@
 """Graph model, serialization, and the certified connectivity oracle."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,15 @@ class TestVertexConnectivity:
         star = [(0, i) for i in range(1, 6)]
         cert = vertex_connectivity(Graph.from_edges(6, star))
         assert cert.kappa == 1 and cert.witness_cut == frozenset({0})
+
+    def test_minimum_cut_through_the_pivot(self):
+        # node 0, of minimum degree, and node 1 join two K5s and form the only
+        # 2-cut; 0 against any non-neighbour is a 3-cut, so only the pairs
+        # of 0's neighbours find the cut that contains it
+        edges = [*combinations(range(2, 7), 2), *combinations(range(7, 12), 2),
+                 (0, 2), (0, 3), (0, 7), (0, 8), *((1, v) for v in (4, 5, 6, 9, 10, 11))]
+        cert = vertex_connectivity(Graph.from_edges(12, edges))
+        assert cert == ConnectivityCertificate(2, frozenset({0, 1}))
 
     def test_too_small(self):
         with pytest.raises(ValueError):

@@ -95,8 +95,8 @@ class TestResponsive:
     def test_infeasibility_always_surfaces_at_the_seed_pool(self):
         # a clean node is a safe target for every extender, so once the
         # seed clique exists no extension step can starve: every failure
-        # mode reduces to a short clean pool. The extension error path
-        # stays as a guard, but a sweep should never reach it.
+        # mode reduces to a short clean pool, the only shortage the
+        # generator reports.
         rng = np.random.default_rng(17)
         for trial in range(60):
             n = int(rng.integers(4, 9))

@@ -231,6 +231,16 @@ class TestScenarioParsing:
             scenario_from_dict(minimal_dict(seed=-5))
         assert scenario_from_dict(minimal_dict(seed=0)).seed == 0
 
+    def test_negative_microgrid_id_names_its_path(self):
+        data = minimal_dict()
+        data["microgrids"][0]["id"] = -1
+        with pytest.raises(ConfigError, match=r"^microgrids\[0\]\.id: must be non-negative$"):
+            scenario_from_dict(data)
+        # checked where the profile is built, after the item's other fields
+        data["microgrids"][0]["supply"] = -1.0
+        with pytest.raises(ConfigError, match=r"^microgrids\[0\]\.supply: must be non-negative$"):
+            scenario_from_dict(data)
+
     def test_round_trip_preserves_everything(self):
         data = minimal_dict(
             n=6,

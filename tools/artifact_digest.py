@@ -20,7 +20,12 @@ Sets (all of them when none is named):
           periods 0-7, resilient_f2 seeds 1-3 periods 0-3, baseline_large
           seed 1 periods 0-2
   graph   `mgnet graph` preventive n=40 f=2 and responsive n=60 f=2 with
-          attacked links
+          attacked links; and five requests the generators refuse, which pin
+          the order of their checks: n=4 f=2 (too few nodes, exit 2),
+          responsive n=6 f=1 with every node on an attacked link (seed pool,
+          exit 2), n=0 f=0 (exit 1), responsive n=6 f=1 with a link out of
+          range (exit 1), and responsive n=3 f=2 with a link out of range
+          ((n, f) before range, exit 2)
   verify  `mgnet verify` on golden's weight matrix (`scenario.weights`) as
           CSV, f 0 and 1, with no `--k-max` and with `--k-max` 1, 3 and 8
   split   the rank-split scan on the first three weight draws of period 0's
@@ -33,6 +38,7 @@ Sets (all of them when none is named):
 
 Each line is `<sha256>  <set>/<run>/<file>`; a CLI run also prints its
 exit code and a period that raises prints its error instead of digests.
+A refused graph request writes no files: its digest is of its error, `<run>/stderr`.
 A verify run writes no files: its digest is of what it prints, `<run>/stdout`.
 A split line gives the horizons themselves, `k2f=<K or None> kf=<K or None>`,
 for fault sets of size 2f and f.
@@ -66,6 +72,16 @@ MODES = ("resilient-known", "resilient-unknown", "baseline")
 BENCH_RUNS = (("resilient_f1", (1, 2, 3), 8), ("resilient_f2", (1, 2, 3), 4),
               ("baseline_large", (1,), 3))
 ATTACKED_LINKS = "0-1,2-3,5-9,10-20,30-31,40-59"
+REFUSED_GRAPHS = (
+    ("n4-f2", ["--n", "4", "--f", "2"]),
+    ("responsive-n6-f1-seed-pool", ["--n", "6", "--f", "1", "--strategy", "responsive",
+                                    "--attacked-links", "0-1,2-3,4-5"]),
+    ("n0-f0", ["--n", "0", "--f", "0"]),
+    ("responsive-n6-f1-range", ["--n", "6", "--f", "1", "--strategy", "responsive",
+                                "--attacked-links", "0-9"]),
+    ("responsive-n3-f2-range", ["--n", "3", "--f", "2", "--strategy", "responsive",
+                                "--attacked-links", "0-9"]),
+)
 SPLIT_SHAPES = ((10, 1), (14, 1), (18, 1), (8, 2), (10, 2), (12, 2))
 
 
@@ -78,17 +94,17 @@ def digests(root: Path, prefix: str) -> list[str]:
             for p in sorted(root.rglob("*")) if p.is_file()]
 
 
-def quiet_main(argv: list[str]) -> tuple[int, str]:
-    """mgnet's exit code and standard output; standard error is dropped."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+def quiet_main(argv: list[str]) -> tuple[int, str, str]:
+    """mgnet's exit code, standard output and standard error."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = mgnet_main(argv)
-    return code, stdout.getvalue()
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 def cli_run(name: str, argv: list[str], work: Path) -> list[str]:
     out = work / name
-    code, _ = quiet_main([*argv, "--out", str(out)])
+    code, _, _ = quiet_main([*argv, "--out", str(out)])
     return [f"exit={code}  {name}"] + (digests(out, name) if out.exists() else [])
 
 
@@ -154,12 +170,17 @@ def bench_set(work: Path) -> list[str]:
 
 
 def graph_set(work: Path) -> list[str]:
-    return (cli_run("graph/preventive-n40-f2",
-                    ["graph", "--n", "40", "--f", "2", "--strategy", "preventive", "--seed", "1"],
-                    work)
-            + cli_run("graph/responsive-n60-f2",
-                      ["graph", "--n", "60", "--f", "2", "--strategy", "responsive",
-                       "--attacked-links", ATTACKED_LINKS, "--seed", "1"], work))
+    lines = (cli_run("graph/preventive-n40-f2",
+                     ["graph", "--n", "40", "--f", "2", "--strategy", "preventive", "--seed", "1"],
+                     work)
+             + cli_run("graph/responsive-n60-f2",
+                       ["graph", "--n", "60", "--f", "2", "--strategy", "responsive",
+                        "--attacked-links", ATTACKED_LINKS, "--seed", "1"], work))
+    for run, argv in REFUSED_GRAPHS:
+        name = f"graph/{run}"
+        code, _, stderr = quiet_main(["graph", *argv, "--seed", "1", "--out", str(work / name)])
+        lines += [f"exit={code}  {name}", f"{sha256(stderr.encode())}  {name}/stderr"]
+    return lines
 
 
 def verify_set(work: Path) -> list[str]:
@@ -170,7 +191,7 @@ def verify_set(work: Path) -> list[str]:
         for bound in (None, 1, 3, 8):
             name = f"verify/f{f}/" + ("cap" if bound is None else f"k{bound}")
             extra = [] if bound is None else ["--k-max", str(bound)]
-            code, stdout = quiet_main(["verify", "--weights", str(weights), "--f", str(f), *extra])
+            code, stdout, _ = quiet_main(["verify", "--weights", str(weights), "--f", str(f), *extra])
             lines += [f"exit={code}  {name}", f"{sha256(stdout.encode())}  {name}/stdout"]
     return lines
 
