@@ -5,6 +5,7 @@ an exact minimum-vertex-cut oracle, the single-node extension step that
 preserves m-connectivity, and two topology generators (a randomized one
 used before any attack is known, and an attack-aware one that avoids
 compromised links) that share one input check and one certificate.
+The oracle's max-flows find augmenting paths by bidirectional BFS.
 Convention: the complete graph on n nodes has connectivity n - 1, so
 the (2f+1)-node seed clique certifies at 2f. A supplied topology is not
 generated: the scenario holds it as one Graph, graph.fixed, for a campaign.
@@ -162,43 +163,56 @@ class ConnectivityCertificate:
     witness_cut: frozenset[int] | None
 
 
-def _min_cut_between(cap: list[dict[int, int]], s: int, t: int,
-                     stop_at: int) -> tuple[int, frozenset[int] | None]:
-    """Minimum vertex cut separating the non-adjacent pair (s, t).
+def _search_level(arcs: list[list[tuple[int, int]]], cap: list[int], frontier: list[int],
+                  seen: list[int | None], other: list[int | None]) -> tuple[list[int], int | None]:
+    """The next BFS level of one side of the augmenting-path search, over the
+    (arc, vertex) pairs in arcs with residual capacity; seen[vertex] records
+    the arc. Stops early at the first vertex the other side has seen."""
+    level = []
+    for u in frontier:
+        for a, v in arcs[u]:
+            if cap[a] and seen[v] is None:
+                seen[v] = a
+                if other[v] is not None:
+                    return level, v
+                level.append(v)
+    return level, None
 
-    cap is a fresh copy of the split network, used up as the residual.
-    Augments one unit per round (Edmonds-Karp) from s's exit to t's
-    entry. When the flow reaches stop_at the pair cannot improve the
-    caller's best cut and (stop_at, None) is returned without
-    extracting a cut.
+
+def _min_cut_between(out_arcs: list[list[tuple[int, int]]], in_arcs: list[list[tuple[int, int]]],
+                     head: list[int], cap: list[int], s: int, t: int,
+                     stop_at: int) -> frozenset[int] | None:
+    """Minimal source-side minimum vertex cut of the non-adjacent pair (s, t),
+    or None once stop_at units flow, as the pair cannot then beat the caller.
+
+    cap, a fresh copy of the capacities, is used up as the residual. Each
+    one-unit augmenting path comes from a bidirectional BFS, forward from
+    s's exit over out_arcs and backward from t's entry over in_arcs, each
+    step growing the smaller frontier, spliced at the first vertex both
+    sides reach: the only one they share, so the path is simple. With no
+    path left, the forward search runs on to its closure, which gives the
+    cut; a backward side that ran dry can no longer meet it.
     """
     source, sink = 2 * s + 1, 2 * t
-    flow = 0
-    while flow < stop_at:
-        parent: dict[int, int | None] = {source: None}
-        frontier = deque([source])
-        while frontier and sink not in parent:
-            u = frontier.popleft()
-            for v, residual in cap[u].items():
-                if residual > 0 and v not in parent:
-                    parent[v] = u
-                    frontier.append(v)
-        if sink not in parent:
-            reach = set(parent)
-            cut = frozenset(v for v in range(len(cap) // 2)
-                            if 2 * v in reach and 2 * v + 1 not in reach)
-            return flow, cut
-        path = []
-        v = sink
-        while parent[v] is not None:
-            path.append((parent[v], v))
-            v = parent[v]
-        push = min(cap[u][v] for u, v in path)
-        for u, v in path:
-            cap[u][v] -= push
-            cap[v][u] += push
-        flow += push
-    return flow, None
+    for _ in range(stop_at):
+        into, out_of = [None] * len(out_arcs), [None] * len(out_arcs)
+        into[source] = out_of[sink] = -1  # reached, by no arc
+        ahead, behind, meet = [source], [sink], None
+        while ahead and meet is None:
+            if behind and len(behind) < len(ahead):
+                behind, meet = _search_level(in_arcs, cap, behind, out_of, into)
+            else:
+                ahead, meet = _search_level(out_arcs, cap, ahead, into, out_of)
+        if meet is None:
+            return frozenset(v for v in range(len(out_arcs) // 2)
+                             if into[2 * v] is not None and into[2 * v + 1] is None)
+        # back from meet to the source over the arcs into each vertex, then on to the sink
+        for v, end, seen, step in ((meet, source, into, 1), (meet, sink, out_of, 0)):
+            while v != end:
+                a = seen[v]
+                cap[a], cap[a ^ 1] = cap[a] - 1, cap[a ^ 1] + 1
+                v = head[a ^ step]
+    return None
 
 
 def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
@@ -208,15 +222,20 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
     a minimum-degree pivot against each of its non-neighbors, plus every
     non-adjacent pair of pivot neighbors. Any minimum cut either misses
     the pivot (first family finds it) or contains it, in which case the
-    pivot has neighbors in two separated components (second family). A
-    disconnected graph needs no special case: its empty cut misses the pivot.
+    pivot has neighbors in two separated components (second family). The
+    first strictly smaller cut wins, and the loop stops at the empty cut:
+    a disconnected graph needs no special case, since that cut misses the
+    pivot, and an isolated pivot runs no pair at all.
 
-    The network is built once and each pair runs on a copy. Node v splits
-    into entry 2v and exit 2v+1 joined by a unit arc, so saturating it
-    deletes v; edge arcs get a capacity no flow can reach. The endpoints'
-    arcs are unit too, which is safe: the flow leaves s's exit and ends at
-    t's entry, so no augmenting path crosses either arc, and the cut read
-    off the residual (the minimal source-side one) is unique.
+    The split network is built once as flat arrays: arc a runs to head[a]
+    with capacity cap0[a], its reverse is a ^ 1, and out_arcs[u] and
+    in_arcs[u] list the (arc, other end) pairs leaving and entering u.
+    Each pair copies only cap0. Node v splits into entry 2v and exit 2v+1
+    joined by a unit arc, so saturating it deletes v; edge arcs get a
+    capacity no flow can reach. The endpoints' arcs are unit too, which is
+    safe: the flow leaves s's exit and ends at t's entry, so no augmenting
+    path crosses either arc, and the cut read off the residual (the
+    minimal source-side one) is unique, whichever maximum flow found it.
     """
     n = g.node_count
     if n < 2:
@@ -226,23 +245,27 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
 
     pivot = min(range(n), key=g.degree)
     pivot_nbrs = sorted(g.neighbors(pivot))
-    best = len(pivot_nbrs)
     best_cut = frozenset(pivot_nbrs)
 
-    # network[u][v] is the residual capacity of u -> v; each arc's reverse starts at 0
-    network: list[dict[int, int]] = [{} for _ in range(2 * n)]
-    for v in range(n):
-        network[2 * v][2 * v + 1], network[2 * v + 1][2 * v] = 1, 0
-    for i, j in g.edges:
-        network[2 * i + 1][2 * j], network[2 * j][2 * i + 1] = n + 2, 0
-        network[2 * j + 1][2 * i], network[2 * i][2 * j + 1] = n + 2, 0
+    # the k-th (tail, head) here is arc 2k, and arc 2k + 1 runs back
+    forward = [(2 * v, 2 * v + 1) for v in range(n)]
+    forward += [(2 * a + 1, 2 * b) for i, j in g.edges for a, b in ((i, j), (j, i))]
+    head = [end for tail, tip in forward for end in (tip, tail)]
+    cap0 = [1, 0] * n + [n + 2, 0] * (len(forward) - n)
+    out_arcs: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
+    in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
+    for a, v in enumerate(head):
+        out_arcs[head[a ^ 1]].append((a, v))
+        in_arcs[v].append((a, head[a ^ 1]))
     pairs = [(pivot, w) for w in range(n) if w != pivot and not g.has_edge(pivot, w)]
     pairs.extend((x, y) for x, y in combinations(pivot_nbrs, 2) if not g.has_edge(x, y))
     for s, t in pairs:
-        value, cut = _min_cut_between([dict(a) for a in network], s, t, best)
-        if cut is not None and value < best:
-            best, best_cut = value, cut
-    return ConnectivityCertificate(best, best_cut)
+        if not best_cut:
+            break
+        cut = _min_cut_between(out_arcs, in_arcs, head, cap0[:], s, t, len(best_cut))
+        if cut is not None:
+            best_cut = cut
+    return ConnectivityCertificate(len(best_cut), best_cut)
 
 
 def extend_graph(g: Graph, m: int, targets=None, rng: np.random.Generator | None = None) -> Graph:

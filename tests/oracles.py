@@ -54,6 +54,54 @@ def brute_force_connectivity(n: int, edges) -> int:
     return n - 1
 
 
+def brute_force_certificate(n: int, edges) -> tuple[int, frozenset[int] | None]:
+    """Connectivity and witness cut by exhaustive search over node subsets.
+
+    Walks the same pairs in the same order as the max-flow certificate: a
+    minimum-degree pivot (the lowest such id) against each non-neighbour in
+    id order, then each non-adjacent pair of its neighbours in sorted order.
+    Each pair's cut is its smallest separator S, and among those the one
+    leaving s the fewest nodes reachable in G - S. Starting from the
+    pivot's neighbourhood, a pair's cut replaces the best only when it is
+    strictly smaller. Complete graphs report (n - 1, None). Fine for n <= 15.
+    """
+    adj = {v: set() for v in range(n)}
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    if all(len(adj[v]) == n - 1 for v in range(n)):
+        return n - 1, None
+
+    def reach(s, removed):
+        seen = {s}
+        stack = [s]
+        while stack:
+            for w in adj[stack.pop()] - removed - seen:
+                seen.add(w)
+                stack.append(w)
+        return seen
+
+    def pair_cut(s, t):
+        others = [v for v in range(n) if v not in (s, t)]
+        for size in range(len(others) + 1):
+            sides = [(len(side), cut) for cut in map(frozenset, combinations(others, size))
+                     for side in [reach(s, cut)] if t not in side]
+            if sides:
+                return min(sides, key=lambda entry: entry[0])[1]
+        raise AssertionError("an adjacent pair has no separator")
+
+    pivot = min(range(n), key=lambda v: len(adj[v]))
+    nbrs = sorted(adj[pivot])
+    pairs = [(pivot, w) for w in range(n) if w != pivot and w not in adj[pivot]]
+    pairs += [(x, y) for x, y in combinations(nbrs, 2) if y not in adj[x]]
+    best = frozenset(nbrs)
+    for s, t in pairs:
+        cut = pair_cut(s, t)
+        if len(cut) < len(best):
+            best = cut
+    return len(best), best
+
+
 def matrix_iteration_oracle(w: np.ndarray, initial, injections: dict, k: int) -> np.ndarray:
     """Hand-rolled S(k+1) = W S(k) + injections, full matrix products.
 

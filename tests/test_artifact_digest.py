@@ -98,3 +98,15 @@ def test_graph_set_pins_the_generators_refusals(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: need at least 5 nodes for fault bound 2, got 3\n"
     assert f"{hashlib.sha256(err.encode()).hexdigest()}  graph/responsive-n3-f2-range/stderr" in lines
+
+
+def test_cert_set_prints_each_certificate(tmp_path):
+    proc = digest("cert", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    # five baseline_large periods, the pivot-cut graph, three planted graphs, two disconnected
+    assert len(lines) == 5 + 1 + 3 + 2
+    assert all(re.match(r"^kappa=\d+ cut=\[[\d, ]*\]  cert/\S+$", line) for line in lines), lines
+    assert "kappa=2 cut=[0, 1]  cert/pivot-cut-n12" in lines
+    assert lines[-2:] == ["kappa=0 cut=[]  cert/n120-plus-isolated", "kappa=0 cut=[]  cert/two-n60"]
+    assert list(tmp_path.iterdir()) == []

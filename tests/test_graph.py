@@ -5,10 +5,23 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mgnet import ConnectivityCertificate, Graph, LinkAttackSet, extend_graph, vertex_connectivity
+from mgnet import (ConnectivityCertificate, Graph, LinkAttackSet, extend_graph, generate_preventive,
+                   vertex_connectivity)
 from mgnet import graph as graph_module
 
-from oracles import brute_force_connectivity
+from oracles import brute_force_certificate, brute_force_connectivity
+
+
+def planted_separator(rng, k: int, p: int, q: int) -> Graph:
+    """Cliques of p and q nodes (both above k) joined through a k-node clique S,
+    then relabelled. Separator node i links port i of each block and maybe
+    other ports, so each block's k ports are minimum cuts beside S itself."""
+    sep, a, b = range(k), range(k, k + p), range(k + p, k + p + q)
+    edges = [*combinations(sep, 2), *combinations(a, 2), *combinations(b, 2)]
+    for i in sep:
+        edges += [(i, a[j]) for j in range(k) if j == i or rng.random() < 0.3]
+        edges += [(i, b[j]) for j in range(k) if j == i or rng.random() < 0.3]
+    return Graph.from_edges(k + p + q, edges).relabeled(rng.permutation(k + p + q))
 
 
 class TestGraphBasics:
@@ -156,6 +169,47 @@ class TestVertexConnectivity:
                 survivors = set(range(n)) - cert.witness_cut
                 kept = [(i, j) for i, j in pairs if i in survivors and j in survivors]
                 assert brute_force_connectivity(len(survivors), kept) == 0 or len(survivors) < 2
+
+    def test_witness_cut_matches_the_oracle_on_random_graphs(self):
+        # the oracle walks the same pairs but finds each pair's cut by subset search
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            n = int(rng.integers(2, 11))
+            density = float(rng.uniform(0.1, 0.95))
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+            cert = vertex_connectivity(Graph.from_edges(n, pairs))
+            assert (cert.kappa, cert.witness_cut) == brute_force_certificate(n, pairs)
+
+    def test_witness_cut_matches_the_oracle_on_planted_separators(self):
+        # several minimum cuts each: which one is the witness depends on the pivot,
+        # the pair order and, per pair, the minimal source side
+        rng = np.random.default_rng(77)
+        for _ in range(30):
+            k = int(rng.integers(1, 4))
+            g = planted_separator(rng, k, int(rng.integers(k + 1, k + 4)),
+                                  int(rng.integers(k + 1, k + 4)))
+            cert = vertex_connectivity(g)
+            assert cert.kappa == k
+            assert (cert.kappa, cert.witness_cut) == brute_force_certificate(g.node_count, g.edges)
+
+    def test_pair_loop_stops_at_the_empty_cut(self, monkeypatch):
+        half = generate_preventive(30, 2, np.random.default_rng(5))
+        results = []
+        real = graph_module._min_cut_between
+
+        def counted(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(graph_module, "_min_cut_between", counted)
+        # an isolated pivot starts at the empty cut and runs no pair
+        assert vertex_connectivity(Graph(31, half.edges)) == ConnectivityCertificate(0, frozenset())
+        assert results == []
+        # two disjoint copies: the pivot's first pair across them is the last pair run
+        twins = Graph(60, half.edges | {(i + 30, j + 30) for i, j in half.edges})
+        assert vertex_connectivity(twins) == ConnectivityCertificate(0, frozenset())
+        assert results[-1] == frozenset()
+        assert frozenset() not in results[:-1]
 
 
 class TestExtendGraph:

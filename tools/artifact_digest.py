@@ -35,13 +35,21 @@ Sets (all of them when none is named):
           them, where the scan finds no horizon
   overflow  golden with controller 0's injection a constant 1e308, three
           modes, 2 periods: every period overflows float64 and fails (exit 2)
+  cert    `vertex_connectivity` on the baseline_large seed-1 graphs of
+          periods 0-4; the 12-node graph whose only minimum cut holds the
+          pivot; three planted-separator graphs (two cliques joined through a
+          k-clique, each of whose nodes links one port of each side, so the
+          ports on either side are minimum cuts as well); and two
+          disconnected shapes: a preventive n=120 f=2 graph plus an isolated
+          node, and two disjoint preventive n=60 f=2 graphs
 
 Each line is `<sha256>  <set>/<run>/<file>`; a CLI run also prints its
 exit code and a period that raises prints its error instead of digests.
 A refused graph request writes no files: its digest is of its error, `<run>/stderr`.
 A verify run writes no files: its digest is of what it prints, `<run>/stdout`.
 A split line gives the horizons themselves, `k2f=<K or None> kf=<K or None>`,
-for fault sets of size 2f and f.
+for fault sets of size 2f and f. A cert line gives the certificate itself,
+`kappa=<k> cut=<sorted witness cut or None>`.
 """
 
 from __future__ import annotations
@@ -53,7 +61,10 @@ import json
 import os
 import sys
 import tempfile
+from itertools import combinations
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -62,7 +73,7 @@ from mgnet import simulator  # noqa: E402
 from mgnet.cli import main as mgnet_main  # noqa: E402
 from mgnet.consensus import draw_weights, verify_candidate_uniqueness, verify_rank_condition  # noqa: E402
 from mgnet.errors import MgnetError  # noqa: E402
-from mgnet.graph import Graph  # noqa: E402
+from mgnet.graph import Graph, generate_preventive, vertex_connectivity  # noqa: E402
 from mgnet.scenario import load_golden_scenario, scenario_to_dict  # noqa: E402
 from mgnet.simulator import run_period, write_run_artifacts  # noqa: E402
 
@@ -83,6 +94,9 @@ REFUSED_GRAPHS = (
                                 "--attacked-links", "0-9"]),
 )
 SPLIT_SHAPES = ((10, 1), (14, 1), (18, 1), (8, 2), (10, 2), (12, 2))
+PIVOT_CUT_EDGES = [*combinations(range(2, 7), 2), *combinations(range(7, 12), 2),
+                   (0, 2), (0, 3), (0, 7), (0, 8), *((1, v) for v in (4, 5, 6, 9, 10, 11))]
+PLANTED_SHAPES = ((2, 5, 6), (3, 6, 5), (4, 7, 7))
 
 
 def sha256(data: bytes) -> str:
@@ -213,9 +227,39 @@ def split_set(work: Path) -> list[str]:
     return lines
 
 
+def planted_separator(k: int, p: int, q: int) -> Graph:
+    """Cliques on p and q nodes joined through a k-clique whose node i links
+    port i of each, relabelled by a permutation drawn from seed k."""
+    sep, a, b = range(k), range(k, k + p), range(k + p, k + p + q)
+    edges = [*combinations(sep, 2), *combinations(a, 2), *combinations(b, 2),
+             *((i, a[i]) for i in sep), *((i, b[i]) for i in sep)]
+    perm = np.random.default_rng(k).permutation(k + p + q)
+    return Graph.from_edges(k + p + q, edges).relabeled(perm)
+
+
+def cert_set(work: Path) -> list[str]:
+    inputs = workloads.load_specs()["baseline_large"]["inputs"]
+    scenario, agent = workloads.build(inputs, 1)
+    graphs = [(f"baseline_large/s1/p{p}", simulator._topology(scenario, agent, p))
+              for p in range(5)]
+    graphs.append(("pivot-cut-n12", Graph.from_edges(12, PIVOT_CUT_EDGES)))
+    graphs += [(f"planted-k{k}-p{p}-q{q}", planted_separator(k, p, q))
+               for k, p, q in PLANTED_SHAPES]
+    big = generate_preventive(120, 2, np.random.default_rng(1))
+    half = generate_preventive(60, 2, np.random.default_rng(1))
+    graphs.append(("n120-plus-isolated", Graph(121, big.edges)))
+    graphs.append(("two-n60", Graph(120, half.edges | {(i + 60, j + 60) for i, j in half.edges})))
+    lines = []
+    for name, g in graphs:
+        cert = vertex_connectivity(g)
+        cut = None if cert.witness_cut is None else sorted(cert.witness_cut)
+        lines.append(f"kappa={cert.kappa} cut={cut}  cert/{name}")
+    return lines
+
+
 SETS = {"golden": golden_set, "fixed": fixed_set, "pinned": pinned_set,
         "bench": bench_set, "graph": graph_set, "verify": verify_set, "split": split_set,
-        "overflow": overflow_set}
+        "overflow": overflow_set, "cert": cert_set}
 
 
 def run(names) -> int:
