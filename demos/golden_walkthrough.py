@@ -29,7 +29,8 @@ def main():
           f"-> should {'interconnect' if supply > demand else 'stay islanded'}")
 
     plan = scenario.attack.controllers[0]
-    print(f"\ncompromised controller: node {plan.node}, injection series {list(plan.values)}")
+    series = list(dict(plan.params)["values"])
+    print(f"\ncompromised controller: node {plan.node}, injection series {series}")
 
     agent = CommunicationAgent(scenario.graph.strategy, scenario.f, scenario.seed)
 

@@ -195,7 +195,8 @@ class InjectionSchedule:
     """Additive corruption at the compromised nodes over a fixed horizon.
 
     values[k, p] is what gets added to faulty_nodes[p]'s update at step
-    k; honest nodes never appear. Steps past an explicit plan are zero.
+    k; honest nodes never appear, and at(node, step) is the one lookup.
+    Steps past an explicit plan are zero.
     """
 
     faulty_nodes: tuple[int, ...]
@@ -226,6 +227,12 @@ class InjectionSchedule:
                 raise ValueError(f"injection series at node {node} longer than horizon {horizon}")
             vals[: len(series), col] = series
         return cls(nodes, vals, horizon)
+
+    def at(self, node: int, step: int) -> float | None:
+        """What node adds to its update at step, or None for an honest node."""
+        if node not in self.faulty_nodes:
+            return None
+        return float(self.values[step, self.faulty_nodes.index(node)])
 
 
 @dataclass(frozen=True)
@@ -429,13 +436,11 @@ def run_updates(w: WeightMatrix, initial, inj: InjectionSchedule, k: int) -> np.
         raise ValueError(f"injection horizon {inj.horizon} must equal k={k}")
     selectors = [np.array(w.selector(i)) for i in range(w.n)]
     rows = [w.entries[i, sel] for i, sel in enumerate(selectors)]
-    series = dict(zip(inj.faulty_nodes, inj.values.T))
     traj = np.zeros((k + 1, w.n))
     traj[0] = start
     for step in range(k):
         for i, sel in enumerate(selectors):
-            u = series[i][step] if i in series else None
-            traj[step + 1, i] = combine_neighborhood(rows[i], traj[step, sel], u)
+            traj[step + 1, i] = combine_neighborhood(rows[i], traj[step, sel], inj.at(i, step))
     return traj
 
 

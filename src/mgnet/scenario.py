@@ -4,9 +4,10 @@ A scenario file pins everything one decision campaign needs: per-grid
 surplus supply and critical demand over the period, the attack (which
 controllers get corrupted and how, which links are unusable, whether the
 agent knows about the links), the fault bound f, seeds, and the consensus
-horizons. The decision itself is the strict comparison: interconnect
-only when the recovered total supply exceeds the recovered total
-critical demand.
+horizons. Each injection type is one row of INJECTION_TYPES: the
+fields a scenario gives it and the series it adds over a horizon. The
+decision itself is the strict comparison: interconnect only when the
+recovered total supply exceeds the recovered total critical demand.
 """
 
 from __future__ import annotations
@@ -26,15 +27,6 @@ from .graph import Graph, LinkAttackSet
 INTERCONNECT = "interconnect"
 STAND_ALONE = "stand_alone"
 UNDECIDED = "undecided"
-
-# fields each injection type takes besides "type"
-_INJECTION_FIELDS = {
-    "explicit": ("values",),
-    "constant": ("value",),
-    "uniform": ("low", "high"),
-    "normal": ("mean", "std"),
-}
-
 
 def evaluate_criterion(supply_total: float, demand_total: float) -> str:
     """Strict comparison; a tie is not enough evidence to interconnect."""
@@ -66,15 +58,12 @@ class DecisionPeriod:
 
 @dataclass(frozen=True)
 class InjectionPlan:
-    """How one compromised controller's corruption is produced."""
+    """How one compromised controller's corruption is produced: kind names an
+    INJECTION_TYPES row, params holds its fields (explicit's "values" as a tuple)."""
 
     node: int
     kind: str
-    values: tuple[float, ...] = ()
-    params: tuple[tuple[str, float], ...] = ()
-
-    def param(self, name: str) -> float:
-        return dict(self.params)[name]
+    params: tuple[tuple[str, float | tuple[float, ...]], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -88,35 +77,7 @@ class AttackSpec:
         return tuple(sorted(p.node for p in self.controllers))
 
     def longest_explicit(self) -> int:
-        return max((len(p.values) for p in self.controllers if p.kind == "explicit"), default=0)
-
-
-def sample_injections(attack: AttackSpec, steps: int, rng: np.random.Generator) -> InjectionSchedule:
-    """Materialize the attack as per-step values over the horizon.
-
-    Plans are drawn in sorted node order so the schedule depends only on
-    the seed, not on config file ordering. Explicit series shorter than
-    the horizon are zero-padded; longer ones are a config error.
-    """
-    per_node: dict[int, list[float]] = {}
-    for plan in sorted(attack.controllers, key=lambda p: p.node):
-        if plan.kind == "explicit":
-            if len(plan.values) > steps:
-                raise ConfigError(
-                    f"attack.controllers[node={plan.node}]: explicit series of length "
-                    f"{len(plan.values)} exceeds the {steps}-step horizon")
-            series = list(plan.values)
-        elif plan.kind == "constant":
-            series = [plan.param("value")] * steps
-        elif plan.kind == "uniform":
-            series = [float(v) for v in rng.uniform(plan.param("low"), plan.param("high"), steps)]
-        elif plan.kind == "normal":
-            series = [float(v) for v in rng.normal(plan.param("mean"), plan.param("std"), steps)]
-        else:
-            raise ConfigError(
-                f"attack.controllers[node={plan.node}]: unknown injection kind {plan.kind!r}")
-        per_node[plan.node] = series
-    return InjectionSchedule.from_values(per_node, steps)
+        return max((len(dict(p.params).get("values", ())) for p in self.controllers), default=0)
 
 
 @dataclass(frozen=True)
@@ -262,6 +223,45 @@ def _as_bool(value, ctx: str) -> bool:
     return value
 
 
+def _as_series(value, ctx: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{ctx}: must be a non-empty list")
+    return tuple(_as_number(v, f"{ctx}[{i}]") for i, v in enumerate(value))
+
+
+# each injection type: (its fields besides "type", each with its parser; its series
+# over steps, built from the parsed fields and the period's attack stream)
+INJECTION_TYPES = {
+    "explicit": ({"values": _as_series}, lambda p, steps, rng: list(p["values"])),
+    "constant": ({"value": _as_number}, lambda p, steps, rng: [p["value"]] * steps),
+    "uniform": ({"low": _as_number, "high": _as_number},
+                lambda p, steps, rng: rng.uniform(p["low"], p["high"], steps).tolist()),
+    "normal": ({"mean": _as_number, "std": lambda v, ctx: _non_negative(_as_number(v, ctx), ctx)},
+               lambda p, steps, rng: rng.normal(p["mean"], p["std"], steps).tolist()),
+}
+
+
+def sample_injections(attack: AttackSpec, steps: int, rng: np.random.Generator) -> InjectionSchedule:
+    """Materialize the attack as per-step values over the horizon.
+
+    Plans are drawn in sorted node order so the schedule depends only on
+    the seed, not on config file ordering. A series shorter than the
+    horizon (only explicit's can be) is zero-padded; a longer one is a
+    config error.
+    """
+    per_node: dict[int, list[float]] = {}
+    for plan in sorted(attack.controllers, key=lambda p: p.node):
+        ctx = f"attack.controllers[node={plan.node}]"
+        if plan.kind not in INJECTION_TYPES:
+            raise ConfigError(f"{ctx}: unknown injection kind {plan.kind!r}")
+        series = INJECTION_TYPES[plan.kind][1](dict(plan.params), steps, rng)
+        if len(series) > steps:
+            raise ConfigError(f"{ctx}: {plan.kind} series of length {len(series)} "
+                              f"exceeds the {steps}-step horizon")
+        per_node[plan.node] = series
+    return InjectionSchedule.from_values(per_node, steps)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ConfigError("scenario: top level must be a JSON object")
@@ -311,26 +311,15 @@ def scenario_from_dict(data: dict) -> Scenario:
         if not isinstance(inj, dict):
             raise ConfigError(f"{ctx}.injection: must be an object")
         kind = _require(inj, "type", f"{ctx}.injection")
-        if not isinstance(kind, str) or kind not in _INJECTION_FIELDS:
+        if not isinstance(kind, str) or kind not in INJECTION_TYPES:
             raise ConfigError(f"{ctx}.injection.type: unknown kind {kind!r}")
-        _reject_unknown(inj, ("type",) + _INJECTION_FIELDS[kind], f"{ctx}.injection")
-        values: tuple[float, ...] = ()
-        params: tuple[tuple[str, float], ...] = ()
-        if kind == "explicit":
-            raw_vals = _require(inj, "values", f"{ctx}.injection")
-            if not isinstance(raw_vals, list) or not raw_vals:
-                raise ConfigError(f"{ctx}.injection.values: must be a non-empty list")
-            values = tuple(_as_number(v, f"{ctx}.injection.values[{i}]")
-                           for i, v in enumerate(raw_vals))
-        else:
-            params = tuple((name, _as_number(_require(inj, name, f"{ctx}.injection"),
-                                             f"{ctx}.injection.{name}"))
-                           for name in _INJECTION_FIELDS[kind])
-            got = dict(params)
-            _non_negative(got.get("std", 0.0), f"{ctx}.injection.std")
-            if got.get("low", 0.0) > got.get("high", 0.0):
-                raise ConfigError(f"{ctx}.injection.low: must not exceed {ctx}.injection.high")
-        plans.append(InjectionPlan(node, kind, values, params))
+        fields, _ = INJECTION_TYPES[kind]
+        _reject_unknown(inj, ("type", *fields), f"{ctx}.injection")
+        got = {name: parse(_require(inj, name, f"{ctx}.injection"), f"{ctx}.injection.{name}")
+               for name, parse in fields.items()}
+        if got.get("low", 0.0) > got.get("high", 0.0):
+            raise ConfigError(f"{ctx}.injection.low: must not exceed {ctx}.injection.high")
+        plans.append(InjectionPlan(node, kind, tuple(got.items())))
     nodes = [p.node for p in plans]
     if len(set(nodes)) != len(nodes):
         raise ConfigError("attack.controllers: duplicate node entries")
@@ -397,7 +386,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    out: dict = {
+    return {
         "microgrids": [
             {"id": p.id, "label": p.label, "supply": p.supply, "critical_demand": p.critical_demand}
             for p in s.microgrids
@@ -408,7 +397,10 @@ def scenario_to_dict(s: Scenario) -> dict:
         "attack": {
             "known_to_agent": s.attack.known_to_agent,
             "links": [list(e) for e in sorted(s.attack.links.forbidden_edges)],
-            "controllers": [],
+            "controllers": [
+                {"node": p.node, "injection": {"type": p.kind, **{
+                    name: list(v) if isinstance(v, tuple) else v for name, v in p.params}}}
+                for p in s.attack.controllers],
         },
         "consensus": {"k": s.consensus.k, "baseline_steps": s.consensus.baseline_steps},
         "graph": {
@@ -422,14 +414,6 @@ def scenario_to_dict(s: Scenario) -> dict:
             "matrix": None if s.weights is None else s.weights.entries.tolist(),
         },
     }
-    for plan in s.attack.controllers:
-        inj: dict = {"type": plan.kind}
-        if plan.kind == "explicit":
-            inj["values"] = list(plan.values)
-        else:
-            inj.update({k: v for k, v in plan.params})
-        out["attack"]["controllers"].append({"node": plan.node, "injection": inj})
-    return out
 
 
 def load_scenario(path) -> Scenario:

@@ -7,10 +7,11 @@ inside the engine a quantity is a position in that tuple, and names are
 given only where the period records are built.
 The engine is the delivery medium: it routes one payload per sender and
 round strictly along edges and counts each value delivered, holds the
-attack schedule, and corrupts the compromised controllers' updates;
-each controller rejects messages from non-neighbours and duplicates. It
-also keeps a medium-level copy of every step's state so a run can be
-checked bit-for-bit against the compact-form iteration.
+attack schedule, and corrupts the compromised controllers' updates by
+the schedule's at(node, step), as run_updates does; each controller
+rejects messages from non-neighbours and duplicates. It also keeps a
+medium-level copy of every step's state so a run can be checked
+bit-for-bit against the compact-form iteration.
 
 Record conventions: in resilient modes the record's scalar totals are
 the mean of the per-controller decoded totals (every controller recovers
@@ -152,27 +153,22 @@ class EngineRun:
 
 
 class RoundEngine:
-    """Lockstep executor: K update rounds plus a final observation round."""
+    """Lockstep executor: K update rounds plus a final observation round, on the
+    weight matrix's graph and over the injection schedule's horizon K."""
 
-    def __init__(self, graph: Graph, weights: WeightMatrix,
-                 profiles: tuple[MicrogridProfile, ...], schedule: InjectionSchedule,
-                 horizon: int):
-        n = graph.node_count
-        if len(profiles) != n:
-            raise ValueError(f"{len(profiles)} profiles for a {n}-node graph")
-        if weights.graph != graph:
-            raise ValueError("weight matrix was built for a different graph")
-        if schedule.horizon != horizon:
-            raise ValueError("injection schedule horizon must match the run horizon")
-        self.graph = graph
+    def __init__(self, weights: WeightMatrix, profiles: tuple[MicrogridProfile, ...],
+                 schedule: InjectionSchedule):
+        self.graph = weights.graph
         self.weights = weights
         self.schedule = schedule
-        self.horizon = horizon
+        self.horizon = schedule.horizon
+        n = self.graph.node_count
+        if len(profiles) != n:
+            raise ValueError(f"{len(profiles)} profiles for a {n}-node graph")
         self.deliveries = 0
         self.controllers = [
-            ControllerState(i, profiles[i], weights, horizon) for i in range(n)
+            ControllerState(i, profiles[i], weights, self.horizon) for i in range(n)
         ]
-        self._injection_column = {node: col for col, node in enumerate(schedule.faulty_nodes)}
 
     def _exchange(self, step: int) -> None:
         # inboxes are keyed by sender, so delivery order changes nothing
@@ -194,8 +190,7 @@ class RoundEngine:
                 states[k] = [c.values for c in self.controllers]
                 if k < self.horizon:
                     for c in self.controllers:
-                        col = self._injection_column.get(c.id)
-                        c.advance(k, None if col is None else float(self.schedule.values[k, col]))
+                        c.advance(k, self.schedule.at(c.id, k))
         return EngineRun(
             {q: [c.observation_record(q) for c in self.controllers] for q in QUANTITIES},
             {q: np.ascontiguousarray(states[:, :, pos]) for pos, q in enumerate(QUANTITIES)},
@@ -312,7 +307,7 @@ def _run_resilient_period(scenario: Scenario, g: Graph, decode_mode: str,
     w = _resilient_weights(scenario, g, period_index)
     k, rank_split = _pick_horizon(scenario, w)
     schedule = sample_injections(scenario.attack, k, _rng(scenario.seed, period_index, _ATTACK_STREAM))
-    run = RoundEngine(g, w, scenario.microgrids, schedule, k).run()
+    run = RoundEngine(w, scenario.microgrids, schedule).run()
 
     declared = scenario.attack.compromised_nodes
     per_controller: dict[str, dict] = {}
@@ -349,7 +344,7 @@ def _run_baseline_period(scenario: Scenario, g: Graph, period_index: int) -> Dec
     w = metropolis_weights(g)
     schedule = sample_injections(scenario.attack, steps,
                                  _rng(scenario.seed, period_index, _ATTACK_STREAM))
-    engine = RoundEngine(g, w, scenario.microgrids, schedule, steps)
+    engine = RoundEngine(w, scenario.microgrids, schedule)
     run = engine.run()
 
     n = scenario.n

@@ -58,6 +58,14 @@ def ref_csv_text() -> str:
     return "\n".join(",".join(repr(float(v)) for v in row) for row in REF_W) + "\n"
 
 
+def survivors_graph(g: Graph, cut) -> Graph:
+    """What is left of g once the nodes in cut are removed, relabelled 0..m-1 in order."""
+    keep = sorted(set(range(g.node_count)) - cut)
+    index = {v: pos for pos, v in enumerate(keep)}
+    return Graph.from_edges(len(keep), ((index[i], index[j]) for i, j in g.edges
+                                        if i in index and j in index))
+
+
 def checkout_env() -> dict:
     """The current environment with this checkout's src/ first on PYTHONPATH.
 

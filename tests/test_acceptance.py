@@ -284,7 +284,7 @@ def test_criterion_7_round_engine_is_bitwise_faithful_and_blind():
         node = int(rng.integers(0, n))
         schedule = InjectionSchedule.from_values(
             {node: rng.uniform(-40, 40, size=k).tolist()}, k)
-        run = RoundEngine(g, w, profiles, schedule, k).run()
+        run = RoundEngine(w, profiles, schedule).run()
         starts = {
             "supply": np.array([p.supply for p in profiles]),
             "demand": np.array([p.critical_demand for p in profiles]),

@@ -110,3 +110,18 @@ def test_cert_set_prints_each_certificate(tmp_path):
     assert "kappa=2 cut=[0, 1]  cert/pivot-cut-n12" in lines
     assert lines[-2:] == ["kappa=0 cut=[]  cert/n120-plus-isolated", "kappa=0 cut=[]  cert/two-n60"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_attack_set_runs_every_injection_type(tmp_path):
+    proc = digest("attack", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert all(LINE.match(line) for line in lines), lines
+    kinds = ("explicit", "constant", "uniform", "normal")
+    # every run completes both periods (exit 0) and each period writes four artifacts
+    assert [line for line in lines if line.startswith("exit=")] == [
+        f"exit=0  attack/{kind}" for kind in kinds]
+    assert [line.split("  ")[1] for line in lines if line.endswith("scenario.json")] == [
+        f"attack/{kind}/scenario.json" for kind in kinds]
+    assert len(lines) == 4 * (1 + 1 + 2 * 4)
+    assert list(tmp_path.iterdir()) == []

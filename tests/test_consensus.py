@@ -135,6 +135,18 @@ class TestInjectionSchedule:
     def test_empty(self):
         inj = InjectionSchedule.empty(4)
         assert inj.faulty_nodes == () and inj.values.shape == (4, 0)
+        assert all(inj.at(node, step) is None for node in range(3) for step in range(4))
+
+    def test_at_reads_a_faulty_nodes_column(self):
+        inj = InjectionSchedule.from_values({4: [1.5], 2: [5.0, -6.25]}, horizon=3)
+        for node in (0, 1, 3, 5):
+            assert all(inj.at(node, step) is None for step in range(3))
+        for col, node in enumerate(inj.faulty_nodes):
+            for step in range(3):
+                u = inj.at(node, step)
+                assert type(u) is float and u == inj.values[step, col]
+        assert [inj.at(2, k) for k in range(3)] == [5.0, -6.25, 0.0]
+        assert [inj.at(4, k) for k in range(3)] == [1.5, 0.0, 0.0]
 
 
 class TestObservabilityStack:

@@ -12,6 +12,7 @@ from mgnet import (
     vertex_connectivity,
 )
 
+from conftest import survivors_graph
 from oracles import brute_force_connectivity
 
 
@@ -119,13 +120,6 @@ class TestResponsive:
     def test_too_few_nodes(self):
         with pytest.raises(InfeasibleTopologyError):
             generate_responsive(4, 2, LinkAttackSet(), np.random.default_rng(0))
-
-
-def survivors_graph(g, cut):
-    keep = sorted(set(range(g.node_count)) - cut)
-    index = {v: pos for pos, v in enumerate(keep)}
-    return Graph.from_edges(len(keep), ((index[i], index[j]) for i, j in g.edges
-                                        if i in index and j in index))
 
 
 class TestWitnessAtScale:

@@ -287,25 +287,25 @@ class TestScenarioParsing:
 
 class TestSampleInjections:
     def test_explicit_pads_to_horizon(self):
-        attack = AttackSpec((InjectionPlan(2, "explicit", (1.0, 2.0)),))
+        attack = AttackSpec((InjectionPlan(2, "explicit", (("values", (1.0, 2.0)),)),))
         inj = sample_injections(attack, 4, np.random.default_rng(0))
         assert inj.faulty_nodes == (2,)
         assert inj.values[:, 0].tolist() == [1.0, 2.0, 0.0, 0.0]
 
     def test_explicit_longer_than_horizon_rejected(self):
-        attack = AttackSpec((InjectionPlan(2, "explicit", (1.0, 2.0, 3.0)),))
+        attack = AttackSpec((InjectionPlan(2, "explicit", (("values", (1.0, 2.0, 3.0)),)),))
         with pytest.raises(ConfigError, match="exceeds"):
             sample_injections(attack, 2, np.random.default_rng(0))
 
     def test_constant_kind(self):
-        attack = AttackSpec((InjectionPlan(1, "constant", params=(("value", 4.5),)),))
+        attack = AttackSpec((InjectionPlan(1, "constant", (("value", 4.5),)),))
         inj = sample_injections(attack, 3, np.random.default_rng(0))
         assert inj.values[:, 0].tolist() == [4.5, 4.5, 4.5]
 
     def test_random_kinds_are_seed_deterministic(self):
         attack = AttackSpec((
-            InjectionPlan(0, "uniform", params=(("low", -1.0), ("high", 1.0))),
-            InjectionPlan(3, "normal", params=(("mean", 0.0), ("std", 2.0))),
+            InjectionPlan(0, "uniform", (("low", -1.0), ("high", 1.0))),
+            InjectionPlan(3, "normal", (("mean", 0.0), ("std", 2.0))),
         ))
         a = sample_injections(attack, 5, np.random.default_rng(42))
         b = sample_injections(attack, 5, np.random.default_rng(42))
@@ -313,17 +313,67 @@ class TestSampleInjections:
 
     def test_plan_order_in_config_does_not_matter(self):
         plans = (
-            InjectionPlan(0, "uniform", params=(("low", -1.0), ("high", 1.0))),
-            InjectionPlan(3, "normal", params=(("mean", 0.0), ("std", 2.0))),
+            InjectionPlan(0, "uniform", (("low", -1.0), ("high", 1.0))),
+            InjectionPlan(3, "normal", (("mean", 0.0), ("std", 2.0))),
         )
         a = sample_injections(AttackSpec(plans), 5, np.random.default_rng(9))
         b = sample_injections(AttackSpec(plans[::-1]), 5, np.random.default_rng(9))
         assert np.array_equal(a.values, b.values)
+        # node order: node 0's plan takes the stream's first draws, node 3's the next
+        rng = np.random.default_rng(9)
+        first, second = rng.uniform(-1.0, 1.0, 5), rng.normal(0.0, 2.0, 5)
+        assert b.values.T.tolist() == [first.tolist(), second.tolist()]
+
+    # each type's series at node 3 over 4 steps from default_rng(7); a change to any
+    # type's draws moves every artifact of a scenario that uses it
+    SERIES = {
+        "explicit": ({"values": [30.0, -45.0, 60.0]}, [30.0, -45.0, 60.0, 0.0]),
+        "constant": ({"value": 25.0}, [25.0, 25.0, 25.0, 25.0]),
+        "uniform": ({"low": -50.0, "high": 50.0},
+                    [12.509546660466697, 39.721380096957546, 27.56856902451935,
+                     -27.479281000940816]),
+        "normal": ({"mean": 0.0, "std": 40.0},
+                   [0.04920613429930297, 11.949821500338796, -10.965514214488703,
+                    -35.62367355029097]),
+    }
+
+    @staticmethod
+    def scenario_with(kind, fields):
+        return scenario_from_dict(minimal_dict(attack={"controllers": [
+            {"node": 3, "injection": {"type": kind, **fields}}]}))
+
+    @pytest.mark.parametrize("kind", sorted(SERIES))
+    def test_each_type_series_is_pinned(self, kind):
+        fields, expected = self.SERIES[kind]
+        rng = np.random.default_rng(7)
+        inj = sample_injections(self.scenario_with(kind, fields).attack, 4, rng)
+        assert inj.faulty_nodes == (3,)
+        assert inj.values[:, 0].tolist() == expected
+        # explicit and constant draw nothing from the stream
+        moved = rng.random() != np.random.default_rng(7).random()
+        assert moved == (kind in ("uniform", "normal"))
+
+    @pytest.mark.parametrize("kind", sorted(SERIES))
+    def test_each_type_survives_a_round_trip(self, kind):
+        fields, _ = self.SERIES[kind]
+        sc = self.scenario_with(kind, fields)
+        data = scenario_to_dict(sc)
+        assert data["attack"]["controllers"] == [
+            {"node": 3, "injection": {"type": kind, **fields}}]
+        again = scenario_from_dict(json.loads(json.dumps(data)))
+        assert again == sc and scenario_to_dict(again) == data
+
+    def test_unknown_kind_in_a_built_plan_rejected(self):
+        # the parser refuses unknown types; a plan built in code meets the same table
+        attack = AttackSpec((InjectionPlan(2, "ramp", (("slope", 1.0),)),))
+        with pytest.raises(ConfigError, match=r"^attack\.controllers\[node=2\]: unknown "
+                                              r"injection kind 'ramp'$"):
+            sample_injections(attack, 3, np.random.default_rng(0))
 
     def test_longest_explicit(self):
         attack = AttackSpec((
-            InjectionPlan(0, "explicit", (1.0, 2.0, 3.0)),
-            InjectionPlan(1, "constant", params=(("value", 1.0),)),
+            InjectionPlan(0, "explicit", (("values", (1.0, 2.0, 3.0)),)),
+            InjectionPlan(1, "constant", (("value", 1.0),)),
         ))
         assert attack.longest_explicit() == 3
 

@@ -35,6 +35,10 @@ Sets (all of them when none is named):
           them, where the scan finds no horizon
   overflow  golden with controller 0's injection a constant 1e308, three
           modes, 2 periods: every period overflows float64 and fails (exit 2)
+  attack  golden with node 3's injection set to each type in turn (explicit as
+          golden has it, constant 25, uniform -50..50, normal mean 0 std 40),
+          saved with `save_scenario` and run resilient-unknown for 2 periods;
+          the saved file is digested as `attack/<type>/scenario.json`
   cert    `vertex_connectivity` on the baseline_large seed-1 graphs of
           periods 0-4; the 12-node graph whose only minimum cut holds the
           pivot; three planted-separator graphs (two cliques joined through a
@@ -74,7 +78,12 @@ from mgnet.cli import main as mgnet_main  # noqa: E402
 from mgnet.consensus import draw_weights, verify_candidate_uniqueness, verify_rank_condition  # noqa: E402
 from mgnet.errors import MgnetError  # noqa: E402
 from mgnet.graph import Graph, generate_preventive, vertex_connectivity  # noqa: E402
-from mgnet.scenario import load_golden_scenario, scenario_to_dict  # noqa: E402
+from mgnet.scenario import (  # noqa: E402
+    load_golden_scenario,
+    save_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 from mgnet.simulator import run_period, write_run_artifacts  # noqa: E402
 
 import workloads  # noqa: E402
@@ -97,6 +106,10 @@ SPLIT_SHAPES = ((10, 1), (14, 1), (18, 1), (8, 2), (10, 2), (12, 2))
 PIVOT_CUT_EDGES = [*combinations(range(2, 7), 2), *combinations(range(7, 12), 2),
                    (0, 2), (0, 3), (0, 7), (0, 8), *((1, v) for v in (4, 5, 6, 9, 10, 11))]
 PLANTED_SHAPES = ((2, 5, 6), (3, 6, 5), (4, 7, 7))
+INJECTIONS = ({"type": "explicit", "values": [30.0, -45.0, 60.0]},
+              {"type": "constant", "value": 25.0},
+              {"type": "uniform", "low": -50.0, "high": 50.0},
+              {"type": "normal", "mean": 0.0, "std": 40.0})
 
 
 def sha256(data: bytes) -> str:
@@ -162,6 +175,20 @@ def overflow_set(work: Path) -> list[str]:
             for line in cli_run(f"overflow/{mode}",
                                 ["run", "--scenario", str(path), "--mode", mode, "--periods", "2"],
                                 work)]
+
+
+def attack_set(work: Path) -> list[str]:
+    lines = []
+    for injection in INJECTIONS:
+        name = f"attack/{injection['type']}"
+        data = scenario_to_dict(load_golden_scenario())
+        data["attack"]["controllers"] = [{"node": 3, "injection": injection}]
+        path = work / f"attack-{injection['type']}.json"
+        save_scenario(scenario_from_dict(data), path)
+        lines.append(f"{sha256(path.read_bytes())}  {name}/scenario.json")
+        lines += cli_run(name, ["run", "--scenario", str(path), "--mode", "resilient-unknown",
+                                "--periods", "2"], work)
+    return lines
 
 
 def bench_set(work: Path) -> list[str]:
@@ -259,7 +286,7 @@ def cert_set(work: Path) -> list[str]:
 
 SETS = {"golden": golden_set, "fixed": fixed_set, "pinned": pinned_set,
         "bench": bench_set, "graph": graph_set, "verify": verify_set, "split": split_set,
-        "overflow": overflow_set, "cert": cert_set}
+        "overflow": overflow_set, "attack": attack_set, "cert": cert_set}
 
 
 def run(names) -> int:
