@@ -27,6 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DecodeFailureError,
     DecodeInconsistencyError,
     InternalInvariantError,
@@ -104,7 +105,9 @@ def combine_neighborhood(weights: np.ndarray, values, injection: float | None = 
     """One node's update: its row of W on its closed neighbourhood dotted with that
     neighbourhood's values, both in selector order, plus a compromised node's injection.
     The round engine and run_updates step every node through it, so their
-    trajectories agree bit for bit."""
+    trajectories agree bit for bit. values must be a contiguous 1-D row: a
+    strided view changes the order in which BLAS sums the dot product, and
+    the bit identity with run_updates is lost."""
     nxt = float(np.dot(weights, values))
     return nxt if injection is None else nxt + injection
 
@@ -224,7 +227,8 @@ class InjectionSchedule:
         for col, node in enumerate(nodes):
             series = list(per_node[node])
             if len(series) > horizon:
-                raise ValueError(f"injection series at node {node} longer than horizon {horizon}")
+                raise ConfigError(f"injection series at node {node} of length {len(series)} "
+                                  f"exceeds the {horizon}-step horizon")
             vals[: len(series), col] = series
         return cls(nodes, vals, horizon)
 

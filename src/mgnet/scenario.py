@@ -246,19 +246,15 @@ def sample_injections(attack: AttackSpec, steps: int, rng: np.random.Generator) 
 
     Plans are drawn in sorted node order so the schedule depends only on
     the seed, not on config file ordering. A series shorter than the
-    horizon (only explicit's can be) is zero-padded; a longer one is a
-    config error.
+    horizon (only explicit's can be) is zero-padded; from_values raises
+    ConfigError for a longer one.
     """
     per_node: dict[int, list[float]] = {}
     for plan in sorted(attack.controllers, key=lambda p: p.node):
-        ctx = f"attack.controllers[node={plan.node}]"
         if plan.kind not in INJECTION_TYPES:
-            raise ConfigError(f"{ctx}: unknown injection kind {plan.kind!r}")
-        series = INJECTION_TYPES[plan.kind][1](dict(plan.params), steps, rng)
-        if len(series) > steps:
-            raise ConfigError(f"{ctx}: {plan.kind} series of length {len(series)} "
-                              f"exceeds the {steps}-step horizon")
-        per_node[plan.node] = series
+            raise ConfigError(f"attack.controllers[node={plan.node}]: "
+                              f"unknown injection kind {plan.kind!r}")
+        per_node[plan.node] = INJECTION_TYPES[plan.kind][1](dict(plan.params), steps, rng)
     return InjectionSchedule.from_values(per_node, steps)
 
 

@@ -1,17 +1,20 @@
 """Synchronous round engine with per-controller isolation.
 
 Each microgrid controller is a little state machine that sees only its
-own profile and the messages arriving over edges of the period's graph.
+own profile and what its neighbours in the period's graph broadcast.
 Its state is the payload it broadcasts, its values in QUANTITIES order:
-inside the engine a quantity is a position in that tuple, and names are
+inside the engine a quantity is a position in that payload, and names are
 given only where the period records are built.
-The engine is the delivery medium: it routes one payload per sender and
-round strictly along edges and counts each value delivered, holds the
-attack schedule, and corrupts the compromised controllers' updates by
-the schedule's at(node, step), as run_updates does; each controller
-rejects messages from non-neighbours and duplicates. It also keeps a
-medium-level copy of every step's state so a run can be checked
-bit-for-bit against the compact-form iteration.
+The engine is the broadcast medium: each round it writes every payload
+into one (quantity, node) snapshot, and each controller reads it with
+one gather per quantity at its selector, its closed neighbourhood in the
+graph. Locality holds by construction, since every selector is built
+from the graph once, when the controller is; the engine counts the
+neighbour entries each gather reads. It holds the attack schedule and
+corrupts the compromised controllers' updates by the schedule's
+at(node, step), as run_updates does. The snapshots, one per step, are
+also the trajectories a run is checked against bit for bit with the
+compact-form iteration.
 
 Record conventions: in resilient modes the record's scalar totals are
 the mean of the per-controller decoded totals (every controller recovers
@@ -70,78 +73,44 @@ def _rng(seed: int, period: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, period, stream])
 
 
-@dataclass
-class Message:
-    """One controller's broadcast for one round: its values in QUANTITIES order."""
-
-    sender: int
-    step: int
-    values: tuple[float, ...]
-
-
 class ControllerState:
     """One microgrid's controller; starts from its own profile and knows nothing else.
 
     Its state is the payload it broadcasts, values, in QUANTITIES order.
     Protocol constants (graph, weight matrix, horizon, fault knowledge)
     are public configuration every node carries; other grids' profiles
-    and states are not, and never enter here except through messages.
-    The inbox holds one payload per sender for the round being collected;
-    record_observation reads it and starts an empty one. A payload for a
-    round already recorded, or for a later round, is rejected like a
-    duplicate. rounds[k] holds round k's rows, one per quantity, each in
-    selector order.
+    and states are not, and reach it only through record_observation,
+    which reads the medium's snapshot at its selector, its closed
+    neighbourhood in the graph, built once here. rounds[k] holds round
+    k's rows, one contiguous gather per quantity, each in selector order.
     """
 
     def __init__(self, node: int, profile: MicrogridProfile, weights: WeightMatrix, horizon: int):
         self.id = node
-        self.neighborhood = weights.selector(node)
-        self.weights = weights.entries[node, list(self.neighborhood)]
+        self.selector = np.array(weights.selector(node))
+        self.weights = weights.entries[node, self.selector]
         self.horizon = horizon
-        self.values = (float(profile.supply), float(profile.critical_demand))
-        self.inbox: dict[int, tuple[float, ...]] = {}
-        self.rounds: list[tuple[tuple[float, ...], ...]] = []
-        self._peers = set(self.neighborhood) - {node}
+        self.values = [float(profile.supply), float(profile.critical_demand)]
+        self.rounds: list[list[np.ndarray]] = []
 
-    def outgoing(self, step: int) -> Message:
-        return Message(self.id, step, self.values)
-
-    def deliver(self, msg: Message) -> None:
-        if msg.sender not in self._peers:
-            raise InternalInvariantError(
-                f"controller {self.id} received a message from non-neighbor {msg.sender}")
-        collecting = len(self.rounds)
-        if msg.step != collecting:
-            raise InternalInvariantError(
-                f"controller {self.id} received a step-{msg.step} message from {msg.sender} "
-                + ("after recording that round" if msg.step < collecting
-                   else f"while collecting round {collecting}"))
-        if msg.sender in self.inbox:
-            raise InternalInvariantError(
-                f"controller {self.id} received a duplicate from {msg.sender} at step {msg.step}")
-        self.inbox[msg.sender] = msg.values
-
-    def record_observation(self, step: int) -> None:
+    def record_observation(self, snapshot: list[np.ndarray]) -> int:
+        """Gather this round's rows from snapshot, the medium's node-indexed payloads, one
+        array per quantity; returns the neighbour entries read. Each row is its own 1-D
+        gather, so it is contiguous, as combine_neighborhood requires."""
         if len(self.rounds) > self.horizon:
             raise InternalInvariantError("observation window exceeded the horizon")
-        bucket, self.inbox = self.inbox, {}
-        bucket[self.id] = self.values
-        try:
-            payloads = [bucket[j] for j in self.neighborhood]
-        except KeyError as exc:
-            raise InternalInvariantError(
-                f"controller {self.id} is missing step-{step} input from {exc.args[0]}") from None
-        self.rounds.append(tuple(zip(*payloads)))
+        rows = [payloads[self.selector] for payloads in snapshot]
+        self.rounds.append(rows)
+        return len(rows) * (len(self.selector) - 1)
 
     def advance(self, step: int, injection: float | None) -> None:
-        """Step each quantity through combine_neighborhood from the row record_observation(step)
-        stored; in the lockstep it always follows that call, so each row is assembled once."""
-        self.values = tuple(combine_neighborhood(self.weights, row, injection)
-                            for row in self.rounds[step])
+        """Step each quantity through combine_neighborhood from the rows recorded at step."""
+        self.values = [combine_neighborhood(self.weights, row, injection)
+                       for row in self.rounds[step]]
 
     def observation_record(self, quantity: str) -> ObservationRecord:
         pos = QUANTITIES.index(quantity)
-        return ObservationRecord(self.id, self.neighborhood,
+        return ObservationRecord(self.id, tuple(self.selector.tolist()),
                                  np.array([rows[pos] for rows in self.rounds], dtype=float))
 
 
@@ -154,7 +123,12 @@ class EngineRun:
 
 class RoundEngine:
     """Lockstep executor: K update rounds plus a final observation round, on the
-    weight matrix's graph and over the injection schedule's horizon K."""
+    weight matrix's graph and over the injection schedule's horizon K.
+
+    Each round it writes every controller's payload into one snapshot, and
+    each controller gathers its neighbourhood from it; deliveries counts the
+    neighbour entries those gathers read.
+    """
 
     def __init__(self, weights: WeightMatrix, profiles: tuple[MicrogridProfile, ...],
                  schedule: InjectionSchedule):
@@ -170,30 +144,21 @@ class RoundEngine:
             ControllerState(i, profiles[i], weights, self.horizon) for i in range(n)
         ]
 
-    def _exchange(self, step: int) -> None:
-        # inboxes are keyed by sender, so delivery order changes nothing
-        for sender in self.controllers:
-            msg = sender.outgoing(step)
-            for nb in self.graph.neighbors(sender.id):
-                self.controllers[nb].deliver(msg)
-                self.deliveries += len(msg.values)
-
     def run(self) -> EngineRun:
-        # medium-level snapshot for the faithfulness check; controllers never see it
-        states = np.zeros((self.horizon + 1, self.graph.node_count, len(QUANTITIES)))
+        # states[pos] is one quantity's trajectory; its row k is in round k's snapshot
+        states = np.zeros((len(QUANTITIES), self.horizon + 1, self.graph.node_count))
         # an overflowing run is reported by the period's finiteness checks, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(self.horizon + 1):
-                self._exchange(k)
+                states[:, k] = np.transpose([c.values for c in self.controllers])
+                snapshot = [trajectory[k] for trajectory in states]
                 for c in self.controllers:
-                    c.record_observation(k)
-                states[k] = [c.values for c in self.controllers]
-                if k < self.horizon:
-                    for c in self.controllers:
+                    self.deliveries += c.record_observation(snapshot)
+                    if k < self.horizon:
                         c.advance(k, self.schedule.at(c.id, k))
         return EngineRun(
             {q: [c.observation_record(q) for c in self.controllers] for q in QUANTITIES},
-            {q: np.ascontiguousarray(states[:, :, pos]) for pos, q in enumerate(QUANTITIES)},
+            dict(zip(QUANTITIES, states)),
             self.deliveries)
 
 

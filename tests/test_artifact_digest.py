@@ -125,3 +125,27 @@ def test_attack_set_runs_every_injection_type(tmp_path):
         f"attack/{kind}/scenario.json" for kind in kinds]
     assert len(lines) == 4 * (1 + 1 + 2 * 4)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_set_pins_three_baseline_large_seeds(tmp_path):
+    proc = digest("bench", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert all(LINE.match(line) for line in lines), lines
+    runs = {}
+    for line in lines:
+        workload, seed, period, name = line.split("  ")[1].split("/")[1:]
+        runs.setdefault((workload, seed), []).append((period, name))
+    # resilient_f1 8 periods, resilient_f2 4 and baseline_large 3, each at seeds 1-3
+    # and every period writing four artifacts
+    periods = {"resilient_f1": 8, "resilient_f2": 4, "baseline_large": 3}
+    assert sorted(runs) == sorted((w, f"s{s}") for w in periods for s in (1, 2, 3))
+    for (workload, _), files in runs.items():
+        assert files == [(f"p{p}", name) for p in range(periods[workload])
+                         for name in ("decision_record.json", "graph.dot", "graph.edges",
+                                      "trajectory.csv")]
+    # each n=120 engine run is its own trajectory
+    trajectories = [line.split()[0] for line in lines
+                    if "baseline_large" in line and line.endswith("trajectory.csv")]
+    assert len(trajectories) == len(set(trajectories)) == 9
+    assert list(tmp_path.iterdir()) == []

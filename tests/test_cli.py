@@ -137,6 +137,17 @@ class TestRun:
         record = json.loads((out / "decision_record.json").read_text())
         assert record["diagnostics"]["error"].startswith("DecodeError: plain averaging overflowed")
 
+    def test_series_longer_than_the_baseline_steps_exits_one(self, tmp_path, capsys):
+        data = scenario_to_dict(load_golden_scenario())
+        data["attack"]["controllers"][0]["injection"] = {"type": "explicit", "values": [1.0] * 31}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(data))
+        code = main(["run", "--scenario", str(path), "--mode", "baseline",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert ("error: injection series at node 3 of length 31 exceeds the 30-step horizon"
+                in capsys.readouterr().err)
+
     def test_attack_controllers_not_a_list_exits_one(self, tmp_path, capsys):
         data = scenario_to_dict(load_golden_scenario())
         data["attack"]["controllers"] = 5

@@ -11,6 +11,7 @@ import pytest
 
 from mgnet import consensus
 from mgnet import (
+    ConfigError,
     DecodeFailureError,
     DecodeInconsistencyError,
     Graph,
@@ -125,7 +126,7 @@ class TestInjectionSchedule:
         assert inj.values.tolist() == [[5.0, 1.0], [6.0, 0.0], [0.0, 0.0]]
 
     def test_series_longer_than_horizon_rejected(self):
-        with pytest.raises(ValueError, match="longer than horizon"):
+        with pytest.raises(ConfigError, match="node 0 of length 2 exceeds the 1-step horizon"):
             InjectionSchedule.from_values({0: [1.0, 2.0]}, horizon=1)
 
     def test_duplicate_nodes_rejected(self):

@@ -1,4 +1,4 @@
-"""Round engine faithfulness, controller isolation, and campaign behavior."""
+"""Round engine faithfulness, the gather medium, and campaign behavior."""
 
 import json
 
@@ -13,11 +13,13 @@ from mgnet import (
     InfeasibleTopologyError,
     InjectionSchedule,
     InternalInvariantError,
+    LinkAttackSet,
     MicrogridProfile,
     RoundEngine,
     SynthesisError,
     WeightMatrix,
     generate_preventive,
+    generate_responsive,
     load_golden_scenario,
     metropolis_weights,
     run_campaign,
@@ -25,13 +27,19 @@ from mgnet import (
     run_updates,
 )
 from mgnet.scenario import scenario_from_dict, scenario_to_dict
-from mgnet.simulator import CommunicationAgent, Message, trajectory_csv_text, write_run_artifacts
+from mgnet.simulator import CommunicationAgent, trajectory_csv_text, write_run_artifacts
 
 from conftest import REF_SUPPLIES, REF_DEMANDS
 
 
 def golden():
     return load_golden_scenario()
+
+
+def bench_profiles(n, rng):
+    """Profiles drawn as the benchmark's recipes draw them: 5..50 kWh, two decimals."""
+    return tuple(MicrogridProfile(i, round(float(rng.uniform(5.0, 50.0)), 2),
+                                  round(float(rng.uniform(5.0, 50.0)), 2)) for i in range(n))
 
 
 def random_scenario(seed=5, n=5, f=1):
@@ -90,6 +98,23 @@ class TestEngineFaithfulness:
         # 2 quantities x 2 directions x 10 edges x 4 rounds
         assert run.deliveries == 2 * 2 * 10 * 4
 
+    def test_bench_size_engine_matches_compact_iteration_bitwise(self):
+        # the baseline_large shape: plain averaging on a responsive n=120, f=2 graph
+        rng = np.random.default_rng(11)
+        g = generate_responsive(120, 2, LinkAttackSet(), rng)
+        w = metropolis_weights(g)
+        steps = 30
+        profiles = bench_profiles(120, rng)
+        inj = InjectionSchedule.from_values(
+            {int(v): rng.normal(0.0, 40.0, steps).tolist() for v in rng.choice(120, 2, replace=False)},
+            steps)
+        run = RoundEngine(w, profiles, inj).run()
+        starts = {"supply": [p.supply for p in profiles],
+                  "demand": [p.critical_demand for p in profiles]}
+        for q, start in starts.items():
+            assert run.trajectories[q].tobytes() == run_updates(w, start, inj, steps).tobytes()
+        assert run.deliveries == 2 * 2 * len(g.edges) * (steps + 1)
+
     def test_engine_validates_its_inputs(self, ref_weights):
         sc = golden()
         with pytest.raises(ValueError, match="profiles"):
@@ -109,56 +134,48 @@ class TestEngineFaithfulness:
                                           engine.horizon))
 
 
-class TestControllerIsolation:
-    def test_non_neighbor_message_rejected(self, ref_weights):
-        sc = golden()
-        engine = RoundEngine(ref_weights, sc.microgrids, InjectionSchedule.empty(3))
-        outsider = Message(sender=4, step=0, values=(1.0, 2.0))
-        # node 4 is not adjacent to node 0 in the reference graph
-        with pytest.raises(InternalInvariantError, match="non-neighbor"):
-            engine.controllers[0].deliver(outsider)
+class TestGatherMedium:
+    """Locality holds by construction: each controller reads the round's snapshot
+    at a selector built once from the graph, one contiguous gather per quantity."""
 
-    def test_duplicate_message_rejected(self, ref_weights):
-        sc = golden()
-        engine = RoundEngine(ref_weights, sc.microgrids, InjectionSchedule.empty(3))
-        msg = Message(sender=1, step=0, values=(1.0, 2.0))
-        engine.controllers[0].deliver(msg)
-        with pytest.raises(InternalInvariantError, match="duplicate"):
-            engine.controllers[0].deliver(msg)
+    @pytest.mark.parametrize("kind", ["golden", "preventive", "responsive"])
+    def test_selector_is_the_closed_neighbourhood(self, kind, ref_weights):
+        rng = np.random.default_rng(3)
+        if kind == "golden":
+            w = ref_weights
+        elif kind == "preventive":
+            w = metropolis_weights(generate_preventive(40, 2, rng))
+        else:
+            w = metropolis_weights(generate_responsive(40, 2, LinkAttackSet.from_pairs(
+                [(0, 1), (2, 3), (5, 9)]), rng))
+        n = w.graph.node_count
+        engine = RoundEngine(w, bench_profiles(n, rng), InjectionSchedule.empty(2))
+        for i, c in enumerate(engine.controllers):
+            assert c.selector.tolist() == sorted({i} | set(w.graph.neighbors(i)))
 
-    def test_message_for_a_recorded_round_rejected(self, ref_weights):
-        sc = golden()
-        engine = RoundEngine(ref_weights, sc.microgrids, InjectionSchedule.empty(3))
-        node = engine.controllers[0]
-        for sender in sorted(ref_weights.graph.neighbors(0)):
-            node.deliver(engine.controllers[sender].outgoing(0))
-        node.record_observation(0)
-        late = Message(sender=1, step=0, values=(1.0, 2.0))
-        with pytest.raises(InternalInvariantError, match="after recording that round"):
-            node.deliver(late)
-
-    def test_message_for_a_later_round_rejected(self, ref_weights):
-        # a controller collects one round at a time; nothing waits for a later one
-        sc = golden()
-        engine = RoundEngine(ref_weights, sc.microgrids, InjectionSchedule.empty(3))
-        early = Message(sender=1, step=1, values=(1.0, 2.0))
-        with pytest.raises(InternalInvariantError, match="step-1 message from 1 while "
-                                                         "collecting round 0"):
-            engine.controllers[0].deliver(early)
-        assert engine.controllers[0].inbox == {}
-
-    def test_inboxes_are_empty_after_a_run(self, ref_weights):
-        # each round's payloads are dropped once the controller has recorded them
-        sc = golden()
-        engine = RoundEngine(ref_weights, sc.microgrids, InjectionSchedule.empty(3))
+    def test_each_recorded_row_is_one_contiguous_gather(self, ref_weights):
+        engine = RoundEngine(ref_weights, golden().microgrids, InjectionSchedule.empty(3))
         engine.run()
-        assert all(c.inbox == {} for c in engine.controllers)
+        for c in engine.controllers:
+            assert len(c.rounds) == 4
+            for rows in c.rounds:
+                assert len(rows) == 2
+                for row in rows:
+                    assert row.shape == (len(c.selector),) and row.flags.c_contiguous
 
-    def test_missing_neighbor_input_detected(self, ref_weights):
-        sc = golden()
-        engine = RoundEngine(ref_weights, sc.microgrids, InjectionSchedule.empty(3))
-        with pytest.raises(InternalInvariantError, match="missing step-0 input"):
-            engine.controllers[0].record_observation(0)
+    def test_window_guard_fires_past_the_horizon(self, ref_weights):
+        engine = RoundEngine(ref_weights, golden().microgrids, InjectionSchedule.empty(3))
+        engine.run()
+        snapshot = [np.zeros(6), np.zeros(6)]
+        with pytest.raises(InternalInvariantError, match="observation window exceeded the horizon"):
+            engine.controllers[0].record_observation(snapshot)
+
+    def test_deliveries_are_the_neighbour_entries_gathered(self, ref_weights):
+        inj = InjectionSchedule.from_values({3: [30.0, -45.0, 60.0]}, 3)
+        engine = RoundEngine(ref_weights, golden().microgrids, inj)
+        run = engine.run()
+        gathered = sum(row.size - 1 for c in engine.controllers for rows in c.rounds for row in rows)
+        assert run.deliveries == gathered
 
 
 class TestAgentBlindness:
@@ -391,6 +408,16 @@ class TestRunPeriod:
         agent = CommunicationAgent(sc.graph.strategy, sc.f, sc.seed)
         with pytest.raises(ConfigError, match=r"horizon 9 exceeds the horizon cap n \+ 2 = 8"):
             run_period(sc, agent, "unknown_faults")
+
+    def test_series_longer_than_the_baseline_steps_is_a_config_error(self):
+        data = scenario_to_dict(golden())
+        data["attack"]["controllers"][0]["injection"] = {"type": "explicit",
+                                                         "values": [1.0] * 31}
+        sc = scenario_from_dict(data)
+        assert sc.consensus.baseline_steps == 30
+        agent = CommunicationAgent(sc.graph.strategy, sc.f, sc.seed)
+        with pytest.raises(ConfigError, match="node 3 of length 31 exceeds the 30-step horizon"):
+            run_period(sc, agent, "baseline")
 
 
 class TestRunCampaign:

@@ -18,7 +18,7 @@ Sets (all of them when none is named):
           4 periods
   bench   `run_period` on the benchmark workloads: resilient_f1 seeds 1-3
           periods 0-7, resilient_f2 seeds 1-3 periods 0-3, baseline_large
-          seed 1 periods 0-2
+          seeds 1-3 periods 0-2 (n=120 round-engine runs with injections)
   graph   `mgnet graph` preventive n=40 f=2 and responsive n=60 f=2 with
           attacked links; and five requests the generators refuse, which pin
           the order of their checks: n=4 f=2 (too few nodes, exit 2),
@@ -90,7 +90,7 @@ import workloads  # noqa: E402
 
 MODES = ("resilient-known", "resilient-unknown", "baseline")
 BENCH_RUNS = (("resilient_f1", (1, 2, 3), 8), ("resilient_f2", (1, 2, 3), 4),
-              ("baseline_large", (1,), 3))
+              ("baseline_large", (1, 2, 3), 3))
 ATTACKED_LINKS = "0-1,2-3,5-9,10-20,30-31,40-59"
 REFUSED_GRAPHS = (
     ("n4-f2", ["--n", "4", "--f", "2"]),
