@@ -54,7 +54,6 @@ from .scenario import (
 )
 from .simulator import (
     CommunicationAgent,
-    ControllerState,
     RoundEngine,
     run_campaign,
     run_period,

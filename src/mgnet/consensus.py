@@ -104,10 +104,10 @@ def numerical_rank(a: np.ndarray) -> int | np.ndarray:
 def combine_neighborhood(weights: np.ndarray, values, injection: float | None = None) -> float:
     """One node's update: its row of W on its closed neighbourhood dotted with that
     neighbourhood's values, both in selector order, plus a compromised node's injection.
-    The round engine and run_updates step every node through it, so their
-    trajectories agree bit for bit. values must be a contiguous 1-D row: a
-    strided view changes the order in which BLAS sums the dot product, and
-    the bit identity with run_updates is lost."""
+    It is the per-node reference: run_updates steps every node through it,
+    and the round engine's batched np.vecdot over contiguous rows must match
+    it bit for bit. values must be a contiguous 1-D row: a strided view
+    changes the order in which BLAS sums the dot product."""
     nxt = float(np.dot(weights, values))
     return nxt if injection is None else nxt + injection
 

@@ -1,20 +1,21 @@
-"""Synchronous round engine with per-controller isolation.
+"""Synchronous round engine over neighbourhood-size classes.
 
-Each microgrid controller is a little state machine that sees only its
-own profile and what its neighbours in the period's graph broadcast.
-Its state is the payload it broadcasts, its values in QUANTITIES order:
-inside the engine a quantity is a position in that payload, and names are
-given only where the period records are built.
-The engine is the broadcast medium: each round it writes every payload
-into one (quantity, node) snapshot, and each controller reads it with
-one gather per quantity at its selector, its closed neighbourhood in the
-graph. Locality holds by construction, since every selector is built
-from the graph once, when the controller is; the engine counts the
-neighbour entries each gather reads. It holds the attack schedule and
-corrupts the compromised controllers' updates by the schedule's
-at(node, step), as run_updates does. The snapshots, one per step, are
-also the trajectories a run is checked against bit for bit with the
-compact-form iteration.
+Each microgrid controller starts from its own profile and sees only what
+its neighbours in the period's graph broadcast. Its state is the payload
+it broadcasts, its values in QUANTITIES order: inside the engine a
+quantity is a position in that payload, and names are given only where
+the period records are built.
+The engine is the broadcast medium. A controller is a row of its
+neighbourhood-size class: the class holds, for every controller whose
+closed neighbourhood has L nodes, its selector (that neighbourhood,
+sorted) and its restricted row of W, built once from the graph, so
+locality holds by construction. Each round every class gathers its rows
+of the round's states with one np.take and steps them with one
+np.vecdot. The rows must stay C-contiguous: vecdot then sums each with
+the same BLAS dot as combine_neighborhood, the per-node reference that
+run_updates steps, and the trajectories agree with it bit for bit. The
+engine counts the neighbour entries each gather reads, and adds the
+attack schedule's at(node, step) to the compromised controllers' updates.
 
 Record conventions: in resilient modes the record's scalar totals are
 the mean of the per-controller decoded totals (every controller recovers
@@ -34,7 +35,6 @@ from .consensus import (
     ObservationRecord,
     WeightMatrix,
     build_observability_stack,
-    combine_neighborhood,
     decode_known_faults,
     decode_unknown_faults,
     default_k_max,
@@ -48,7 +48,6 @@ from .errors import (
     ConfigError,
     DecodeError,
     InfeasibleTopologyError,
-    InternalInvariantError,
     SynthesisError,
 )
 from .graph import Graph, LinkAttackSet, generate_preventive, generate_responsive
@@ -73,61 +72,48 @@ def _rng(seed: int, period: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, period, stream])
 
 
-class ControllerState:
-    """One microgrid's controller; starts from its own profile and knows nothing else.
+@dataclass(frozen=True)
+class SizeClass:
+    """The controllers whose closed neighbourhoods have one size L.
 
-    Its state is the payload it broadcasts, values, in QUANTITIES order.
-    Protocol constants (graph, weight matrix, horizon, fault knowledge)
-    are public configuration every node carries; other grids' profiles
-    and states are not, and reach it only through record_observation,
-    which reads the medium's snapshot at its selector, its closed
-    neighbourhood in the graph, built once here. rounds[k] holds round
-    k's rows, one contiguous gather per quantity, each in selector order.
+    nodes holds their ids (m,); row j of selectors (m, L) is node j's
+    sorted closed neighbourhood in the graph, and row j of weights (m, L)
+    its restricted row of W on that neighbourhood, byte-equal to
+    entries[node, selector].
     """
 
-    def __init__(self, node: int, profile: MicrogridProfile, weights: WeightMatrix, horizon: int):
-        self.id = node
-        self.selector = np.array(weights.selector(node))
-        self.weights = weights.entries[node, self.selector]
-        self.horizon = horizon
-        self.values = [float(profile.supply), float(profile.critical_demand)]
-        self.rounds: list[list[np.ndarray]] = []
-
-    def record_observation(self, snapshot: list[np.ndarray]) -> int:
-        """Gather this round's rows from snapshot, the medium's node-indexed payloads, one
-        array per quantity; returns the neighbour entries read. Each row is its own 1-D
-        gather, so it is contiguous, as combine_neighborhood requires."""
-        if len(self.rounds) > self.horizon:
-            raise InternalInvariantError("observation window exceeded the horizon")
-        rows = [payloads[self.selector] for payloads in snapshot]
-        self.rounds.append(rows)
-        return len(rows) * (len(self.selector) - 1)
-
-    def advance(self, step: int, injection: float | None) -> None:
-        """Step each quantity through combine_neighborhood from the rows recorded at step."""
-        self.values = [combine_neighborhood(self.weights, row, injection)
-                       for row in self.rounds[step]]
-
-    def observation_record(self, quantity: str) -> ObservationRecord:
-        pos = QUANTITIES.index(quantity)
-        return ObservationRecord(self.id, tuple(self.selector.tolist()),
-                                 np.array([rows[pos] for rows in self.rounds], dtype=float))
+    nodes: np.ndarray
+    selectors: np.ndarray
+    weights: np.ndarray
 
 
 @dataclass
 class EngineRun:
-    observations: dict[str, list[ObservationRecord]]
+    """A run's trajectories, its measured delivery count, and what each controller
+    gathered: blocks[c] is size class c's (quantity, step, row, L) record."""
+
     trajectories: dict[str, np.ndarray]
     deliveries: int
+    classes: tuple[SizeClass, ...]
+    blocks: list[np.ndarray]
+    slots: dict[int, tuple[int, int]]
+
+    def observation(self, quantity: str, node: int) -> ObservationRecord:
+        """Node's K+1 gathered rows of quantity, copied out of its class's block."""
+        c, row = self.slots[node]
+        samples = self.blocks[c][QUANTITIES.index(quantity), :, row]
+        return ObservationRecord(node, tuple(self.classes[c].selectors[row].tolist()),
+                                 np.ascontiguousarray(samples))
 
 
 class RoundEngine:
     """Lockstep executor: K update rounds plus a final observation round, on the
     weight matrix's graph and over the injection schedule's horizon K.
 
-    Each round it writes every controller's payload into one snapshot, and
-    each controller gathers its neighbourhood from it; deliveries counts the
-    neighbour entries those gathers read.
+    The controllers are rows of neighbourhood-size classes, built once from
+    the graph. Each round every class gathers its rows of the round's states
+    with one np.take, records them, and steps them with one np.vecdot;
+    deliveries counts the neighbour entries those gathers read.
     """
 
     def __init__(self, weights: WeightMatrix, profiles: tuple[MicrogridProfile, ...],
@@ -139,27 +125,41 @@ class RoundEngine:
         n = self.graph.node_count
         if len(profiles) != n:
             raise ValueError(f"{len(profiles)} profiles for a {n}-node graph")
-        self.deliveries = 0
-        self.controllers = [
-            ControllerState(i, profiles[i], weights, self.horizon) for i in range(n)
-        ]
+        self.initial = [[float(p.supply) for p in profiles],
+                        [float(p.critical_demand) for p in profiles]]
+        by_size: dict[int, list[int]] = {}
+        for i in range(n):
+            by_size.setdefault(len(weights.selector(i)), []).append(i)
+        classes = []
+        for size in sorted(by_size):
+            nodes = np.array(by_size[size])
+            sel = np.array([weights.selector(i) for i in nodes])
+            classes.append(SizeClass(nodes, sel, weights.entries[nodes[:, None], sel]))
+        self.classes = tuple(classes)
 
     def run(self) -> EngineRun:
-        # states[pos] is one quantity's trajectory; its row k is in round k's snapshot
+        # states[pos] is one quantity's trajectory, row k its states at round k
         states = np.zeros((len(QUANTITIES), self.horizon + 1, self.graph.node_count))
+        states[:, 0] = self.initial
+        blocks = [np.zeros((len(QUANTITIES), self.horizon + 1, *c.selectors.shape))
+                  for c in self.classes]
+        deliveries = 0
         # an overflowing run is reported by the period's finiteness checks, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(self.horizon + 1):
-                states[:, k] = np.transpose([c.values for c in self.controllers])
-                snapshot = [trajectory[k] for trajectory in states]
-                for c in self.controllers:
-                    self.deliveries += c.record_observation(snapshot)
+                for c, block in zip(self.classes, blocks):
+                    # np.take gives C-contiguous rows, so vecdot sums each as np.dot does
+                    rows = np.take(states[:, k], c.selectors, axis=1)
+                    block[:, k] = rows
+                    deliveries += rows.size - rows.shape[0] * rows.shape[1]
                     if k < self.horizon:
-                        c.advance(k, self.schedule.at(c.id, k))
-        return EngineRun(
-            {q: [c.observation_record(q) for c in self.controllers] for q in QUANTITIES},
-            dict(zip(QUANTITIES, states)),
-            self.deliveries)
+                        states[:, k + 1, c.nodes] = np.vecdot(c.weights, rows)
+                if k < self.horizon:
+                    for j in self.schedule.faulty_nodes:
+                        states[:, k + 1, j] += self.schedule.at(j, k)
+        slots = {int(i): (c, row) for c, cls in enumerate(self.classes)
+                 for row, i in enumerate(cls.nodes)}
+        return EngineRun(dict(zip(QUANTITIES, states)), deliveries, self.classes, blocks, slots)
 
 
 @dataclass
@@ -282,7 +282,7 @@ def _run_resilient_period(scenario: Scenario, g: Graph, decode_mode: str,
         stack = build_observability_stack(w, i, k)
         entry = per_controller[str(i)] = {}
         for q in QUANTITIES:
-            obs = run.observations[q][i]
+            obs = run.observation(q, i)
             if not np.isfinite(obs.samples).all():
                 raise DecodeError(f"controller {i}'s {q} observations are not finite (float64 overflow)")
             if decode_mode == "known_faults":
@@ -309,13 +309,11 @@ def _run_baseline_period(scenario: Scenario, g: Graph, period_index: int) -> Dec
     w = metropolis_weights(g)
     schedule = sample_injections(scenario.attack, steps,
                                  _rng(scenario.seed, period_index, _ATTACK_STREAM))
-    engine = RoundEngine(w, scenario.microgrids, schedule)
-    run = engine.run()
+    run = RoundEngine(w, scenario.microgrids, schedule).run()
 
     n = scenario.n
     truth = dict(zip(QUANTITIES, scenario.true_totals()))
-    estimates = {q: [n * c.values[pos] for c in engine.controllers]
-                 for pos, q in enumerate(QUANTITIES)}
+    estimates = {q: [n * v for v in run.trajectories[q][-1].tolist()] for q in QUANTITIES}
     if not np.isfinite(list(estimates.values())).all():
         raise DecodeError("plain averaging overflowed: some estimates are not finite")
     verdicts = {i: evaluate_criterion(*(estimates[q][i] for q in QUANTITIES)) for i in range(n)}

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from mgnet import Graph, InjectionSchedule, MicrogridProfile, RoundEngine, metropolis_weights
 from mgnet.cli import main
 
 from conftest import checkout_env, ref_csv_text
@@ -149,3 +150,26 @@ def test_bench_set_pins_three_baseline_large_seeds(tmp_path):
                     if "baseline_large" in line and line.endswith("trajectory.csv")]
     assert len(trajectories) == len(set(trajectories)) == 9
     assert list(tmp_path.iterdir()) == []
+
+
+def test_engine_set_runs_baseline_on_the_wheel(tmp_path):
+    proc = digest("engine", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert all(LINE.match(line) for line in lines), lines
+    # one run completing both periods, each writing four artifacts
+    assert [line for line in lines if line.startswith("exit=")] == ["exit=0  engine/wheel48"]
+    assert [line.split("  ")[1] for line in lines[1:]] == [
+        f"engine/wheel48/period_00{p}/{name}" for p in (0, 1)
+        for name in ("decision_record.json", "graph.dot", "graph.edges", "trajectory.csv")]
+    assert list(tmp_path.iterdir()) == []
+
+    # the run's graph is the wheel, whose engine steps one class of 47 rows of
+    # 4 entries and one of a single row of 48
+    rim = range(1, 48)
+    wheel = Graph.from_edges(48, [*((0, v) for v in rim), *((v, v % 47 + 1) for v in rim)])
+    sha = hashlib.sha256(wheel.to_edge_list_text().encode()).hexdigest()
+    assert f"{sha}  engine/wheel48/period_000/graph.edges" in lines
+    profiles = tuple(MicrogridProfile(i, 1.0, 1.0) for i in range(48))
+    engine = RoundEngine(metropolis_weights(wheel), profiles, InjectionSchedule.empty(1))
+    assert [c.selectors.shape for c in engine.classes] == [(47, 4), (1, 48)]

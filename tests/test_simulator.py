@@ -12,7 +12,6 @@ from mgnet import (
     Graph,
     InfeasibleTopologyError,
     InjectionSchedule,
-    InternalInvariantError,
     LinkAttackSet,
     MicrogridProfile,
     RoundEngine,
@@ -78,8 +77,9 @@ class TestEngineFaithfulness:
     def test_controllers_hold_their_restricted_row(self, kind, ref_weights):
         w = ref_weights if kind == "golden" else metropolis_weights(ref_weights.graph)
         engine = RoundEngine(w, golden().microgrids, InjectionSchedule.empty(3))
-        for i, c in enumerate(engine.controllers):
-            assert c.weights.tobytes() == w.entries[i, list(w.selector(i))].tobytes()
+        for c in engine.classes:
+            for i, row in zip(c.nodes, c.weights):
+                assert row.tobytes() == w.entries[i, list(w.selector(i))].tobytes()
 
     @pytest.mark.parametrize("quantity", ["supply", "demand"])
     def test_observations_are_exact_trajectory_slices(self, quantity, ref_weights):
@@ -88,9 +88,10 @@ class TestEngineFaithfulness:
         run = RoundEngine(ref_weights, sc.microgrids, inj).run()
         for i in range(6):
             sel = list(ref_weights.selector(i))
-            rec = run.observations[quantity][i]
+            rec = run.observation(quantity, i)
             assert rec.selector == tuple(sel)
             assert np.array_equal(rec.samples, run.trajectories[quantity][:, sel])
+            assert rec.samples.flags.c_contiguous
 
     def test_delivery_count_is_every_edge_both_ways_each_round(self, ref_weights):
         sc = golden()
@@ -135,8 +136,9 @@ class TestEngineFaithfulness:
 
 
 class TestGatherMedium:
-    """Locality holds by construction: each controller reads the round's snapshot
-    at a selector built once from the graph, one contiguous gather per quantity."""
+    """Locality holds by construction: the controllers are rows of neighbourhood-size
+    classes built once from the graph, and each round every class gathers its rows
+    of the round's states in one contiguous block."""
 
     @pytest.mark.parametrize("kind", ["golden", "preventive", "responsive"])
     def test_selector_is_the_closed_neighbourhood(self, kind, ref_weights):
@@ -150,32 +152,62 @@ class TestGatherMedium:
                 [(0, 1), (2, 3), (5, 9)]), rng))
         n = w.graph.node_count
         engine = RoundEngine(w, bench_profiles(n, rng), InjectionSchedule.empty(2))
-        for i, c in enumerate(engine.controllers):
-            assert c.selector.tolist() == sorted({i} | set(w.graph.neighbors(i)))
+        seen = []
+        for c in engine.classes:
+            assert c.selectors.shape == (len(c.nodes), c.weights.shape[1])
+            for i, sel in zip(c.nodes.tolist(), c.selectors.tolist()):
+                assert sel == sorted({i} | set(w.graph.neighbors(i)))
+                seen.append(i)
+        assert sorted(seen) == list(range(n))
 
-    def test_each_recorded_row_is_one_contiguous_gather(self, ref_weights):
-        engine = RoundEngine(ref_weights, golden().microgrids, InjectionSchedule.empty(3))
-        engine.run()
-        for c in engine.controllers:
-            assert len(c.rounds) == 4
-            for rows in c.rounds:
-                assert len(rows) == 2
-                for row in rows:
-                    assert row.shape == (len(c.selector),) and row.flags.c_contiguous
+    def test_each_recorded_row_is_one_contiguous_gather(self, monkeypatch, ref_weights):
+        vecdot, stepped = np.vecdot, []
 
-    def test_window_guard_fires_past_the_horizon(self, ref_weights):
+        def spy(weights, rows):
+            stepped.append(rows.shape)
+            assert rows.flags.c_contiguous and weights.flags.c_contiguous
+            return vecdot(weights, rows)
+
+        monkeypatch.setattr(np, "vecdot", spy)
         engine = RoundEngine(ref_weights, golden().microgrids, InjectionSchedule.empty(3))
-        engine.run()
-        snapshot = [np.zeros(6), np.zeros(6)]
-        with pytest.raises(InternalInvariantError, match="observation window exceeded the horizon"):
-            engine.controllers[0].record_observation(snapshot)
+        run = engine.run()
+        # one step per class and update round, each over (quantity, row, L)
+        assert stepped == [(2, *c.selectors.shape) for _ in range(3) for c in engine.classes]
+        for c, block in zip(engine.classes, run.blocks):
+            assert block.shape == (2, 4, *c.selectors.shape) and block.flags.c_contiguous
 
     def test_deliveries_are_the_neighbour_entries_gathered(self, ref_weights):
         inj = InjectionSchedule.from_values({3: [30.0, -45.0, 60.0]}, 3)
-        engine = RoundEngine(ref_weights, golden().microgrids, inj)
-        run = engine.run()
-        gathered = sum(row.size - 1 for c in engine.controllers for rows in c.rounds for row in rows)
-        assert run.deliveries == gathered
+        run = RoundEngine(ref_weights, golden().microgrids, inj).run()
+        gathered = sum(b.size - b.size // b.shape[-1] for b in run.blocks)
+        # 2 quantities x 2 directions x 10 edges x 4 rounds
+        assert run.deliveries == gathered == 2 * 2 * 10 * 4
+
+    @pytest.mark.parametrize("mode", ["baseline", "known_faults", "unknown_faults"])
+    def test_records_are_built_only_for_the_decoder(self, mode, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args[0])
+            return consensus.ObservationRecord(*args)
+
+        monkeypatch.setattr(simulator, "ObservationRecord", counted)
+        sc = golden()
+        run_period(sc, CommunicationAgent("preventive", sc.f, sc.seed), mode)
+        # a resilient period decodes each controller's two quantities once
+        assert sorted(built) == ([] if mode == "baseline" else sorted(2 * list(range(sc.n))))
+
+    @pytest.mark.parametrize("size", range(1, 41))
+    def test_vecdot_over_gathered_rows_is_the_per_row_dot(self, size):
+        # the BLAS contract the engine rests on, across OpenBLAS's 16-entry block
+        rng = np.random.default_rng(size)
+        states = rng.normal(0.0, 1.0, (2, 3, 50)) * 10.0 ** rng.integers(-6, 7, (2, 3, 50))
+        sel = np.sort(rng.permuted(np.tile(np.arange(50), (7, 1)), axis=1)[:, :size], axis=1)
+        weights = rng.normal(0.0, 1.0, (7, size))
+        rows = np.take(states[:, 1], sel, axis=1)
+        got = np.vecdot(weights, rows)
+        want = [[np.dot(weights[j], states[q, 1, sel[j]]) for j in range(7)] for q in range(2)]
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestAgentBlindness:

@@ -46,6 +46,10 @@ Sets (all of them when none is named):
           ports on either side are minimum cuts as well); and two
           disconnected shapes: a preventive n=120 f=2 graph plus an isolated
           node, and two disjoint preventive n=60 f=2 graphs
+  engine  `mgnet run` baseline, 2 periods, on a supplied 48-node wheel (hub 0
+          joined to the rim cycle 1-47) with 48 microgrids, f=2, and golden's
+          explicit injection at the hub and at rim node 3: one neighbourhood
+          of 48 nodes beside 47 of 4
 
 Each line is `<sha256>  <set>/<run>/<file>`; a CLI run also prints its
 exit code and a period that raises prints its error instead of digests.
@@ -110,6 +114,7 @@ INJECTIONS = ({"type": "explicit", "values": [30.0, -45.0, 60.0]},
               {"type": "constant", "value": 25.0},
               {"type": "uniform", "low": -50.0, "high": 50.0},
               {"type": "normal", "mean": 0.0, "std": 40.0})
+WHEEL_RIM = 47
 
 
 def sha256(data: bytes) -> str:
@@ -284,9 +289,30 @@ def cert_set(work: Path) -> list[str]:
     return lines
 
 
+def engine_set(work: Path) -> list[str]:
+    rim = range(1, WHEEL_RIM + 1)
+    wheel = work / "wheel.edges"
+    wheel.write_text(Graph.from_edges(WHEEL_RIM + 1, [*((0, v) for v in rim),
+                                                      *((v, v % WHEEL_RIM + 1) for v in rim)])
+                     .to_edge_list_text())
+    data = scenario_to_dict(load_golden_scenario())
+    injection = data["attack"]["controllers"][0]["injection"]
+    data["microgrids"] = [{"id": i, "supply": 5.0 + (37 * i) % 451 / 10,
+                           "critical_demand": 5.0 + (53 * i) % 449 / 10}
+                          for i in range(WHEEL_RIM + 1)]
+    data["f"] = 2
+    data["attack"]["controllers"] = [{"node": v, "injection": injection} for v in (0, 3)]
+    data["weights"] = {"type": "random"}
+    data["consensus"]["k"] = None
+    path = work / "wheel.json"
+    path.write_text(json.dumps(data))
+    return cli_run("engine/wheel48", ["run", "--scenario", str(path), "--mode", "baseline",
+                                      "--periods", "2", "--fixed-graph", str(wheel)], work)
+
+
 SETS = {"golden": golden_set, "fixed": fixed_set, "pinned": pinned_set,
         "bench": bench_set, "graph": graph_set, "verify": verify_set, "split": split_set,
-        "overflow": overflow_set, "attack": attack_set, "cert": cert_set}
+        "overflow": overflow_set, "attack": attack_set, "cert": cert_set, "engine": engine_set}
 
 
 def run(names) -> int:
