@@ -598,8 +598,9 @@ def metropolis_weights(g: Graph) -> WeightMatrix:
     """Classic averaging weights: w_ij = 1 / (1 + max degree of the pair)."""
     n = g.node_count
     entries = np.zeros((n, n))
+    degree = [g.degree(i) for i in range(n)]
     for i, j in g.edges:
-        v = 1.0 / (1.0 + max(g.degree(i), g.degree(j)))
+        v = 1.0 / (1.0 + max(degree[i], degree[j]))
         entries[i, j] = entries[j, i] = v
     for i in range(n):
         entries[i, i] = 1.0 - entries[i].sum()

@@ -5,7 +5,9 @@ an exact minimum-vertex-cut oracle, the single-node extension step that
 preserves m-connectivity, and two topology generators (a randomized one
 used before any attack is known, and an attack-aware one that avoids
 compromised links) that share one input check and one certificate.
-The oracle's max-flows find augmenting paths by bidirectional BFS.
+The oracle's max-flows find augmenting paths by bidirectional BFS, and
+it skips each pivot pair the expansion lemma proves unable to improve
+the cut, which leaves every certificate as checking every pair gives it.
 Convention: the complete graph on n nodes has connectivity n - 1, so
 the (2f+1)-node seed clique certifies at 2f. A supplied topology is not
 generated: the scenario holds it as one Graph, graph.fixed, for a campaign.
@@ -227,6 +229,16 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
     a disconnected graph needs no special case, since that cut misses the
     pivot, and an isolated pivot runs no pair at all.
 
+    A pivot pair runs only while its outcome is open (Even 1975; Esfahanian
+    and Hakimi 1984). With k = len(best_cut), the nodes joined to the pivot
+    by k disjoint paths are its neighbours, each target whose pair has run,
+    and (the expansion lemma) each non-neighbour with k joined neighbours:
+    a set S of at most k - 1 other nodes misses one, u, which reaches the
+    pivot in G - S directly or as kappa(pivot, u) >= k > |S|. k only
+    shrinks, so each skipped pair's flow would have returned None at its
+    turn; the pairs that run, every neighbour pair among them, keep their
+    order, stop_at and cut, so the certificate is the one every pair gives.
+
     The split network is built once as flat arrays: arc a runs to head[a]
     with capacity cap0[a], its reverse is a ^ 1, and out_arcs[u] and
     in_arcs[u] list the (arc, other end) pairs leaving and entering u.
@@ -259,12 +271,30 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
         in_arcs[v].append((a, head[a ^ 1]))
     pairs = [(pivot, w) for w in range(n) if w != pivot and not g.has_edge(pivot, w)]
     pairs.extend((x, y) for x, y in combinations(pivot_nbrs, 2) if not g.has_edge(x, y))
+    joined, links = set(), [0] * n  # links[u]: how many of u's neighbours are joined
+
+    def join(work: list[int]) -> None:
+        """Add work to joined, then every node the expansion lemma adds at len(best_cut)."""
+        while work:
+            v = work.pop()
+            if v not in joined:
+                joined.add(v)
+                for u in g.neighbors(v):
+                    links[u] += 1
+                    if links[u] >= len(best_cut):
+                        work.append(u)
+
+    join([pivot, *pivot_nbrs])  # no non-neighbour links to the pivot itself
     for s, t in pairs:
         if not best_cut:
             break
+        if s == pivot and t in joined:
+            continue  # the flow would reach len(best_cut) and return None
         cut = _min_cut_between(out_arcs, in_arcs, head, cap0[:], s, t, len(best_cut))
         if cut is not None:
             best_cut = cut
+            join([v for v in range(n) if links[v] >= len(best_cut)])
+        join([t])
     return ConnectivityCertificate(len(best_cut), best_cut)
 
 
@@ -334,15 +364,16 @@ def _certified(g: Graph, m: int, strategy: str) -> Graph:
     return g
 
 
-def _grow(seed: list[int], rest: list[int], m: int, attacks: LinkAttackSet,
+def _grow(seed: list[int], rest: list[int], m: int, barred: dict[int, set[int]],
           rng: np.random.Generator) -> frozenset[Edge]:
     """Edges of a clique on seed, then each node of rest joined to m random
-    present nodes over links attacks does not forbid, in the order given;
-    every seed node is such a target, so each step has m to draw from."""
+    present nodes outside its barred partners, in the order given; every
+    seed node is such a target, so each step has m to draw from."""
     present = list(seed)
     edges = {_norm_edge(a, b) for a, b in combinations(present, 2)}
     for v in rest:
-        safe = [p for p in present if not attacks.forbids(v, p)]
+        off = barred.get(v, ())
+        safe = [p for p in present if p not in off]
         picks = rng.choice(len(safe), size=m, replace=False)
         edges.update(_norm_edge(v, safe[int(p)]) for p in picks)
         present.append(v)
@@ -360,7 +391,7 @@ def generate_preventive(n: int, f: int, rng: np.random.Generator) -> Graph:
     """
     m = _connectivity_target(n, f)
     order = [int(v) for v in rng.permutation(n)]
-    g = Graph(n, _grow(order[:m], order[m:], m, LinkAttackSet(), rng))
+    g = Graph(n, _grow(order[:m], order[m:], m, {}, rng))
     return _certified(g.relabeled([int(p) for p in rng.permutation(n)]), m, "preventive")
 
 
@@ -374,10 +405,14 @@ def generate_responsive(n: int, f: int, attacks: LinkAttackSet, rng: np.random.G
     """
     m = _connectivity_target(n, f)
     attacks.validate_range(n)
-    clean = [v for v in range(n) if not attacks.touches(v)]
+    barred: dict[int, set[int]] = {}  # each node on an attacked link: its forbidden partners
+    for i, j in attacks.forbidden_edges:
+        barred.setdefault(i, set()).add(j)
+        barred.setdefault(j, set()).add(i)
+    clean = [v for v in range(n) if v not in barred]
     if len(clean) < m:
         raise InfeasibleTopologyError(
             f"only {len(clean)} nodes have no attacked links; the seed clique needs {m}")
     seed = [clean[int(p)] for p in rng.choice(len(clean), size=m, replace=False)]
     rest = [int(v) for v in rng.permutation(n) if int(v) not in seed]
-    return _certified(Graph(n, _grow(seed, rest, m, attacks, rng)), m, "responsive")
+    return _certified(Graph(n, _grow(seed, rest, m, barred, rng)), m, "responsive")

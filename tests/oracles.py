@@ -57,9 +57,11 @@ def brute_force_connectivity(n: int, edges) -> int:
 def brute_force_certificate(n: int, edges) -> tuple[int, frozenset[int] | None]:
     """Connectivity and witness cut by exhaustive search over node subsets.
 
-    Walks the same pairs in the same order as the max-flow certificate: a
-    minimum-degree pivot (the lowest such id) against each non-neighbour in
-    id order, then each non-adjacent pair of its neighbours in sorted order.
+    Walks the max-flow certificate's pairs in its order, every one of them,
+    where the certificate skips the pivot pairs proven unable to improve the
+    cut: a minimum-degree pivot (the lowest such id) against each
+    non-neighbour in id order, then each non-adjacent pair of its neighbours
+    in sorted order.
     Each pair's cut is its smallest separator S, and among those the one
     leaving s the fewest nodes reachable in G - S. Starting from the
     pivot's neighbourhood, a pair's cut replaces the best only when it is

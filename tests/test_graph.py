@@ -1,12 +1,14 @@
 """Graph model, serialization, and the certified connectivity oracle."""
 
+import importlib.util
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mgnet import (ConnectivityCertificate, Graph, LinkAttackSet, extend_graph, generate_preventive,
-                   vertex_connectivity)
+                   generate_responsive, simulator, vertex_connectivity)
 from mgnet import graph as graph_module
 
 from conftest import survivors_graph
@@ -23,6 +25,100 @@ def planted_separator(rng, k: int, p: int, q: int) -> Graph:
         edges += [(i, a[j]) for j in range(k) if j == i or rng.random() < 0.3]
         edges += [(i, b[j]) for j in range(k) if j == i or rng.random() < 0.3]
     return Graph.from_edges(k + p + q, edges).relabeled(rng.permutation(k + p + q))
+
+
+def every_pair_certificate(g: Graph) -> ConnectivityCertificate:
+    """vertex_connectivity with no pair skipped: graph._min_cut_between on every
+    pair of the dominating family in turn, with the running stop_at."""
+    n = g.node_count
+    if g.is_complete():
+        return ConnectivityCertificate(n - 1, None)
+    pivot = min(range(n), key=g.degree)
+    nbrs = sorted(g.neighbors(pivot))
+    head, cap0 = [], []
+    out_arcs, in_arcs = [[] for _ in range(2 * n)], [[] for _ in range(2 * n)]
+    splits = [(2 * v, 2 * v + 1, 1) for v in range(n)]
+    links = [(2 * a + 1, 2 * b, n + 2) for i, j in g.edges for a, b in ((i, j), (j, i))]
+    for tail, tip, cap in splits + links:
+        for a, (u, v, c) in enumerate(((tail, tip, cap), (tip, tail, 0)), start=len(head)):
+            head.append(v)
+            cap0.append(c)
+            out_arcs[u].append((a, v))
+            in_arcs[v].append((a, u))
+    pairs = [(pivot, w) for w in range(n) if w != pivot and w not in nbrs]
+    pairs += [(x, y) for x, y in combinations(nbrs, 2) if not g.has_edge(x, y)]
+    best = frozenset(nbrs)
+    for s, t in pairs:
+        if not best:
+            break
+        cut = graph_module._min_cut_between(out_arcs, in_arcs, head, cap0[:], s, t, len(best))
+        if cut is not None:
+            best = cut
+    return ConnectivityCertificate(len(best), best)
+
+
+def separated_halves(rng, half: int, f: int, k: int) -> Graph:
+    """Two preventive graphs on `half` nodes each (minimum degree 2f+1), ids
+    0..half-1 and half..2half-1, joined through k more nodes that each link
+    2f+1 random nodes of either half: kappa is k when k <= 2f."""
+    a, b = (generate_preventive(half, f, rng) for _ in range(2))
+    edges = [*a.edges, *((i + half, j + half) for i, j in b.edges)]
+    for s in range(2 * half, 2 * half + k):
+        for offset in (0, half):
+            edges += [(s, offset + int(v)) for v in rng.choice(half, 2 * f + 1, replace=False)]
+    return Graph.from_edges(2 * half + k, edges)
+
+
+def pendant_pair(rng, n: int, f: int) -> Graph:
+    """A preventive graph on n nodes plus two adjacent nodes joined to the same
+    2f random nodes, one fewer than the minimum degree, then relabelled: those
+    2f nodes are a minimum cut that misses the pivot."""
+    g = generate_preventive(n, f, rng)
+    port = [int(v) for v in rng.choice(n, 2 * f, replace=False)]
+    edges = [*g.edges, (n, n + 1), *((v, w) for v in port for w in (n, n + 1))]
+    return Graph.from_edges(n + 2, edges).relabeled(rng.permutation(n + 2))
+
+
+def pivot_in_cut(rng, half: int, f: int, a: int, x: int) -> Graph:
+    """Two preventive graphs on `half` nodes each (minimum degree 2f+1), then a
+    node 2half joined to a random nodes of each, then x nodes each joined to
+    2f+1 random nodes of each. With 2 <= a <= f and x <= 2a - 2, node 2half
+    is the pivot, and it and the x nodes form a cut smaller than any the
+    pivot's own pairs find."""
+    g = separated_halves(rng, half, f, 0)
+    hub = 2 * half
+    edges = [*g.edges, *((hub, offset + int(v)) for offset in (0, half)
+                         for v in rng.choice(half, a, replace=False))]
+    for s in range(hub + 1, hub + 1 + x):
+        for offset in (0, half):
+            edges += [(s, offset + int(v)) for v in rng.choice(half, 2 * f + 1, replace=False)]
+    return Graph.from_edges(hub + 1 + x, edges)
+
+
+def traced_flows(monkeypatch) -> list:
+    """(s, t, stop_at, cut) of every graph._min_cut_between call from now on."""
+    flows = []
+    real = graph_module._min_cut_between
+
+    def traced(out_arcs, in_arcs, head, cap, s, t, stop_at):
+        flows.append((s, t, stop_at, real(out_arcs, in_arcs, head, cap, s, t, stop_at)))
+        return flows[-1][-1]
+
+    monkeypatch.setattr(graph_module, "_min_cut_between", traced)
+    return flows
+
+
+def assert_prunes_only_idle_pairs(g: Graph, flows: list) -> list:
+    """Assert vertex_connectivity(g) gives every_pair_certificate(g) and runs
+    each pair whose cut lowers the bound, as that does; return the pairs run.
+    flows is traced_flows' list."""
+    flows.clear()
+    reference = every_pair_certificate(g)
+    gains = [(s, t, stop_at, cut) for s, t, stop_at, cut in flows if cut is not None]
+    flows.clear()
+    assert vertex_connectivity(g) == reference
+    assert [flow for flow in flows if flow[-1] is not None] == gains
+    return [(s, t) for s, t, _, _ in flows]
 
 
 class TestGraphBasics:
@@ -170,7 +266,7 @@ class TestVertexConnectivity:
                 assert not survivors_graph(g, cert.witness_cut).is_connected()
 
     def test_witness_cut_matches_the_oracle_on_random_graphs(self):
-        # the oracle walks the same pairs but finds each pair's cut by subset search
+        # the oracle walks every pair of the family and finds each pair's cut by subset search
         rng = np.random.default_rng(2024)
         for _ in range(200):
             n = int(rng.integers(2, 11))
@@ -193,22 +289,85 @@ class TestVertexConnectivity:
 
     def test_pair_loop_stops_at_the_empty_cut(self, monkeypatch):
         half = generate_preventive(30, 2, np.random.default_rng(5))
-        results = []
-        real = graph_module._min_cut_between
-
-        def counted(*args):
-            results.append(real(*args))
-            return results[-1]
-
-        monkeypatch.setattr(graph_module, "_min_cut_between", counted)
+        flows = traced_flows(monkeypatch)
         # an isolated pivot starts at the empty cut and runs no pair
         assert vertex_connectivity(Graph(31, half.edges)) == ConnectivityCertificate(0, frozenset())
-        assert results == []
+        assert flows == []
         # two disjoint copies: the pivot's first pair across them is the last pair run
         twins = Graph(60, half.edges | {(i + 30, j + 30) for i, j in half.edges})
         assert vertex_connectivity(twins) == ConnectivityCertificate(0, frozenset())
+        results = [cut for *_, cut in flows]
         assert results[-1] == frozenset()
         assert frozenset() not in results[:-1]
+
+    def test_pruning_changes_no_certificate_on_generated_graphs(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        attacks = LinkAttackSet.from_pairs([(0, 1), (2, 3), (5, 9), (10, 19), (4, 17)])
+        flows = traced_flows(monkeypatch)
+        for n in (20, 33, 50, 80, 120):
+            for f in (1, 2, 3):
+                for g in (generate_preventive(n, f, rng), generate_responsive(n, f, attacks, rng)):
+                    assert_prunes_only_idle_pairs(g, flows)
+
+    def test_pruning_changes_no_certificate_on_large_planted_separators(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        flows = traced_flows(monkeypatch)
+        for _ in range(30):
+            k = int(rng.integers(2, 6))
+            g = planted_separator(rng, k, int(rng.integers(k + 1, k + 25)),
+                                  int(rng.integers(k + 1, k + 25)))
+            assert_prunes_only_idle_pairs(g, flows)
+            assert g.certificate().kappa == k
+
+    def test_pruning_changes_no_certificate_when_kappa_drops_after_the_closure(self, monkeypatch):
+        # kappa is below the minimum degree, and on half the graphs or more the pivot's
+        # pairs skip a target before the first pair whose cut lowers the bound
+        rng = np.random.default_rng(8)
+        halves = [separated_halves(rng, half, f, k) for half in (20, 30, 45)
+                  for f in (1, 2) for k in range(1, 2 * f + 1)]
+        graphs = halves + [g.relabeled(rng.permutation(g.node_count)) for g in halves]
+        graphs += [pendant_pair(rng, n, f) for n in (20, 40, 70, 118) for f in (1, 2, 3)
+                   for _ in range(2)]
+        flows = traced_flows(monkeypatch)
+        early = 0
+        for g in graphs:
+            pivot = min(range(g.node_count), key=g.degree)
+            ran = assert_prunes_only_idle_pairs(g, flows)
+            drop = next(t for s, t, _, cut in flows if cut is not None)
+            assert g.certificate().kappa < g.degree(pivot)
+            early += any((pivot, w) not in ran for w in range(drop)
+                         if w != pivot and not g.has_edge(pivot, w))
+        assert early >= len(graphs) // 2
+
+    def test_pruning_keeps_every_neighbour_pair(self, monkeypatch):
+        # the only cuts below the pivot's own pairs' hold the pivot, and only
+        # pairs of its neighbours find them
+        rng = np.random.default_rng(12)
+        flows = traced_flows(monkeypatch)
+        for half in (20, 40):
+            for f in (2, 3):
+                for a in range(2, f + 1):
+                    for x in range(2 * a - 1):
+                        g = pivot_in_cut(rng, half, f, a, x)
+                        hub = 2 * half
+                        ran = assert_prunes_only_idle_pairs(g, flows)
+                        assert g.certificate() == ConnectivityCertificate(
+                            1 + x, frozenset(range(hub, hub + 1 + x)))
+                        nbrs = sorted(g.neighbors(hub))
+                        assert [(s, t) for s, t in ran if s != hub] == [
+                            (s, t) for s, t in combinations(nbrs, 2) if not g.has_edge(s, t)]
+
+    def test_baseline_large_graph_runs_few_max_flows(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        scenario, agent = workloads.build(workloads.load_specs()["baseline_large"]["inputs"], 1)
+        flows = traced_flows(monkeypatch)
+        ran = assert_prunes_only_idle_pairs(simulator._topology(scenario, agent, 0), flows)
+        # 16 of the pivot's 114 pairs, then its 10 non-adjacent neighbour pairs;
+        # checking every pair runs all 124
+        assert len(ran) <= 26
 
 
 class TestExtendGraph:

@@ -41,11 +41,13 @@ Sets (all of them when none is named):
           the saved file is digested as `attack/<type>/scenario.json`
   cert    `vertex_connectivity` on the baseline_large seed-1 graphs of
           periods 0-4; the 12-node graph whose only minimum cut holds the
-          pivot; three planted-separator graphs (two cliques joined through a
+          pivot; four planted-separator graphs (two cliques joined through a
           k-clique, each of whose nodes links one port of each side, so the
-          ports on either side are minimum cuts as well); and two
-          disconnected shapes: a preventive n=120 f=2 graph plus an isolated
-          node, and two disjoint preventive n=60 f=2 graphs
+          ports on either side are minimum cuts as well), the last with sides
+          of 20 and 30; two preventive n=30 f=2 graphs joined through 3 nodes,
+          so kappa drops below the minimum degree after the pivot's first
+          pairs; and two disconnected shapes: a preventive n=120 f=2 graph plus
+          an isolated node, and two disjoint preventive n=60 f=2 graphs
   engine  `mgnet run` baseline, 2 periods, on a supplied 48-node wheel (hub 0
           joined to the rim cycle 1-47) with 48 microgrids, f=2, and golden's
           explicit injection at the hub and at rim node 3: one neighbourhood
@@ -109,7 +111,7 @@ REFUSED_GRAPHS = (
 SPLIT_SHAPES = ((10, 1), (14, 1), (18, 1), (8, 2), (10, 2), (12, 2))
 PIVOT_CUT_EDGES = [*combinations(range(2, 7), 2), *combinations(range(7, 12), 2),
                    (0, 2), (0, 3), (0, 7), (0, 8), *((1, v) for v in (4, 5, 6, 9, 10, 11))]
-PLANTED_SHAPES = ((2, 5, 6), (3, 6, 5), (4, 7, 7))
+PLANTED_SHAPES = ((2, 5, 6), (3, 6, 5), (4, 7, 7), (4, 20, 30))
 INJECTIONS = ({"type": "explicit", "values": [30.0, -45.0, 60.0]},
               {"type": "constant", "value": 25.0},
               {"type": "uniform", "low": -50.0, "high": 50.0},
@@ -269,6 +271,17 @@ def planted_separator(k: int, p: int, q: int) -> Graph:
     return Graph.from_edges(k + p + q, edges).relabeled(perm)
 
 
+def separated_halves(k: int) -> Graph:
+    """Two preventive n=30 f=2 graphs (minimum degree 5) drawn from seed k, on
+    nodes 0-29 and 30-59, joined through nodes 60 to 59+k, of which node 60+i
+    links nodes 5i..5i+4 of either half."""
+    rng = np.random.default_rng(k)
+    a, b = generate_preventive(30, 2, rng), generate_preventive(30, 2, rng)
+    edges = [*a.edges, *((i + 30, j + 30) for i, j in b.edges),
+             *((60 + i, side + 5 * i + v) for i in range(k) for side in (0, 30) for v in range(5))]
+    return Graph.from_edges(60 + k, edges)
+
+
 def cert_set(work: Path) -> list[str]:
     inputs = workloads.load_specs()["baseline_large"]["inputs"]
     scenario, agent = workloads.build(inputs, 1)
@@ -277,6 +290,7 @@ def cert_set(work: Path) -> list[str]:
     graphs.append(("pivot-cut-n12", Graph.from_edges(12, PIVOT_CUT_EDGES)))
     graphs += [(f"planted-k{k}-p{p}-q{q}", planted_separator(k, p, q))
                for k, p, q in PLANTED_SHAPES]
+    graphs.append(("halves-n30-f2-sep3", separated_halves(3)))
     big = generate_preventive(120, 2, np.random.default_rng(1))
     half = generate_preventive(60, 2, np.random.default_rng(1))
     graphs.append(("n120-plus-isolated", Graph(121, big.edges)))
