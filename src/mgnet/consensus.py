@@ -90,14 +90,18 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
+def _rank_from(s: np.ndarray) -> np.ndarray:
+    """The rank cut: how many singular values exceed RANK_RTOL times the largest."""
+    return np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
+
+
 def numerical_rank(a: np.ndarray) -> int | np.ndarray:
     """Rank by singular values above RANK_RTOL times the largest.
 
     A stack of matrices, shape (..., rows, cols), gets one rank per
     matrix from _singular_values; a plain matrix gets an int.
     """
-    s = _singular_values(a)
-    ranks = np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
+    ranks = _rank_from(_singular_values(a))
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
@@ -116,8 +120,9 @@ def combine_neighborhood(weights: np.ndarray, values, injection: float | None = 
 class WeightMatrix:
     """Update weights constrained to the graph's sparsity pattern.
 
-    entries[i, j] may be nonzero only for j in N(i) or j = i; nothing
-    else about the values is assumed (no symmetry, no row sums).
+    entries[i, j] may be nonzero only for j in node i's selector, its
+    closed neighbourhood as the graph computed it once; nothing else
+    about the values is assumed (no symmetry, no row sums).
     entries is a read-only copy of the array passed in, so each observer's
     operator and the rank-split horizon at each fault-set size are memoised
     on it and stay valid. Two matrices are equal when their graphs and entry
@@ -138,8 +143,8 @@ class WeightMatrix:
             raise ValueError(f"weight matrix shape {w.shape} does not match {n} nodes")
         if not np.all(np.isfinite(w)):
             raise ValueError("weight entries must be finite")
-        off_pattern = (w != 0.0) & (self.graph.adjacency() == 0)
-        np.fill_diagonal(off_pattern, False)
+        off_pattern = w != 0.0
+        off_pattern.flat[[i * n + j for i in range(n) for j in self.selector(i)]] = False
         if off_pattern.any():
             i, j = np.argwhere(off_pattern)[0]
             raise ValueError(f"entry ({i}, {j}) is nonzero but the nodes are not neighbors")
@@ -157,7 +162,7 @@ class WeightMatrix:
 
     def selector(self, i: int) -> tuple[int, ...]:
         """Nodes whose values node i sees: itself plus neighbors, sorted."""
-        return tuple(sorted({i} | set(self.graph.neighbors(i))))
+        return self.graph.closed_neighborhood(i)
 
     @classmethod
     def from_dense(cls, matrix) -> "WeightMatrix":
@@ -367,7 +372,7 @@ def _split_holds(a: np.ndarray, n: int, s: np.ndarray | None = None) -> bool:
     SPLIT_PIN_MARGIN times the cut. Rounding moves s by about 1e-14 s[0], so
     any margin over 1 + 1e-4 covers both SVDs."""
     s = _singular_values(a) if s is None else s
-    r = np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
+    r = _rank_from(s)
     if np.any(r < n):
         return False
     m = a[..., n:]
@@ -425,7 +430,7 @@ def draw_weights(g: Graph, rng: np.random.Generator) -> WeightMatrix:
     n = g.node_count
     entries = np.zeros((n, n))
     for i in range(n):
-        for j in sorted({i} | set(g.neighbors(i))):
+        for j in g.closed_neighborhood(i):
             while abs(entries[i, j]) < WEIGHT_DEAD_ZONE:
                 entries[i, j] = float(rng.uniform(-1.0, 1.0))
     return WeightMatrix(entries, g)
@@ -512,7 +517,7 @@ def decode_known_faults(stack: ObservabilityStack, obs: ObservationRecord, fault
     if not rel <= RESIDUAL_TOL:
         raise DecodeInconsistencyError(
             f"fault set {key} leaves relative residual {rel:.3e} (tol {RESIDUAL_TOL:.1e})")
-    rank_a = int(np.sum(svals > RANK_RTOL * svals[0]))
+    rank_a = int(_rank_from(svals))
     if not _split_holds(a, n, svals):
         raise InternalInvariantError(
             f"fault hypothesis {key} explains the observations but does not pin down "
@@ -602,7 +607,6 @@ def metropolis_weights(g: Graph) -> WeightMatrix:
     for i, j in g.edges:
         v = 1.0 / (1.0 + max(degree[i], degree[j]))
         entries[i, j] = entries[j, i] = v
-    for i in range(n):
-        entries[i, i] = 1.0 - entries[i].sum()
+    np.fill_diagonal(entries, 1.0 - entries.sum(axis=1))
     return WeightMatrix(entries, g)
 

@@ -41,13 +41,14 @@ class Graph:
 
     Edges are stored normalized as (i, j) with i < j; the value is
     immutable and hashable so periods can share topologies safely. Each
-    node's neighbor set is derived from the edges once, at construction,
-    and the connectivity certificate once, on first request.
+    node's neighbors and sorted closed neighbourhood are derived from the
+    edges once, at construction, the certificate once, on first request.
     """
 
     node_count: int
     edges: frozenset[Edge]
     _neighbors: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    _closed: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _certificate: "ConnectivityCertificate | None" = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -61,6 +62,8 @@ class Graph:
             adjacent[i].add(j)
             adjacent[j].add(i)
         object.__setattr__(self, "_neighbors", tuple(frozenset(a) for a in adjacent))
+        object.__setattr__(self, "_closed",
+                           tuple(tuple(sorted(a | {i})) for i, a in enumerate(adjacent)))
 
     @classmethod
     def from_edges(cls, node_count: int, pairs) -> "Graph":
@@ -75,10 +78,17 @@ class Graph:
             return False
         return _norm_edge(i, j) in self.edges
 
-    def neighbors(self, i: int) -> frozenset[int]:
+    def _node(self, i: int) -> int:
         if not 0 <= i < self.node_count:
             raise ValueError(f"node {i} out of range for {self.node_count} nodes")
-        return self._neighbors[i]
+        return i
+
+    def neighbors(self, i: int) -> frozenset[int]:
+        return self._neighbors[self._node(i)]
+
+    def closed_neighborhood(self, i: int) -> tuple[int, ...]:
+        """Node i and its neighbors, sorted: the nodes whose values i sees."""
+        return self._closed[self._node(i)]
 
     def degree(self, i: int) -> int:
         return len(self.neighbors(i))
@@ -105,12 +115,6 @@ class Graph:
                     seen.add(w)
                     frontier.append(w)
         return len(seen) == self.node_count
-
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.node_count, self.node_count), dtype=int)
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = 1
-        return a
 
     def relabeled(self, perm) -> "Graph":
         """Apply the permutation node i -> perm[i]."""
@@ -336,9 +340,6 @@ class LinkAttackSet:
 
     def forbids(self, i: int, j: int) -> bool:
         return _norm_edge(i, j) in self.forbidden_edges
-
-    def touches(self, v: int) -> bool:
-        return any(v in e for e in self.forbidden_edges)
 
     def validate_range(self, node_count: int) -> None:
         for i, j in self.forbidden_edges:

@@ -7,15 +7,17 @@ quantity is a position in that payload, and names are given only where
 the period records are built.
 The engine is the broadcast medium. A controller is a row of its
 neighbourhood-size class: the class holds, for every controller whose
-closed neighbourhood has L nodes, its selector (that neighbourhood,
-sorted) and its restricted row of W, built once from the graph, so
-locality holds by construction. Each round every class gathers its rows
-of the round's states with one np.take and steps them with one
-np.vecdot. The rows must stay C-contiguous: vecdot then sums each with
-the same BLAS dot as combine_neighborhood, the per-node reference that
-run_updates steps, and the trajectories agree with it bit for bit. The
-engine counts the neighbour entries each gather reads, and adds the
-attack schedule's at(node, step) to the compromised controllers' updates.
+closed neighbourhood has L nodes, its selector (that neighbourhood, as
+the graph computed it once) and its restricted row of W, so locality
+holds by construction. Each round every class gathers its rows of the
+round's states with one np.take and steps them with one np.vecdot. The
+rows must stay C-contiguous: vecdot then sums each with the same BLAS
+dot as combine_neighborhood, the per-node reference that run_updates
+steps, and the trajectories agree with it bit for bit. The engine counts
+the neighbour entries each gather reads, and adds the attack schedule's
+at(node, step) to the compromised controllers' updates. The trajectories
+are its one record: a controller's observation is its neighbourhood's
+columns of them.
 
 Record conventions: in resilient modes the record's scalar totals are
 the mean of the per-controller decoded totals (every controller recovers
@@ -89,21 +91,16 @@ class SizeClass:
 
 @dataclass
 class EngineRun:
-    """A run's trajectories, its measured delivery count, and what each controller
-    gathered: blocks[c] is size class c's (quantity, step, row, L) record."""
+    """A run's trajectories on its graph and its measured delivery count."""
 
     trajectories: dict[str, np.ndarray]
     deliveries: int
-    classes: tuple[SizeClass, ...]
-    blocks: list[np.ndarray]
-    slots: dict[int, tuple[int, int]]
+    graph: Graph
 
     def observation(self, quantity: str, node: int) -> ObservationRecord:
-        """Node's K+1 gathered rows of quantity, copied out of its class's block."""
-        c, row = self.slots[node]
-        samples = self.blocks[c][QUANTITIES.index(quantity), :, row]
-        return ObservationRecord(node, tuple(self.classes[c].selectors[row].tolist()),
-                                 np.ascontiguousarray(samples))
+        """Node's K+1 snapshots of quantity: its neighbourhood's columns, one C-contiguous copy."""
+        sel = self.graph.closed_neighborhood(node)
+        return ObservationRecord(node, sel, np.take(self.trajectories[quantity], sel, axis=1))
 
 
 class RoundEngine:
@@ -112,8 +109,8 @@ class RoundEngine:
 
     The controllers are rows of neighbourhood-size classes, built once from
     the graph. Each round every class gathers its rows of the round's states
-    with one np.take, records them, and steps them with one np.vecdot;
-    deliveries counts the neighbour entries those gathers read.
+    with one np.take and steps them with one np.vecdot; deliveries counts
+    the neighbour entries those gathers read, the observation round's too.
     """
 
     def __init__(self, weights: WeightMatrix, profiles: tuple[MicrogridProfile, ...],
@@ -141,25 +138,20 @@ class RoundEngine:
         # states[pos] is one quantity's trajectory, row k its states at round k
         states = np.zeros((len(QUANTITIES), self.horizon + 1, self.graph.node_count))
         states[:, 0] = self.initial
-        blocks = [np.zeros((len(QUANTITIES), self.horizon + 1, *c.selectors.shape))
-                  for c in self.classes]
         deliveries = 0
         # an overflowing run is reported by the period's finiteness checks, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(self.horizon + 1):
-                for c, block in zip(self.classes, blocks):
+                for c in self.classes:
                     # np.take gives C-contiguous rows, so vecdot sums each as np.dot does
                     rows = np.take(states[:, k], c.selectors, axis=1)
-                    block[:, k] = rows
                     deliveries += rows.size - rows.shape[0] * rows.shape[1]
                     if k < self.horizon:
                         states[:, k + 1, c.nodes] = np.vecdot(c.weights, rows)
                 if k < self.horizon:
                     for j in self.schedule.faulty_nodes:
                         states[:, k + 1, j] += self.schedule.at(j, k)
-        slots = {int(i): (c, row) for c, cls in enumerate(self.classes)
-                 for row, i in enumerate(cls.nodes)}
-        return EngineRun(dict(zip(QUANTITIES, states)), deliveries, self.classes, blocks, slots)
+        return EngineRun(dict(zip(QUANTITIES, states)), deliveries, self.graph)
 
 
 @dataclass

@@ -1046,6 +1046,14 @@ class TestBaseline:
         assert np.array_equal(w.entries != 0, w.entries.T != 0)
         assert all(w.entries[i, i] >= 0 for i in range(6))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_metropolis_diagonal_is_each_row_summed_alone(self, seed):
+        # the per-row reference: 1 minus the row's off-diagonal entries, one row at a time
+        w = metropolis_weights(generate_preventive(120, 2, np.random.default_rng(seed)))
+        off = w.entries.copy()
+        np.fill_diagonal(off, 0.0)
+        assert np.diag(w.entries).tolist() == [1.0 - off[i].sum() for i in range(120)]
+
     def test_no_injection_converges_to_mean(self, ref_graph):
         rng = np.random.default_rng(55)
         s0 = rng.uniform(0, 100, 6)

@@ -170,16 +170,17 @@ class TestGatherMedium:
 
         monkeypatch.setattr(np, "vecdot", spy)
         engine = RoundEngine(ref_weights, golden().microgrids, InjectionSchedule.empty(3))
-        run = engine.run()
+        engine.run()
         # one step per class and update round, each over (quantity, row, L)
         assert stepped == [(2, *c.selectors.shape) for _ in range(3) for c in engine.classes]
-        for c, block in zip(engine.classes, run.blocks):
-            assert block.shape == (2, 4, *c.selectors.shape) and block.flags.c_contiguous
 
     def test_deliveries_are_the_neighbour_entries_gathered(self, ref_weights):
         inj = InjectionSchedule.from_values({3: [30.0, -45.0, 60.0]}, 3)
-        run = RoundEngine(ref_weights, golden().microgrids, inj).run()
-        gathered = sum(b.size - b.size // b.shape[-1] for b in run.blocks)
+        engine = RoundEngine(ref_weights, golden().microgrids, inj)
+        run = engine.run()
+        # each class of m rows of L entries reads m(L-1) neighbour entries per quantity and round
+        m_l = [c.selectors.shape for c in engine.classes]
+        gathered = 2 * (3 + 1) * sum(m * (size - 1) for m, size in m_l)
         # 2 quantities x 2 directions x 10 edges x 4 rounds
         assert run.deliveries == gathered == 2 * 2 * 10 * 4
 
