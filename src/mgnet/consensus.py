@@ -603,10 +603,9 @@ def metropolis_weights(g: Graph) -> WeightMatrix:
     """Classic averaging weights: w_ij = 1 / (1 + max degree of the pair)."""
     n = g.node_count
     entries = np.zeros((n, n))
-    degree = [g.degree(i) for i in range(n)]
-    for i, j in g.edges:
-        v = 1.0 / (1.0 + max(degree[i], degree[j]))
-        entries[i, j] = entries[j, i] = v
+    degree = np.array([g.degree(i) for i in range(n)])
+    i, j = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T
+    entries[i, j] = entries[j, i] = 1.0 / (1.0 + np.maximum(degree[i], degree[j]))
     np.fill_diagonal(entries, 1.0 - entries.sum(axis=1))
     return WeightMatrix(entries, g)
 

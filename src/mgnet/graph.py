@@ -392,8 +392,9 @@ def generate_preventive(n: int, f: int, rng: np.random.Generator) -> Graph:
     """
     m = _connectivity_target(n, f)
     order = [int(v) for v in rng.permutation(n)]
-    g = Graph(n, _grow(order[:m], order[m:], m, {}, rng))
-    return _certified(g.relabeled([int(p) for p in rng.permutation(n)]), m, "preventive")
+    edges = _grow(order[:m], order[m:], m, {}, rng)
+    perm = rng.permutation(n)
+    return _certified(Graph.from_edges(n, ((perm[i], perm[j]) for i, j in edges)), m, "preventive")
 
 
 def generate_responsive(n: int, f: int, attacks: LinkAttackSet, rng: np.random.Generator) -> Graph:

@@ -9,15 +9,15 @@ The engine is the broadcast medium. A controller is a row of its
 neighbourhood-size class: the class holds, for every controller whose
 closed neighbourhood has L nodes, its selector (that neighbourhood, as
 the graph computed it once) and its restricted row of W, so locality
-holds by construction. Each round every class gathers its rows of the
-round's states with one np.take and steps them with one np.vecdot. The
-rows must stay C-contiguous: vecdot then sums each with the same BLAS
-dot as combine_neighborhood, the per-node reference that run_updates
-steps, and the trajectories agree with it bit for bit. The engine counts
-the neighbour entries each gather reads, and adds the attack schedule's
-at(node, step) to the compromised controllers' updates. The trajectories
-are its one record: a controller's observation is its neighbourhood's
-columns of them.
+holds by construction. The states are kept in class order, so each round
+one np.take gathers every class's rows and each class steps them with
+one np.vecdot. The rows must stay C-contiguous: vecdot then sums each
+with the same BLAS dot as combine_neighborhood, the per-node reference
+that run_updates steps, and the trajectories agree with it bit for bit.
+The engine counts the neighbour entries each gather reads, and adds the
+attack schedule's at(node, step) to the compromised controllers'
+updates. The trajectories, in node order, are its one record: a
+controller's observation is its neighbourhood's columns of them.
 
 Record conventions: in resilient modes the record's scalar totals are
 the mean of the per-controller decoded totals (every controller recovers
@@ -91,7 +91,7 @@ class SizeClass:
 
 @dataclass
 class EngineRun:
-    """A run's trajectories on its graph and its measured delivery count."""
+    """A run's node-ordered, C-contiguous trajectories on its graph, and its delivery count."""
 
     trajectories: dict[str, np.ndarray]
     deliveries: int
@@ -108,9 +108,11 @@ class RoundEngine:
     weight matrix's graph and over the injection schedule's horizon K.
 
     The controllers are rows of neighbourhood-size classes, built once from
-    the graph. Each round every class gathers its rows of the round's states
-    with one np.take and steps them with one np.vecdot; deliveries counts
-    the neighbour entries those gathers read, the observation round's too.
+    the graph, and the states are kept in class order, each class on one
+    range of positions (position[node]). flat maps every class's selectors,
+    quantity by quantity, into a round's flattened states: each round one
+    np.take gathers every row, and deliveries counts the neighbour entries
+    each gather reads, the observation round's too.
     """
 
     def __init__(self, weights: WeightMatrix, profiles: tuple[MicrogridProfile, ...],
@@ -122,8 +124,6 @@ class RoundEngine:
         n = self.graph.node_count
         if len(profiles) != n:
             raise ValueError(f"{len(profiles)} profiles for a {n}-node graph")
-        self.initial = [[float(p.supply) for p in profiles],
-                        [float(p.critical_demand) for p in profiles]]
         by_size: dict[int, list[int]] = {}
         for i in range(n):
             by_size.setdefault(len(weights.selector(i)), []).append(i)
@@ -133,25 +133,40 @@ class RoundEngine:
             sel = np.array([weights.selector(i) for i in nodes])
             classes.append(SizeClass(nodes, sel, weights.entries[nodes[:, None], sel]))
         self.classes = tuple(classes)
+        order = np.concatenate([c.nodes for c in classes])
+        # not np.argsort(order): its first call maps in about 0.4 MB of sort code
+        self.position = np.empty(n, dtype=np.intp)
+        self.position[order] = np.arange(n)
+        self.flat = np.concatenate([(self.position[c.selectors] + q * n).ravel()
+                                    for c in classes for q in range(len(QUANTITIES))])
+        self.initial = np.array([(p.supply, p.critical_demand) for p in profiles], float).T[:, order]
 
     def run(self) -> EngineRun:
-        # states[pos] is one quantity's trajectory, row k its states at round k
-        states = np.zeros((len(QUANTITIES), self.horizon + 1, self.graph.node_count))
-        states[:, 0] = self.initial
+        q, n = len(QUANTITIES), self.graph.node_count
+        # states[k] is round k's (quantity, position) states, in class order
+        states = np.empty((self.horizon + 1, q, n))
+        states[0] = self.initial
+        rows, nxt = np.empty(self.flat.size), np.empty((q, n))
+        # per class: a C-contiguous (quantity, m, L) view of rows and a (quantity, m) one of nxt
+        blocks = np.split(rows, np.cumsum([q * c.selectors.size for c in self.classes])[:-1])
+        outs = np.split(nxt, np.cumsum([c.nodes.size for c in self.classes])[:-1], axis=1)
+        steps = [(c.weights, block.reshape(q, *c.selectors.shape), out)
+                 for c, block, out in zip(self.classes, blocks, outs)]
         deliveries = 0
         # an overflowing run is reported by the period's finiteness checks, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(self.horizon + 1):
-                for c in self.classes:
-                    # np.take gives C-contiguous rows, so vecdot sums each as np.dot does
-                    rows = np.take(states[:, k], c.selectors, axis=1)
-                    deliveries += rows.size - rows.shape[0] * rows.shape[1]
-                    if k < self.horizon:
-                        states[:, k + 1, c.nodes] = np.vecdot(c.weights, rows)
+                # flat is in range by construction; mode="raise" would gather into a temporary
+                np.take(states[k].reshape(-1), self.flat, out=rows, mode="wrap")
+                deliveries += rows.size - q * n
                 if k < self.horizon:
+                    for w, block, out in steps:
+                        np.vecdot(w, block, out=out)
+                    states[k + 1] = nxt
                     for j in self.schedule.faulty_nodes:
-                        states[:, k + 1, j] += self.schedule.at(j, k)
-        return EngineRun(dict(zip(QUANTITIES, states)), deliveries, self.graph)
+                        states[k + 1, :, self.position[j]] += self.schedule.at(j, k)
+        trajectories = np.take(states.transpose(1, 0, 2), self.position, axis=2)
+        return EngineRun(dict(zip(QUANTITIES, trajectories)), deliveries, self.graph)
 
 
 @dataclass

@@ -1054,6 +1054,16 @@ class TestBaseline:
         np.fill_diagonal(off, 0.0)
         assert np.diag(w.entries).tolist() == [1.0 - off[i].sum() for i in range(120)]
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_metropolis_off_diagonal_is_the_pair_formula(self, seed):
+        g = generate_preventive(120, 2, np.random.default_rng(seed))
+        w = metropolis_weights(g)
+        want = np.zeros((120, 120))
+        for i, j in g.edges:
+            want[i, j] = want[j, i] = 1.0 / (1.0 + max(g.degree(i), g.degree(j)))
+        np.fill_diagonal(want, np.diag(w.entries))
+        assert w.entries.tobytes() == want.tobytes()
+
     def test_no_injection_converges_to_mean(self, ref_graph):
         rng = np.random.default_rng(55)
         s0 = rng.uniform(0, 100, 6)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mgnet import graph as graph_module
 from mgnet import (
     Graph,
     InfeasibleTopologyError,
@@ -58,6 +59,23 @@ class TestPreventive:
         a = generate_preventive(9, 1, np.random.default_rng(123))
         b = generate_preventive(9, 1, np.random.default_rng(123))
         assert a == b
+
+    @pytest.mark.parametrize("n, f", [(9, 1), (40, 2)])
+    def test_one_graph_built_per_call(self, n, f, monkeypatch):
+        # the grown edges relabelled by the second permutation, as Graph.relabeled maps them
+        rng = np.random.default_rng(n)
+        order = [int(v) for v in rng.permutation(n)]
+        grown = Graph(n, graph_module._grow(order[:2 * f + 1], order[2 * f + 1:], 2 * f + 1, {}, rng))
+        want = grown.relabeled(rng.permutation(n))
+        built, post_init = [], Graph.__post_init__
+
+        def counted(self):
+            built.append(self.node_count)
+            post_init(self)
+
+        monkeypatch.setattr(Graph, "__post_init__", counted)
+        assert generate_preventive(n, f, np.random.default_rng(n)) == want
+        assert built == [n]
 
     def test_layout_varies_with_seed(self):
         graphs = {generate_preventive(9, 1, np.random.default_rng(s)) for s in range(6)}

@@ -116,6 +116,26 @@ class TestEngineFaithfulness:
             assert run.trajectories[q].tobytes() == run_updates(w, start, inj, steps).tobytes()
         assert run.deliveries == 2 * 2 * len(g.edges) * (steps + 1)
 
+    def test_class_ordered_states_are_returned_in_node_order(self):
+        # classes whose order is not node order, nor an involution of it, and injections
+        # at a node of the smallest and of the largest class
+        rng = np.random.default_rng(4)
+        w = metropolis_weights(generate_responsive(30, 1, LinkAttackSet(), rng))
+        profiles = bench_profiles(30, rng)
+        classes = RoundEngine(w, profiles, InjectionSchedule.empty(1)).classes
+        order = np.concatenate([c.nodes for c in classes])
+        assert len(classes) >= 3 and not np.array_equal(order[order], np.arange(30))
+        injected = (int(classes[0].nodes[-1]), int(classes[-1].nodes[0]))
+        steps = 12
+        inj = InjectionSchedule.from_values(
+            {j: rng.normal(0.0, 40.0, steps).tolist() for j in injected}, steps)
+        run = RoundEngine(w, profiles, inj).run()
+        starts = {"supply": [p.supply for p in profiles],
+                  "demand": [p.critical_demand for p in profiles]}
+        for q, start in starts.items():
+            assert run.trajectories[q].flags.c_contiguous
+            assert run.trajectories[q].tobytes() == run_updates(w, start, inj, steps).tobytes()
+
     def test_engine_validates_its_inputs(self, ref_weights):
         sc = golden()
         with pytest.raises(ValueError, match="profiles"):
@@ -163,10 +183,10 @@ class TestGatherMedium:
     def test_each_recorded_row_is_one_contiguous_gather(self, monkeypatch, ref_weights):
         vecdot, stepped = np.vecdot, []
 
-        def spy(weights, rows):
+        def spy(weights, rows, **kwargs):
             stepped.append(rows.shape)
             assert rows.flags.c_contiguous and weights.flags.c_contiguous
-            return vecdot(weights, rows)
+            return vecdot(weights, rows, **kwargs)
 
         monkeypatch.setattr(np, "vecdot", spy)
         engine = RoundEngine(ref_weights, golden().microgrids, InjectionSchedule.empty(3))
@@ -207,8 +227,18 @@ class TestGatherMedium:
         weights = rng.normal(0.0, 1.0, (7, size))
         rows = np.take(states[:, 1], sel, axis=1)
         got = np.vecdot(weights, rows)
-        want = [[np.dot(weights[j], states[q, 1, sel[j]]) for j in range(7)] for q in range(2)]
-        assert got.tobytes() == np.array(want).tobytes()
+        want = np.array([[np.dot(weights[j], states[q, 1, sel[j]]) for j in range(7)]
+                         for q in range(2)])
+        assert got.tobytes() == want.tobytes()
+        # the engine's form: a (quantity, row, L) view, at an odd offset, of one flat take over
+        # a round's states, stepped through out= into a strided (quantity, row) view
+        round_states = np.ascontiguousarray(states[:, 1])
+        flat = np.concatenate([rng.integers(0, 100, 5), sel.ravel(), (sel + 50).ravel()])
+        gathered = np.empty(flat.size)
+        np.take(round_states.reshape(-1), flat, out=gathered, mode="wrap")
+        nxt = np.full((2, 50), np.nan)
+        np.vecdot(weights, gathered[5:].reshape(2, 7, size), out=nxt[:, 20:27])
+        assert nxt[:, 20:27].tobytes() == want.tobytes()
 
 
 class TestAgentBlindness:
