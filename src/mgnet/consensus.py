@@ -105,17 +105,6 @@ def numerical_rank(a: np.ndarray) -> int | np.ndarray:
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
-def combine_neighborhood(weights: np.ndarray, values, injection: float | None = None) -> float:
-    """One node's update: its row of W on its closed neighbourhood dotted with that
-    neighbourhood's values, both in selector order, plus a compromised node's injection.
-    It is the per-node reference: run_updates steps every node through it,
-    and the round engine's batched np.vecdot over contiguous rows must match
-    it bit for bit. values must be a contiguous 1-D row: a strided view
-    changes the order in which BLAS sums the dot product."""
-    nxt = float(np.dot(weights, values))
-    return nxt if injection is None else nxt + injection
-
-
 @dataclass(frozen=True)
 class WeightMatrix:
     """Update weights constrained to the graph's sparsity pattern.
@@ -370,7 +359,9 @@ def _split_holds(a: np.ndarray, n: int, s: np.ndarray | None = None) -> bool:
     Rank r < n fails. With z nonzero columns in M, interlacing (sigma_z(M) >=
     sigma_{n+z}([O M])) pins rank(M) = z when r = n + z and s[r-1] exceeds
     SPLIT_PIN_MARGIN times the cut. Rounding moves s by about 1e-14 s[0], so
-    any margin over 1 + 1e-4 covers both SVDs."""
+    any margin over 1 + 1e-4 covers both SVDs. A batch passes exactly when
+    each of its matrices passes alone, so the scan may send it any subset of
+    the fault sets, such as those _split_certified leaves open."""
     s = _singular_values(a) if s is None else s
     r = _rank_from(s)
     if np.any(r < n):
@@ -382,13 +373,74 @@ def _split_holds(a: np.ndarray, n: int, s: np.ndarray | None = None) -> bool:
     return bool(not rest.any() or np.all(r[rest] == n + numerical_rank(m[rest])))
 
 
+def _split_certified(o: np.ndarray, injection: np.ndarray, fault_cols: np.ndarray) -> np.ndarray:
+    """Which fault sets a lower bound on sigma_min([O M^Y]) proves pass _split_holds.
+
+    fault_cols holds each set's columns of injection, one row per set, and
+    M_nz is the z columns of M^Y that are not exactly zero (the test of
+    _split_holds). One full SVD of O gives a = sigma_n(O) and P = U[:, n:],
+    a basis of the complement of col(O), and Q = [U[:, :n] P] makes Q^T [O M]
+    block triangular, [[R, X], [0, P^T M]] with R = diag(s) V^T. So, with
+    b = sigma_min(P^T M_nz),
+
+        sigma_{n+z}([O M]) >= 1 / (1/a + (1 + ||R^-1 X||_F) / b).
+
+    O^+ injection and the Gram matrix of P^T injection are formed once. Each
+    set's ||R^-1 X||_F = ||O^+ M||_F gains rows eps ||M||_F / a for rounding,
+    and its b is the square root of the smallest eigenvalue of its z x z
+    principal submatrix (a zero column's diagonal entry is set to the trace,
+    which leaves that eigenvalue alone), less (rows + z) eps trace, the
+    rounding of forming and solving the Gram matrix: without it exactly
+    dependent projected columns read b ~ 1e-8 ||M||, above the cut. A set is
+    accepted when the bound, less rows (n + z) eps ||A||_F for every other
+    rounding, exceeds SPLIT_PIN_MARGIN RANK_RTOL ||A||_F >= the pin cut on
+    sigma_1(A): the SVD in _split_holds then gives r = n + z, pinned. Sets of
+    size 0, and every set when O is singular, are left open."""
+    eps = np.finfo(float).eps
+    rows, n = o.shape
+    u, s, vt = np.linalg.svd(o)
+    a = s[-1]
+    if not (a > 0 and fault_cols.size):
+        return np.zeros(len(fault_cols), dtype=bool)
+    projected = u[:, n:].T @ injection
+    coeffs = (vt.T / s) @ (u[:, :n].T @ injection)
+    nonzero = np.any(injection != 0, axis=0)[fault_cols]
+    gram = (projected.T @ projected)[fault_cols[:, :, None], fault_cols[:, None, :]]
+    trace = np.trace(gram, axis1=1, axis2=2)
+    diag = np.arange(fault_cols.shape[1])
+    gram[:, diag, diag] = np.where(nonzero, gram[:, diag, diag], trace[:, None])
+    z = np.count_nonzero(nonzero, axis=-1)
+    b = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, 0] - (rows + z) * eps * trace, 0.0))
+    m_fro = np.sqrt(np.einsum("ij,ij->j", injection, injection)[fault_cols].sum(-1))
+    a_fro = np.sqrt(np.vdot(o, o) + m_fro ** 2)
+    zeta = np.sqrt(np.einsum("ij,ij->j", coeffs, coeffs)[fault_cols].sum(-1)) + rows * eps * m_fro / a
+    bound = a * b / (b + a * (1 + zeta))
+    return bound - rows * (n + z) * eps * a_fro > SPLIT_PIN_MARGIN * RANK_RTOL * a_fro
+
+
+def _observer_splits(rows: np.ndarray, cols: np.ndarray, n: int, certify: bool) -> bool:
+    """Whether one observer splits every fault set at one horizon K: rows is the
+    leading q(K+1) rows and n(K+1) columns of its operator, and cols holds each
+    set's columns of [O M^Y] in it. Fewer than n rows fail with no SVD. With
+    certify, only the sets _split_certified leaves open go to _split_holds, as
+    one batch; the verdict is the same, since _split_holds passes a batch exactly
+    when it passes each of its matrices."""
+    if len(rows) < n:
+        return False
+    if certify:
+        cols = cols[~_split_certified(rows[:, :n], rows[:, n:], cols[:, n:] - n)]
+    return not len(cols) or _split_holds(np.moveaxis(rows[:, cols], 1, 0), n)
+
+
 def _scan_split_horizons(w: WeightMatrix, subset_size: int) -> int | None:
     """First K in 1..n+2 at which every observer splits every node set of
     subset_size, or None. Every [O M^Y] is gathered from the leading rows of
-    the observer's memoised operator, the one the decoders read; fewer than
-    n rows fail with no SVD. Observers that see the fewest neighbours are
-    the likeliest to fail, so they go first, one at a time: a failing horizon
-    stops at its first failing observer. _singular_values splits each batch."""
+    the observer's memoised operator, the one the decoders read. Observers
+    that see the fewest neighbours are the likeliest to fail, so they go
+    first, one at a time: a failing horizon stops at its first failing
+    observer. The first observer, where nearly every failing K stops, runs
+    _split_holds on its whole batch; each later one first skips the SVDs of
+    the sets _split_certified proves, which leaves every verdict as it was."""
     n = w.n
     cap = default_k_max(n)
     subsets = np.array(list(combinations(range(n), subset_size)), dtype=int)
@@ -397,10 +449,8 @@ def _scan_split_horizons(w: WeightMatrix, subset_size: int) -> int | None:
     blocks = [(len(w.selector(i)), _operator(w, i)) for i in observers]
     for k in range(1, cap + 1):
         cols = np.hstack([state, n + _injection_columns(n, k, subsets)])
-        for q, block in blocks:
-            if q * (k + 1) < n or not _split_holds(np.moveaxis(block[:q * (k + 1), cols], 1, 0), n):
-                break
-        else:
+        if all(_observer_splits(block[:q * (k + 1), :n * (k + 1)], cols, n, certify=j > 0)
+               for j, (q, block) in enumerate(blocks)):
             return k
     return None
 
@@ -437,7 +487,14 @@ def draw_weights(g: Graph, rng: np.random.Generator) -> WeightMatrix:
 
 
 def run_updates(w: WeightMatrix, initial, inj: InjectionSchedule, k: int) -> np.ndarray:
-    """Compact-form iteration: rows (K+1, n), row k is the state at step k."""
+    """Compact-form iteration: rows (K+1, n), row k is the state at step k.
+
+    It is the per-node reference: each node's update is np.dot of its row of W
+    on its closed neighbourhood with that neighbourhood's values, both in
+    selector order, plus a compromised node's injection, and the round
+    engine's batched np.vecdot over contiguous rows must match it bit for bit.
+    The values are a contiguous 1-D row (a fancy-indexed copy): a strided view
+    changes the order in which BLAS sums the dot product."""
     start = np.asarray(initial, dtype=float)
     if start.shape != (w.n,):
         raise ValueError(f"initial state must have shape ({w.n},)")
@@ -449,7 +506,9 @@ def run_updates(w: WeightMatrix, initial, inj: InjectionSchedule, k: int) -> np.
     traj[0] = start
     for step in range(k):
         for i, sel in enumerate(selectors):
-            traj[step + 1, i] = combine_neighborhood(rows[i], traj[step, sel], inj.at(i, step))
+            nxt = float(np.dot(rows[i], traj[step, sel]))
+            injection = inj.at(i, step)
+            traj[step + 1, i] = nxt if injection is None else nxt + injection
     return traj
 
 

@@ -116,13 +116,6 @@ class Graph:
                     frontier.append(w)
         return len(seen) == self.node_count
 
-    def relabeled(self, perm) -> "Graph":
-        """Apply the permutation node i -> perm[i]."""
-        perm = [int(p) for p in perm]
-        if sorted(perm) != list(range(self.node_count)):
-            raise ValueError("perm must be a permutation of the node ids")
-        return Graph.from_edges(self.node_count, ((perm[i], perm[j]) for i, j in self.edges))
-
     def to_edge_list_text(self) -> str:
         lines = [f"# nodes {self.node_count}"]
         lines.extend(f"{i} {j}" for i, j in sorted(self.edges))
@@ -337,9 +330,6 @@ class LinkAttackSet:
     @classmethod
     def from_pairs(cls, pairs) -> "LinkAttackSet":
         return cls(frozenset(_norm_edge(int(i), int(j)) for i, j in pairs))
-
-    def forbids(self, i: int, j: int) -> bool:
-        return _norm_edge(i, j) in self.forbidden_edges
 
     def validate_range(self, node_count: int) -> None:
         for i, j in self.forbidden_edges:

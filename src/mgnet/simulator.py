@@ -12,8 +12,8 @@ the graph computed it once) and its restricted row of W, so locality
 holds by construction. The states are kept in class order, so each round
 one np.take gathers every class's rows and each class steps them with
 one np.vecdot. The rows must stay C-contiguous: vecdot then sums each
-with the same BLAS dot as combine_neighborhood, the per-node reference
-that run_updates steps, and the trajectories agree with it bit for bit.
+with the same BLAS dot as the per-node np.dot of run_updates, the
+reference, and the trajectories agree with it bit for bit.
 The engine counts the neighbour entries each gather reads, and adds the
 attack schedule's at(node, step) to the compromised controllers'
 updates. The trajectories, in node order, are its one record: a

@@ -1,5 +1,6 @@
 """Shared fixtures (the six-microgrid reference system) and test helpers."""
 
+import importlib.util
 import os
 from pathlib import Path
 
@@ -58,12 +59,26 @@ def ref_csv_text() -> str:
     return "\n".join(",".join(repr(float(v)) for v in row) for row in REF_W) + "\n"
 
 
+def relabeled(g: Graph, perm) -> Graph:
+    """g with node i renamed perm[i]."""
+    return Graph.from_edges(g.node_count, ((int(perm[i]), int(perm[j])) for i, j in g.edges))
+
+
 def survivors_graph(g: Graph, cut) -> Graph:
     """What is left of g once the nodes in cut are removed, relabelled 0..m-1 in order."""
     keep = sorted(set(range(g.node_count)) - cut)
     index = {v: pos for pos, v in enumerate(keep)}
     return Graph.from_edges(len(keep), ((index[i], index[j]) for i, j in g.edges
                                         if i in index and j in index))
+
+
+def bench_workloads():
+    """The benchmark's recipe module, bench/workloads.py, loaded from this checkout."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def checkout_env() -> dict:

@@ -2,9 +2,11 @@
 
 Everything here is built from first principles on plain ints, sets and
 dense numpy arrays. No imports from the package under test: the whole
-point is that these share no code path with what they certify. The one
-exception, unscreened_unknown_decode, is handed the single-hypothesis
-solve as an argument and certifies only the sweep built around it.
+point is that these share no code path with what they certify. The two
+exceptions are handed package code as arguments and certify only what is
+built around it: unscreened_unknown_decode gets the single-hypothesis
+solve and checks the sweep, and plain_split_scan gets the operators and
+the batch split test and checks the rank-split scan's order and verdicts.
 """
 
 import json
@@ -234,6 +236,36 @@ def split_horizon_oracle(w: np.ndarray, subset_size: int, k_max: int, rtol: floa
         if feasible:
             return k
     return None
+
+
+def plain_split_scan(w, subset_size: int, operator, split_holds) -> tuple[int | None, list]:
+    """The rank-split scan with no bound: the first K in 1..n+2 at which every
+    observer splits every node set of subset_size, or None, and the
+    (K, observer, verdict) of every check it made, in order.
+
+    w needs only n and selector(i). Observers go by how many nodes they see,
+    fewest first, and a horizon stops at its first failing observer. An
+    observer with fewer than n stacked rows fails; otherwise its verdict is
+    split_holds(batch, n) on the [O M^Y] of every set Y at once, gathered
+    from operator(i), its [O | injection] at the cap, with Y's injection
+    columns step-major.
+    """
+    n = w.n
+    subsets = list(combinations(range(n), subset_size))
+    observers = sorted(range(n), key=lambda i: len(w.selector(i)))
+    verdicts = []
+    for k in range(1, n + 3):
+        cols = np.array([[*range(n), *(n + s * n + y for s in range(k) for y in ys)]
+                         for ys in subsets], dtype=int).reshape(len(subsets), -1)
+        for i in observers:
+            rows = len(w.selector(i)) * (k + 1)
+            ok = rows >= n and bool(split_holds(np.moveaxis(operator(i)[:rows, cols], 1, 0), n))
+            verdicts.append((k, i, ok))
+            if not ok:
+                break
+        else:
+            return k, verdicts
+    return None, verdicts
 
 
 # the largest prime below 2**25: a product of two residues is below 2**50, so

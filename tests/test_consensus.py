@@ -26,6 +26,7 @@ from mgnet import (
     generate_preventive,
     metropolis_weights,
     run_updates,
+    simulator,
     synthesize_weights,
     verify_candidate_uniqueness,
     verify_rank_condition,
@@ -34,16 +35,16 @@ from mgnet.consensus import (
     AGREEMENT_RTOL,
     RANK_RTOL,
     WEIGHT_DEAD_ZONE,
-    combine_neighborhood,
     numerical_rank,
 )
 
-from conftest import REF_SUPPLIES, REF_W
+from conftest import REF_SUPPLIES, REF_W, bench_workloads
 from oracles import (
     brute_force_connectivity,
     gf_split_horizon_oracle,
     matrix_iteration_oracle,
     observability_index_oracle,
+    plain_split_scan,
     random_field_weights,
     rank_mod_p,
     split_horizon_oracle,
@@ -535,6 +536,116 @@ class TestSplitPin:
         assert leading and 0 not in leading
 
 
+# (n, f) of the `split` set of tools/artifact_digest.py; (14, 1) and (10, 2) are the
+# resilient benchmark workloads' shapes, so their draws are the workloads' own
+SPLIT_SHAPES = [(10, 1), (14, 1), (18, 1), (8, 2), (10, 2), (12, 2)]
+
+
+def _split_draws(n: int, f: int, seed: int) -> list[WeightMatrix]:
+    """The first three weight draws of period 0's synthesis in the resilient_f<f>
+    recipe at n nodes, as the digest tool's `split` set takes them."""
+    workloads = bench_workloads()
+    inputs = {**workloads.load_specs()[f"resilient_f{f}"]["inputs"], "n": n}
+    scenario, agent = workloads.build(inputs, seed)
+    g = simulator._topology(scenario, agent, 0)
+    rng = simulator._rng(scenario.seed, 0, simulator._WEIGHT_STREAM)
+    return [consensus.draw_weights(g, rng) for _ in range(3)]
+
+
+class TestCertifiedSplit:
+    """After each horizon's first observer, the scan skips the SVD of every
+    fault set whose split a lower bound on sigma_min([O M^Y]) proves, and
+    sends only the rest to _split_holds: every verdict stays the plain scan's."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        # (stacked rows, verdict) of every (K, observer) check the scan makes
+        made = []
+        splits = consensus._observer_splits
+        def recorded(rows, cols, n, certify):
+            made.append((len(rows), splits(rows, cols, n, certify)))
+            return made[-1][1]
+        monkeypatch.setattr(consensus, "_observer_splits", recorded)
+        return made
+
+    @pytest.fixture
+    def bounds(self, monkeypatch):
+        # (o, injection, fault_cols, accepted) of every call of the bound
+        calls = []
+        certified = consensus._split_certified
+        def recorded(o, injection, fault_cols):
+            calls.append((o, injection, fault_cols, certified(o, injection, fault_cols)))
+            return calls[-1][3]
+        monkeypatch.setattr(consensus, "_split_certified", recorded)
+        return calls
+
+    def _assert_plain_verdicts(self, w, size, checks):
+        expected, verdicts = plain_split_scan(w, size, lambda i: consensus._operator(w, i),
+                                              consensus._split_holds)
+        checks.clear()
+        assert consensus._scan_split_horizons(w, size) == expected
+        assert checks == [(len(w.selector(i)) * (k + 1), ok) for k, i, ok in verdicts]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("n, f", SPLIT_SHAPES)
+    def test_verdicts_equal_the_plain_scan_on_the_split_draws(self, n, f, seed, checks):
+        for w in _split_draws(n, f, seed):
+            for size in (2 * f, f):
+                self._assert_plain_verdicts(w, size, checks)
+
+    @pytest.mark.parametrize("n, f, seed", [(14, 1, 5), (10, 2, 6)])
+    def test_verdicts_equal_the_plain_scan_on_synthesized_draws(self, n, f, seed, checks):
+        rng = np.random.default_rng(seed)
+        w = synthesize_weights(generate_preventive(n, f, rng), f, rng)
+        for size in (2 * f, f):
+            self._assert_plain_verdicts(w, size, checks)
+
+    @pytest.mark.parametrize("g, f", CAP_FAILING_GRAPHS)
+    def test_verdicts_equal_the_plain_scan_where_no_horizon_passes(self, g, f, checks):
+        w = consensus.draw_weights(g, np.random.default_rng(9))
+        for size in (2 * f, f):
+            self._assert_plain_verdicts(w, size, checks)
+
+    @pytest.mark.parametrize("n, f", SPLIT_SHAPES)
+    def test_every_accepted_set_passes_split_holds(self, n, f, bounds):
+        # _split_holds passes a batch exactly when it passes each matrix of it,
+        # so one call over the accepted sets checks each one on its own
+        for w in _split_draws(n, f, 1):
+            consensus._scan_split_horizons(w, 2 * f)
+        assert bounds and any(accepted.any() for *_, accepted in bounds)
+        for o, injection, fault_cols, accepted in bounds:
+            a = np.hstack([o, injection])
+            cols = np.hstack([np.broadcast_to(np.arange(n), (len(fault_cols), n)), n + fault_cols])
+            if accepted.any():
+                assert consensus._split_holds(np.moveaxis(a[:, cols[accepted]], 1, 0), n)
+
+    def test_exactly_dependent_projected_columns_fall_back(self):
+        # M = [c, c + O v]: both columns leave col(O) along the same direction, so
+        # [O M] has rank n + 1 with z = 2 and fails. The projected Gram matrix is
+        # singular; its computed smallest eigenvalue is rounding, about eps times
+        # its trace, and only the rounding allowance keeps that from reading as
+        # b ~ 1e-8 ||M||, far above the cut
+        rng = np.random.default_rng(26)
+        for _ in range(40):
+            o = rng.standard_normal((8, 3))
+            c = rng.standard_normal(8)
+            injection = np.column_stack([c, c + o @ rng.standard_normal(3)])
+            a = np.hstack([o, injection])
+            assert not consensus._split_holds(a, 3)
+            assert not consensus._split_certified(o, injection, np.array([[0, 1]])).any()
+
+    def test_bound_settles_most_pairs_at_the_passing_horizon(self, bounds):
+        # the resilient_f1 workload's first draw of seed 1, period 0
+        w = _split_draws(14, 1, 1)[0]
+        k = consensus._scan_split_horizons(w, 2)
+        assert k == 10
+        passing = [accepted for o, injection, _, accepted in bounds if injection.shape[1] == w.n * k]
+        # every observer but the first: 13 of them, 91 pairs each
+        assert len(passing) == w.n - 1
+        settled = sum(int(a.sum()) for a in passing)
+        assert settled >= 0.8 * sum(a.size for a in passing)
+
+
 HOST_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
@@ -569,17 +680,18 @@ class TestParallelSplit:
     def test_chunks_equal_one_batched_svd(self, passing_draw, cores, monkeypatch):
         w, f = passing_draw
         batches = []
-        holds = consensus._split_holds
-        monkeypatch.setattr(consensus, "_split_holds",
-                            lambda a, n: batches.append(a) or holds(a, n))
+        singular_values = consensus._singular_values
+        monkeypatch.setattr(consensus, "_singular_values",
+                            lambda a: batches.append(a) or singular_values(a))
         assert consensus._scan_split_horizons(w, 2 * f) == w.n - 2 * f - 2
-        # the passing horizon checks every observer, each with one batch
-        passing = batches[-w.n:]
-        assert all(len(a) == len(list(combinations(range(w.n), 2 * f))) for a in passing)
+        # each horizon's first observer sends its full batch, and each later one
+        # the sets the bound leaves open: every batch the scan split is checked
+        full = len(list(combinations(range(w.n), 2 * f)))
+        assert any(len(a) == full for a in batches) and any(len(a) < full for a in batches)
         for count in (1, 2, 3, HOST_CORES):
             cores(count)
-            for a in passing:
-                chunked = consensus._singular_values(a)
+            for a in batches:
+                chunked = singular_values(a)
                 assert chunked.tobytes() == np.linalg.svd(a, compute_uv=False).tobytes()
 
     def test_scan_does_not_depend_on_the_core_count(self, passing_draw, cores):
@@ -1097,13 +1209,3 @@ class TestNumericsHelpers:
         stack = np.stack([np.zeros((3, 3)), a, np.eye(3) * 1e-30])
         assert numerical_rank(stack).tolist() == [0, 2, 3]
         assert numerical_rank(np.zeros((4, 3, 0))).tolist() == [0, 0, 0, 0]
-
-    def test_combine_neighborhood_is_a_masked_dot(self):
-        # the weights come already restricted to the closed neighbourhood
-        weights = np.array([2.0, -1.0, 0.5])
-        vals = np.array([10.0, 3.0, 4.0])
-        mixed = 2.0 * 10.0 + (-1.0) * 3.0 + 0.5 * 4.0
-        assert combine_neighborhood(weights, vals) == mixed
-        assert type(combine_neighborhood(weights, vals)) is float
-        assert combine_neighborhood(weights, vals, 1.5) == mixed + 1.5
-        assert combine_neighborhood(weights, vals, None) == mixed

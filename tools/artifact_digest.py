@@ -268,7 +268,7 @@ def planted_separator(k: int, p: int, q: int) -> Graph:
     edges = [*combinations(sep, 2), *combinations(a, 2), *combinations(b, 2),
              *((i, a[i]) for i in sep), *((i, b[i]) for i in sep)]
     perm = np.random.default_rng(k).permutation(k + p + q)
-    return Graph.from_edges(k + p + q, edges).relabeled(perm)
+    return Graph.from_edges(k + p + q, ((perm[i], perm[j]) for i, j in edges))
 
 
 def separated_halves(k: int) -> Graph:
