@@ -248,6 +248,15 @@ class ObservationRecord:
             raise ValueError("samples must be (steps+1) x len(selector)")
 
 
+def check_nodes(nodes, n: int) -> None:
+    """Raise ValueError naming the first of nodes outside 0..n-1 or repeated."""
+    for i, v in enumerate(nodes):
+        if not 0 <= v < n:
+            raise ValueError(f"node {v} is outside 0..{n - 1}")
+        if v in nodes[:i]:
+            raise ValueError(f"node {v} is repeated")
+
+
 def _injection_columns(n: int, k: int, fault_sets: np.ndarray) -> np.ndarray:
     """Injection-operator columns of fault sets, step-major over each set's nodes.
 
@@ -280,8 +289,9 @@ class ObservabilityStack:
 
     def m(self, fault_nodes) -> np.ndarray:
         """M^Y: the injection columns of fault set Y, step-major over sorted Y."""
-        key = np.array(sorted(int(v) for v in fault_nodes), dtype=int)
-        return self.injection[:, _injection_columns(self.o.shape[1], self.k, key)]
+        key, n = sorted(int(v) for v in fault_nodes), self.o.shape[1]
+        check_nodes(key, n)
+        return self.injection[:, _injection_columns(n, self.k, np.array(key, dtype=int))]
 
 
 def _operator(w: WeightMatrix, observer: int) -> np.ndarray:
@@ -418,17 +428,16 @@ def _split_certified(o: np.ndarray, injection: np.ndarray, fault_cols: np.ndarra
     return bound - rows * (n + z) * eps * a_fro > SPLIT_PIN_MARGIN * RANK_RTOL * a_fro
 
 
-def _observer_splits(rows: np.ndarray, cols: np.ndarray, n: int, certify: bool) -> bool:
+def _observer_splits(rows: np.ndarray, cols: np.ndarray, n: int) -> bool:
     """Whether one observer splits every fault set at one horizon K: rows is the
     leading q(K+1) rows and n(K+1) columns of its operator, and cols holds each
-    set's columns of [O M^Y] in it. Fewer than n rows fail with no SVD. With
-    certify, only the sets _split_certified leaves open go to _split_holds, as
-    one batch; the verdict is the same, since _split_holds passes a batch exactly
-    when it passes each of its matrices."""
+    set's columns of [O M^Y] in it. Fewer than n rows fail with no SVD. Only
+    the sets _split_certified leaves open go to _split_holds, as one batch; the
+    verdict is the same, since _split_holds passes a batch exactly when it
+    passes each of its matrices."""
     if len(rows) < n:
         return False
-    if certify:
-        cols = cols[~_split_certified(rows[:, :n], rows[:, n:], cols[:, n:] - n)]
+    cols = cols[~_split_certified(rows[:, :n], rows[:, n:], cols[:, n:] - n)]
     return not len(cols) or _split_holds(np.moveaxis(rows[:, cols], 1, 0), n)
 
 
@@ -438,9 +447,8 @@ def _scan_split_horizons(w: WeightMatrix, subset_size: int) -> int | None:
     the observer's memoised operator, the one the decoders read. Observers
     that see the fewest neighbours are the likeliest to fail, so they go
     first, one at a time: a failing horizon stops at its first failing
-    observer. The first observer, where nearly every failing K stops, runs
-    _split_holds on its whole batch; each later one first skips the SVDs of
-    the sets _split_certified proves, which leaves every verdict as it was."""
+    observer. Each observer skips the SVDs of the sets _split_certified
+    proves, which leaves every verdict as it was."""
     n = w.n
     cap = default_k_max(n)
     subsets = np.array(list(combinations(range(n), subset_size)), dtype=int)
@@ -449,8 +457,7 @@ def _scan_split_horizons(w: WeightMatrix, subset_size: int) -> int | None:
     blocks = [(len(w.selector(i)), _operator(w, i)) for i in observers]
     for k in range(1, cap + 1):
         cols = np.hstack([state, n + _injection_columns(n, k, subsets)])
-        if all(_observer_splits(block[:q * (k + 1), :n * (k + 1)], cols, n, certify=j > 0)
-               for j, (q, block) in enumerate(blocks)):
+        if all(_observer_splits(block[:q * (k + 1), :n * (k + 1)], cols, n) for q, block in blocks):
             return k
     return None
 
@@ -500,6 +507,7 @@ def run_updates(w: WeightMatrix, initial, inj: InjectionSchedule, k: int) -> np.
         raise ValueError(f"initial state must have shape ({w.n},)")
     if inj.horizon != k:
         raise ValueError(f"injection horizon {inj.horizon} must equal k={k}")
+    check_nodes(inj.faulty_nodes, w.n)
     selectors = [np.array(w.selector(i)) for i in range(w.n)]
     rows = [w.entries[i, sel] for i, sel in enumerate(selectors)]
     traj = np.zeros((k + 1, w.n))

@@ -37,6 +37,7 @@ from .consensus import (
     ObservationRecord,
     WeightMatrix,
     build_observability_stack,
+    check_nodes,
     decode_known_faults,
     decode_unknown_faults,
     default_k_max,
@@ -124,6 +125,7 @@ class RoundEngine:
         n = self.graph.node_count
         if len(profiles) != n:
             raise ValueError(f"{len(profiles)} profiles for a {n}-node graph")
+        check_nodes(schedule.faulty_nodes, n)
         by_size: dict[int, list[int]] = {}
         for i in range(n):
             by_size.setdefault(len(weights.selector(i)), []).append(i)

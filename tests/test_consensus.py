@@ -553,17 +553,17 @@ def _split_draws(n: int, f: int, seed: int) -> list[WeightMatrix]:
 
 
 class TestCertifiedSplit:
-    """After each horizon's first observer, the scan skips the SVD of every
-    fault set whose split a lower bound on sigma_min([O M^Y]) proves, and
-    sends only the rest to _split_holds: every verdict stays the plain scan's."""
+    """At every horizon and observer, the first included, the scan skips the SVD
+    of every fault set whose split a lower bound on sigma_min([O M^Y]) proves,
+    and sends only the rest to _split_holds: every verdict stays the plain scan's."""
 
     @pytest.fixture
     def checks(self, monkeypatch):
         # (stacked rows, verdict) of every (K, observer) check the scan makes
         made = []
         splits = consensus._observer_splits
-        def recorded(rows, cols, n, certify):
-            made.append((len(rows), splits(rows, cols, n, certify)))
+        def recorded(rows, cols, n):
+            made.append((len(rows), splits(rows, cols, n)))
             return made[-1][1]
         monkeypatch.setattr(consensus, "_observer_splits", recorded)
         return made
@@ -606,6 +606,20 @@ class TestCertifiedSplit:
         for size in (2 * f, f):
             self._assert_plain_verdicts(w, size, checks)
 
+    @pytest.mark.parametrize("instance", ["golden", "preventive"])
+    def test_verdicts_equal_the_plain_scan_for_size_zero(self, instance, ref_weights, checks,
+                                                         bounds):
+        # f = 0: one fault set, the empty one, which the bound leaves open at every
+        # observer with n rows; the digest's verify set reaches f = 0 only by the CLI
+        if instance == "golden":
+            w = ref_weights
+        else:
+            rng = np.random.default_rng(27)
+            w = consensus.draw_weights(generate_preventive(10, 1, rng), rng)
+        self._assert_plain_verdicts(w, 0, checks)
+        assert len(bounds) == sum(rows >= w.n for rows, _ in checks)
+        assert not any(accepted.any() for *_, accepted in bounds)
+
     @pytest.mark.parametrize("n, f", SPLIT_SHAPES)
     def test_every_accepted_set_passes_split_holds(self, n, f, bounds):
         # _split_holds passes a batch exactly when it passes each matrix of it,
@@ -640,10 +654,39 @@ class TestCertifiedSplit:
         k = consensus._scan_split_horizons(w, 2)
         assert k == 10
         passing = [accepted for o, injection, _, accepted in bounds if injection.shape[1] == w.n * k]
-        # every observer but the first: 13 of them, 91 pairs each
-        assert len(passing) == w.n - 1
+        # every observer: 14 of them, 91 pairs each
+        assert len(passing) == w.n
         settled = sum(int(a.sum()) for a in passing)
         assert settled >= 0.8 * sum(a.size for a in passing)
+
+    def test_first_observer_bounds_before_its_svds(self, monkeypatch):
+        # the resilient_f2 workload's first draw of seed 1, period 0
+        w = _split_draws(10, 2, 1)[0]
+        # [K, sets the bound left open, sets sent to _split_holds] of every check
+        made = []
+        splits, certified = consensus._observer_splits, consensus._split_certified
+        holds = consensus._split_holds
+        def check(rows, cols, n):
+            made.append([rows.shape[1] // n - 1, None, 0])
+            return splits(rows, cols, n)
+        def bound(o, injection, fault_cols):
+            accepted = certified(o, injection, fault_cols)
+            made[-1][1] = int(np.count_nonzero(~accepted))
+            return accepted
+        def sent(a, n, s=None):
+            made[-1][2] = len(a)
+            return holds(a, n, s)
+        monkeypatch.setattr(consensus, "_observer_splits", check)
+        monkeypatch.setattr(consensus, "_split_certified", bound)
+        monkeypatch.setattr(consensus, "_split_holds", sent)
+        assert consensus._scan_split_horizons(w, 4) == 4
+        first = {}
+        for k, left_open, batch in made:
+            first.setdefault(k, (left_open, batch))
+        assert sorted(first) == [1, 2, 3, 4]
+        assert all(left_open is not None for left_open, _ in first.values())
+        # at K = 2 the bound settles 165 of the 210 sets: 45 reach the SVDs
+        assert first[2] == (45, 45)
 
 
 HOST_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -684,10 +727,9 @@ class TestParallelSplit:
         monkeypatch.setattr(consensus, "_singular_values",
                             lambda a: batches.append(a) or singular_values(a))
         assert consensus._scan_split_horizons(w, 2 * f) == w.n - 2 * f - 2
-        # each horizon's first observer sends its full batch, and each later one
-        # the sets the bound leaves open: every batch the scan split is checked
-        full = len(list(combinations(range(w.n), 2 * f)))
-        assert any(len(a) == full for a in batches) and any(len(a) < full for a in batches)
+        # each observer sends the sets the bound leaves open, and some such batch
+        # is large enough to split across two cores: every batch is checked
+        assert any(min(len(a), a.size // consensus.SPLIT_CHUNK_ENTRIES) >= 2 for a in batches)
         for count in (1, 2, 3, HOST_CORES):
             cores(count)
             for a in batches:
@@ -843,6 +885,13 @@ class TestRunUpdates:
         with pytest.raises(ValueError, match="horizon"):
             run_updates(ref_weights, REF_SUPPLIES, InjectionSchedule.empty(2), 3)
 
+    @pytest.mark.parametrize("node", [-1, 6])
+    def test_injection_node_outside_the_graph_rejected(self, ref_weights, node):
+        # a negative node must not index from the end, as the engine's arrays would
+        inj = InjectionSchedule.from_values({node: [30.0, -45.0, 60.0]}, 3)
+        with pytest.raises(ValueError, match=rf"node {node} is outside 0\.\.5"):
+            run_updates(ref_weights, REF_SUPPLIES, inj, 3)
+
 
 def _observed(w, trajectory, observer):
     sel = w.selector(observer)
@@ -883,6 +932,21 @@ class TestDecodeKnownFaults:
         res = decode_known_faults(stack, _observed(ref_weights, traj, 2), (3,))
         assert np.isfinite(res.condition_number)
         assert not res.ill_conditioned
+
+    @pytest.mark.parametrize("fault_set, message", [
+        ((-3,), r"node -3 is outside 0\.\.5"),
+        ((6,), r"node 6 is outside 0\.\.5"),
+        ((3, 3), "node 3 is repeated"),
+    ], ids=["negative", "past-n", "repeated"])
+    def test_fault_node_outside_the_graph_or_repeated_rejected(self, ref_weights, fault_set,
+                                                               message):
+        # -3 would index node 3's columns one step early and fit the data, 6 lies
+        # past the operator's columns, and (3, 3) names one node twice
+        inj = InjectionSchedule.from_values(REF_INJECTION, 3)
+        traj = run_updates(ref_weights, REF_SUPPLIES, inj, 3)
+        stack = build_observability_stack(ref_weights, 0, 3)
+        with pytest.raises(ValueError, match=message):
+            decode_known_faults(stack, _observed(ref_weights, traj, 0), fault_set)
 
     def test_wrong_declared_set_is_inconsistent(self, ref_weights):
         inj = InjectionSchedule.from_values(REF_INJECTION, 3)

@@ -73,6 +73,13 @@ class TestEngineFaithfulness:
         expected = run_updates(w, REF_SUPPLIES, inj, steps)
         assert np.array_equal(run.trajectories["supply"], expected)
 
+    @pytest.mark.parametrize("node", [-1, 6])
+    def test_injection_node_outside_the_graph_rejected(self, ref_weights, node):
+        # position[-1] is node 5's place: a negative node must not index from the end
+        inj = InjectionSchedule.from_values({node: [30.0, -45.0, 60.0]}, 3)
+        with pytest.raises(ValueError, match=rf"node {node} is outside 0\.\.5"):
+            RoundEngine(ref_weights, golden().microgrids, inj)
+
     @pytest.mark.parametrize("kind", ["golden", "metropolis"])
     def test_controllers_hold_their_restricted_row(self, kind, ref_weights):
         w = ref_weights if kind == "golden" else metropolis_weights(ref_weights.graph)
