@@ -19,8 +19,6 @@ exactly only those the screen cannot rule out.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -46,7 +44,6 @@ SPLIT_PIN_MARGIN = 2.0
 WEIGHT_DEAD_ZONE = 1e-3
 BASELINE_STEPS = 30
 SYNTHESIS_ATTEMPTS = 40
-SPLIT_CHUNK_ENTRIES = 8192  # least SVD work, in matrix entries, worth a thread
 
 
 def default_k_max(n: int) -> int:
@@ -64,32 +61,6 @@ def horizon_bound(n: int, k_max: int | None) -> int:
     return k_max
 
 
-def _singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values of a matrix, or of each matrix of a stack split along axis 0
-    into one chunk per core the process may run on, each of at least one matrix and
-    SPLIT_CHUNK_ENTRIES entries: the caller solves the first chunk, a thread each other
-    one, and all are joined before any error is raised. Each matrix gets the same
-    LAPACK call on the same bytes in any chunk, so no value depends on the split."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    parts = min(cores or 1, len(a), a.size // SPLIT_CHUNK_ENTRIES) if a.ndim > 2 else 1
-    chunks = np.array_split(a, max(parts, 1))
-    out, errors = [None] * len(chunks), []
-    def solve(j: int) -> None:
-        try:
-            out[j] = np.linalg.svd(chunks[j], compute_uv=False)
-        except BaseException as exc:
-            errors.append(exc)
-    threads = [threading.Thread(target=solve, args=(j,)) for j in range(1, len(chunks))]
-    for t in threads:
-        t.start()
-    solve(0)
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return np.concatenate(out)
-
-
 def _rank_from(s: np.ndarray) -> np.ndarray:
     """The rank cut: how many singular values exceed RANK_RTOL times the largest."""
     return np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
@@ -99,9 +70,9 @@ def numerical_rank(a: np.ndarray) -> int | np.ndarray:
     """Rank by singular values above RANK_RTOL times the largest.
 
     A stack of matrices, shape (..., rows, cols), gets one rank per
-    matrix from _singular_values; a plain matrix gets an int.
+    matrix; a plain matrix gets an int.
     """
-    ranks = _rank_from(_singular_values(a))
+    ranks = _rank_from(np.linalg.svd(a, compute_uv=False))
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
@@ -372,7 +343,7 @@ def _split_holds(a: np.ndarray, n: int, s: np.ndarray | None = None) -> bool:
     any margin over 1 + 1e-4 covers both SVDs. A batch passes exactly when
     each of its matrices passes alone, so the scan may send it any subset of
     the fault sets, such as those _split_certified leaves open."""
-    s = _singular_values(a) if s is None else s
+    s = np.linalg.svd(a, compute_uv=False) if s is None else s
     r = _rank_from(s)
     if np.any(r < n):
         return False
@@ -383,6 +354,29 @@ def _split_holds(a: np.ndarray, n: int, s: np.ndarray | None = None) -> bool:
     return bool(not rest.any() or np.all(r[rest] == n + numerical_rank(m[rest])))
 
 
+def _eigenvalues_clear(gram: np.ndarray, tau: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """Whether the smallest eigenvalue of each symmetric p x p block of a stack
+    exceeds its tau, with no eigenvalue computed: gram is overwritten by the
+    Cholesky factor of gram - (tau + c) I, c = (p+1) eps trace / (1 - (p+1) eps),
+    and a block clears exactly when every pivot is positive. If floating-point
+    Cholesky finishes on a matrix shifted by c, the unshifted one is positive
+    definite (Rump, "Verification of positive definiteness", BIT 46, 2006; eps
+    in place of the unit roundoff also covers rounding the shift). trace may
+    leave out the diagonal of a row and column that are zero off the diagonal:
+    they factor exactly on their own. Left-looking, one batched matmul per
+    column; a block that fails a pivot gets zero columns from then on."""
+    eps = np.finfo(float).eps
+    p = gram.shape[-1]
+    diag = np.arange(p)
+    gram[:, diag, diag] -= (tau + (p + 1) * eps * trace / (1 - (p + 1) * eps))[:, None]
+    clear = np.ones(len(gram), dtype=bool)
+    for j in range(p):
+        col = gram[:, j:, j] - (gram[:, j:, :j] @ gram[:, j, :j, None])[..., 0]
+        clear &= col[:, 0] > 0
+        gram[:, j:, j] = col / np.sqrt(np.where(clear, col[:, 0], np.inf))[:, None]
+    return clear
+
+
 def _split_certified(o: np.ndarray, injection: np.ndarray, fault_cols: np.ndarray) -> np.ndarray:
     """Which fault sets a lower bound on sigma_min([O M^Y]) proves pass _split_holds.
 
@@ -391,21 +385,24 @@ def _split_certified(o: np.ndarray, injection: np.ndarray, fault_cols: np.ndarra
     _split_holds). One full SVD of O gives a = sigma_n(O) and P = U[:, n:],
     a basis of the complement of col(O), and Q = [U[:, :n] P] makes Q^T [O M]
     block triangular, [[R, X], [0, P^T M]] with R = diag(s) V^T. So, with
-    b = sigma_min(P^T M_nz),
+    b = sigma_min(P^T M_nz) and zeta = ||R^-1 X||_F = ||O^+ M||_F,
 
-        sigma_{n+z}([O M]) >= 1 / (1/a + (1 + ||R^-1 X||_F) / b).
+        sigma_{n+z}([O M]) >= 1 / (1/a + (1 + zeta) / b) = a b / (b + a (1 + zeta)).
 
     O^+ injection and the Gram matrix of P^T injection are formed once. Each
-    set's ||R^-1 X||_F = ||O^+ M||_F gains rows eps ||M||_F / a for rounding,
-    and its b is the square root of the smallest eigenvalue of its z x z
-    principal submatrix (a zero column's diagonal entry is set to the trace,
-    which leaves that eigenvalue alone), less (rows + z) eps trace, the
-    rounding of forming and solving the Gram matrix: without it exactly
-    dependent projected columns read b ~ 1e-8 ||M||, above the cut. A set is
-    accepted when the bound, less rows (n + z) eps ||A||_F for every other
-    rounding, exceeds SPLIT_PIN_MARGIN RANK_RTOL ||A||_F >= the pin cut on
-    sigma_1(A): the SVD in _split_holds then gives r = n + z, pinned. Sets of
-    size 0, and every set when O is singular, are left open."""
+    set's zeta gains rows eps ||M||_F / a for rounding, and b^2 is the
+    smallest eigenvalue of its z x z principal submatrix G (a zero column's
+    diagonal entry is set to the trace, which leaves that eigenvalue alone),
+    less (rows + z) eps trace, the rounding of forming G: without it exactly
+    dependent projected columns could read b ~ 1e-8 ||M||, above the cut. A set is
+    accepted when the bound exceeds t = SPLIT_PIN_MARGIN RANK_RTOL ||A||_F
+    >= the pin cut on sigma_1(A), plus rows (n + z) eps ||A||_F for every
+    other rounding: the SVD in _split_holds then gives r = n + z, pinned. The
+    bound increases in b toward a, so it exceeds t exactly when a > t and
+    b > b* = t a (1 + zeta) / (a - t), that is when lambda_min(G) exceeds
+    b*^2 + (rows + z) eps trace, with b* raised by 4 ulps for its own
+    rounding; _eigenvalues_clear decides that by Cholesky. Sets of size 0,
+    and every set when O is singular, are left open."""
     eps = np.finfo(float).eps
     rows, n = o.shape
     u, s, vt = np.linalg.svd(o)
@@ -420,12 +417,13 @@ def _split_certified(o: np.ndarray, injection: np.ndarray, fault_cols: np.ndarra
     diag = np.arange(fault_cols.shape[1])
     gram[:, diag, diag] = np.where(nonzero, gram[:, diag, diag], trace[:, None])
     z = np.count_nonzero(nonzero, axis=-1)
-    b = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, 0] - (rows + z) * eps * trace, 0.0))
     m_fro = np.sqrt(np.einsum("ij,ij->j", injection, injection)[fault_cols].sum(-1))
     a_fro = np.sqrt(np.vdot(o, o) + m_fro ** 2)
     zeta = np.sqrt(np.einsum("ij,ij->j", coeffs, coeffs)[fault_cols].sum(-1)) + rows * eps * m_fro / a
-    bound = a * b / (b + a * (1 + zeta))
-    return bound - rows * (n + z) * eps * a_fro > SPLIT_PIN_MARGIN * RANK_RTOL * a_fro
+    t = (SPLIT_PIN_MARGIN * RANK_RTOL + rows * (n + z) * eps) * a_fro
+    spare = a - t
+    b_star = (1 + 4 * eps) * t * a * (1 + zeta) / np.where(spare > 0, spare, np.inf)
+    return (spare > 0) & _eigenvalues_clear(gram, b_star ** 2 + (rows + z) * eps * trace, trace)
 
 
 def _observer_splits(rows: np.ndarray, cols: np.ndarray, n: int) -> bool:

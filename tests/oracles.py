@@ -268,6 +268,41 @@ def plain_split_scan(w, subset_size: int, operator, split_holds) -> tuple[int | 
     return None, verdicts
 
 
+def eigvalsh_split_bound(o: np.ndarray, injection: np.ndarray, fault_cols: np.ndarray,
+                         pin_margin: float, rtol: float) -> np.ndarray:
+    """The certified split bound decided from the whole spectrum: which fault
+    sets (rows of fault_cols, columns of injection) have
+
+        a b / (b + a (1 + zeta)) - rows (n + z) eps ||A||_F > pin_margin rtol ||A||_F,
+
+    a = sigma_n(O), zeta = ||O^+ M||_F + rows eps ||M||_F / a, and b^2 the
+    smallest eigenvalue from eigvalsh of the set's Gram block of P^T M, P the
+    complement of col(O), less (rows + z) eps trace; z counts the set's columns
+    that are not exactly zero, and a zero column's diagonal entry is the trace.
+    Sets of size 0, and every set when O is singular, are left open.
+    """
+    eps = np.finfo(float).eps
+    rows, n = o.shape
+    u, s, vt = np.linalg.svd(o)
+    a = s[-1]
+    if not (a > 0 and fault_cols.size):
+        return np.zeros(len(fault_cols), dtype=bool)
+    projected = u[:, n:].T @ injection
+    coeffs = (vt.T / s) @ (u[:, :n].T @ injection)
+    nonzero = np.any(injection != 0, axis=0)[fault_cols]
+    gram = (projected.T @ projected)[fault_cols[:, :, None], fault_cols[:, None, :]]
+    trace = np.trace(gram, axis1=1, axis2=2)
+    diag = np.arange(fault_cols.shape[1])
+    gram[:, diag, diag] = np.where(nonzero, gram[:, diag, diag], trace[:, None])
+    z = np.count_nonzero(nonzero, axis=-1)
+    b = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, 0] - (rows + z) * eps * trace, 0.0))
+    m_fro = np.sqrt(np.einsum("ij,ij->j", injection, injection)[fault_cols].sum(-1))
+    a_fro = np.sqrt(np.vdot(o, o) + m_fro ** 2)
+    zeta = np.sqrt(np.einsum("ij,ij->j", coeffs, coeffs)[fault_cols].sum(-1)) + rows * eps * m_fro / a
+    bound = a * b / (b + a * (1 + zeta))
+    return bound - rows * (n + z) * eps * a_fro > pin_margin * rtol * a_fro
+
+
 # the largest prime below 2**25: a product of two residues is below 2**50, so
 # int64 holds it, and sums of up to 2**13 such products, without overflow
 GF_PRIME = 33554393

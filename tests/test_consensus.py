@@ -1,9 +1,6 @@
 """Weight synthesis, rank verification, the update law, and both decoders."""
 
 import json
-import os
-import sys
-import threading
 from itertools import combinations
 
 import numpy as np
@@ -41,6 +38,7 @@ from mgnet.consensus import (
 from conftest import REF_SUPPLIES, REF_W, bench_workloads
 from oracles import (
     brute_force_connectivity,
+    eigvalsh_split_bound,
     gf_split_horizon_oracle,
     matrix_iteration_oracle,
     observability_index_oracle,
@@ -521,11 +519,11 @@ class TestSplitPin:
     def test_no_singular_values_of_an_empty_stack(self, monkeypatch):
         # a batch the pin settles whole leaves numerical_rank nothing to rank
         leading = []
-        svd = consensus._singular_values
-        def recorded(a):
+        svd = np.linalg.svd
+        def recorded(a, *args, **kwargs):
             leading.append(a.shape[0])
-            return svd(a)
-        monkeypatch.setattr(consensus, "_singular_values", recorded)
+            return svd(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", recorded)
         rng = np.random.default_rng(5)
         w = synthesize_weights(generate_preventive(10, 1, rng), 1, rng)
         k = verify_rank_condition(w, 1)
@@ -636,9 +634,10 @@ class TestCertifiedSplit:
     def test_exactly_dependent_projected_columns_fall_back(self):
         # M = [c, c + O v]: both columns leave col(O) along the same direction, so
         # [O M] has rank n + 1 with z = 2 and fails. The projected Gram matrix is
-        # singular; its computed smallest eigenvalue is rounding, about eps times
-        # its trace, and only the rounding allowance keeps that from reading as
-        # b ~ 1e-8 ||M||, far above the cut
+        # singular only up to its rounding, about eps times its trace, which can
+        # exceed the b*^2 of a b* ~ 1e-8 ||M||, far above the cut; the rounding
+        # allowance in the threshold and the Cholesky's own shift, each of a few
+        # eps times the trace, keep the set open
         rng = np.random.default_rng(26)
         for _ in range(40):
             o = rng.standard_normal((8, 3))
@@ -647,6 +646,50 @@ class TestCertifiedSplit:
             a = np.hstack([o, injection])
             assert not consensus._split_holds(a, 3)
             assert not consensus._split_certified(o, injection, np.array([[0, 1]])).any()
+
+    @pytest.mark.parametrize("n, f", SPLIT_SHAPES)
+    def test_accepted_sets_equal_the_eigvalsh_rule(self, n, f, bounds):
+        # the Cholesky decision accepts no set the whole spectrum would leave open
+        # (soundness), and on these draws not one set fewer
+        for w in _split_draws(n, f, 1):
+            for size in (2 * f, f):
+                consensus._scan_split_horizons(w, size)
+        assert bounds
+        for o, injection, fault_cols, accepted in bounds:
+            expected = eigvalsh_split_bound(o, injection, fault_cols,
+                                            consensus.SPLIT_PIN_MARGIN, RANK_RTOL)
+            assert not (accepted & ~expected).any()
+            assert np.array_equal(accepted, expected)
+
+    def test_one_orthogonal_column_is_accepted_above_the_documented_threshold(self):
+        # O = [I; 0] has a = 1 and O^+ M = 0, so zeta ~ 0 and b = c for a column
+        # of norm c outside col(O): the bound c / (c + 1) exceeds
+        # t = (SPLIT_PIN_MARGIN RANK_RTOL + rows (n + 1) eps) ||A||_F exactly when
+        # c > c* = t / (1 - t), where ||A||_F = sqrt(n) to within 1e-17. Both sets
+        # pass _split_holds: the open one, below the pin cut, by its second SVD
+        rows, n = 6, 3
+        o = np.vstack([np.eye(n), np.zeros((rows - n, n))])
+        eps = np.finfo(float).eps
+        t = (consensus.SPLIT_PIN_MARGIN * RANK_RTOL + rows * (n + 1) * eps) * np.sqrt(n)
+        c_star = t / (1 - t)
+        for c, accepted in ((2 * c_star, True), (c_star / 2, False)):
+            injection = np.zeros((rows, 1))
+            injection[n + 1, 0] = c
+            assert consensus._split_certified(o, injection, np.array([[0]])).tolist() == [accepted]
+            assert consensus._split_holds(np.hstack([o, injection])[None], n)
+
+    @pytest.mark.parametrize("p", [4, 8])
+    def test_blocks_just_below_the_threshold_stay_open(self, p):
+        # G = Q diag(lam) Q^T with lambda_min(G) = tau - 1e-17 trace: an unshifted
+        # floating-point Cholesky of G - tau I finishes on a share of these, and
+        # only the (p+1) eps trace shift keeps every one of them open
+        rng = np.random.default_rng(28)
+        q = np.linalg.qr(rng.standard_normal((200, p, p)))[0]
+        lam = rng.uniform(0.5, 1.0, (200, p))
+        gram = (q * lam[:, None, :]) @ q.transpose(0, 2, 1)
+        trace = np.trace(gram, axis1=1, axis2=2)
+        tau = lam.min(axis=1) + 1e-17 * trace
+        assert not consensus._eigenvalues_clear(gram, tau, trace).any()
 
     def test_bound_settles_most_pairs_at_the_passing_horizon(self, bounds):
         # the resilient_f1 workload's first draw of seed 1, period 0
@@ -687,131 +730,6 @@ class TestCertifiedSplit:
         assert all(left_open is not None for left_open, _ in first.values())
         # at K = 2 the bound settles 165 of the 210 sets: 45 reach the SVDs
         assert first[2] == (45, 45)
-
-
-HOST_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-
-
-class TestParallelSplit:
-    """Each observer's SVD batch is split across the cores the process may
-    run on; no singular value, and so no horizon, depends on how many."""
-
-    @pytest.fixture
-    def cores(self, monkeypatch):
-        def force(count):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                                raising=False)
-        return force
-
-    @pytest.fixture
-    def svd_threads(self, monkeypatch):
-        # the thread of every SVD the helper runs
-        idents = []
-        svd = np.linalg.svd
-        def recorded(a, *args, **kwargs):
-            idents.append(threading.get_ident())
-            return svd(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, "svd", recorded)
-        return idents
-
-    @pytest.fixture(scope="class", params=[(14, 1, 5), (10, 2, 6)], ids=["n14-f1", "n10-f2"])
-    def passing_draw(self, request):
-        n, f, seed = request.param
-        rng = np.random.default_rng(seed)
-        return synthesize_weights(generate_preventive(n, f, rng), f, rng), f
-
-    def test_chunks_equal_one_batched_svd(self, passing_draw, cores, monkeypatch):
-        w, f = passing_draw
-        batches = []
-        singular_values = consensus._singular_values
-        monkeypatch.setattr(consensus, "_singular_values",
-                            lambda a: batches.append(a) or singular_values(a))
-        assert consensus._scan_split_horizons(w, 2 * f) == w.n - 2 * f - 2
-        # each observer sends the sets the bound leaves open, and some such batch
-        # is large enough to split across two cores: every batch is checked
-        assert any(min(len(a), a.size // consensus.SPLIT_CHUNK_ENTRIES) >= 2 for a in batches)
-        for count in (1, 2, 3, HOST_CORES):
-            cores(count)
-            for a in batches:
-                chunked = singular_values(a)
-                assert chunked.tobytes() == np.linalg.svd(a, compute_uv=False).tobytes()
-
-    def test_scan_does_not_depend_on_the_core_count(self, passing_draw, cores):
-        w, f = passing_draw
-        for size, expected in ((2 * f, w.n - 2 * f - 2), (f, verify_candidate_uniqueness(w, f))):
-            for count in (1, 3, HOST_CORES):
-                cores(count)
-                assert consensus._scan_split_horizons(w, size) == expected
-
-    @pytest.mark.parametrize("g, f", CAP_FAILING_GRAPHS)
-    def test_cap_failing_scan_does_not_depend_on_the_core_count(self, g, f, cores):
-        w = consensus.draw_weights(g, np.random.default_rng(9))
-        for size, expected in ((2 * f, None), (f, verify_candidate_uniqueness(w, f))):
-            for count in (1, 3, HOST_CORES):
-                cores(count)
-                assert consensus._scan_split_horizons(w, size) == expected
-
-    def test_every_chunk_runs_and_no_thread_outlives_the_scan(self, passing_draw, cores,
-                                                               svd_threads):
-        w, f = passing_draw
-        cores(3)
-        before = threading.active_count()
-        assert consensus._scan_split_horizons(w, 2 * f) == w.n - 2 * f - 2
-        assert threading.active_count() == before
-        assert len(set(svd_threads)) >= 3
-
-    def test_more_chunks_than_cores_under_fast_switching(self, cores):
-        a = np.random.default_rng(12).standard_normal((16, 64, 64))
-        expected = np.linalg.svd(a, compute_uv=False).tobytes()
-        cores(8)
-        before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                assert consensus._singular_values(a).tobytes() == expected
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("failing", ["caller", "helper"])
-    def test_error_in_a_chunk_reaches_the_caller(self, failing, cores, monkeypatch):
-        caller = threading.get_ident()
-        svd = np.linalg.svd
-        def fails_on_one_thread(a, *args, **kwargs):
-            if (threading.get_ident() == caller) == (failing == "caller"):
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return svd(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, "svd", fails_on_one_thread)
-        cores(3)
-        before = threading.active_count()
-        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            consensus._singular_values(np.ones((6, 8, consensus.SPLIT_CHUNK_ENTRIES // 8)))
-        assert threading.active_count() == before
-
-    def test_one_matrix_starts_no_thread(self, cores, svd_threads):
-        _, w = _synthesized_instance(31)
-        svd_threads.clear()
-        cores(3)
-        caller = threading.get_ident()
-        # work enough for three chunks, but in one matrix
-        a = np.ones((64, 3 * consensus.SPLIT_CHUNK_ENTRIES // 64))
-        assert numerical_rank(a) == 1
-        assert numerical_rank(a[None]).tolist() == [1]
-        # f = 0: one fault set, the empty one, so every batch holds one matrix
-        assert consensus._scan_split_horizons(w, 0) is not None
-        assert svd_threads and set(svd_threads) == {caller}
-
-    def test_small_batch_starts_no_thread(self, cores, svd_threads):
-        cores(3)
-        rows = consensus.SPLIT_CHUNK_ENTRIES // 8
-        # under two chunks' worth of entries in three matrices: one chunk
-        consensus._singular_values(np.ones((3, rows, 5)))
-        assert set(svd_threads) == {threading.get_ident()}
-        # two chunks' worth: the caller and one thread
-        svd_threads.clear()
-        consensus._singular_values(np.ones((2, rows, 8)))
-        assert len(set(svd_threads)) == 2
 
 
 class TestSynthesizeWeights:
