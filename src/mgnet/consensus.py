@@ -31,13 +31,14 @@ from .errors import (
     InternalInvariantError,
     SynthesisError,
 )
-from .graph import Graph
+from .graph import Graph, check_nodes
 
 # The numerical policy: one set of thresholds for every scenario, looked up
 # when each function runs rather than passed down from callers.
 RANK_RTOL = 1e-9
 RESIDUAL_TOL = 1e-8
 AGREEMENT_RTOL = 1e-6
+BASELINE_RTOL = 1e-6
 CONDITION_LIMIT = 1e12
 SCREEN_MARGIN = 1e3
 SPLIT_PIN_MARGIN = 2.0
@@ -174,8 +175,7 @@ class InjectionSchedule:
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        if len(set(self.faulty_nodes)) != len(self.faulty_nodes):
-            raise ValueError("faulty_nodes must be distinct")
+        check_nodes(self.faulty_nodes)
         if vals.shape != (self.horizon, len(self.faulty_nodes)):
             raise ValueError(
                 f"values shape {vals.shape} does not match horizon {self.horizon} "
@@ -187,7 +187,7 @@ class InjectionSchedule:
 
     @classmethod
     def from_values(cls, per_node: dict[int, list[float]], horizon: int) -> "InjectionSchedule":
-        nodes = tuple(sorted(int(v) for v in per_node))
+        nodes = check_nodes(per_node)
         vals = np.zeros((horizon, len(nodes)))
         for col, node in enumerate(nodes):
             series = list(per_node[node])
@@ -217,15 +217,6 @@ class ObservationRecord:
         object.__setattr__(self, "samples", s)
         if s.ndim != 2 or s.shape[1] != len(self.selector):
             raise ValueError("samples must be (steps+1) x len(selector)")
-
-
-def check_nodes(nodes, n: int) -> None:
-    """Raise ValueError naming the first of nodes outside 0..n-1 or repeated."""
-    for i, v in enumerate(nodes):
-        if not 0 <= v < n:
-            raise ValueError(f"node {v} is outside 0..{n - 1}")
-        if v in nodes[:i]:
-            raise ValueError(f"node {v} is repeated")
 
 
 def _injection_columns(n: int, k: int, fault_sets: np.ndarray) -> np.ndarray:
@@ -260,9 +251,8 @@ class ObservabilityStack:
 
     def m(self, fault_nodes) -> np.ndarray:
         """M^Y: the injection columns of fault set Y, step-major over sorted Y."""
-        key, n = sorted(int(v) for v in fault_nodes), self.o.shape[1]
-        check_nodes(key, n)
-        return self.injection[:, _injection_columns(n, self.k, np.array(key, dtype=int))]
+        key = np.array(check_nodes(fault_nodes, self.o.shape[1]), dtype=int)
+        return self.injection[:, _injection_columns(self.o.shape[1], self.k, key)]
 
 
 def _operator(w: WeightMatrix, observer: int) -> np.ndarray:
@@ -285,8 +275,7 @@ def build_observability_stack(w: WeightMatrix, observer: int, k: int) -> Observa
     """The leading q(k+1) rows and n(k+1) columns of the observer's operator, as views."""
     if not 1 <= k <= default_k_max(w.n):
         raise ValueError(f"horizon k={k} is outside 1..{default_k_max(w.n)}, the cap n + 2")
-    if not 0 <= observer < w.n:
-        raise ValueError(f"observer {observer} out of range")
+    (observer,) = check_nodes((observer,), w.n)
     a = _operator(w, observer)[:len(w.selector(observer)) * (k + 1), :w.n * (k + 1)]
     return ObservabilityStack(a[:, :w.n], a[:, w.n:], k, observer, w.selector(observer))
 
@@ -389,20 +378,20 @@ def _split_certified(o: np.ndarray, injection: np.ndarray, fault_cols: np.ndarra
 
         sigma_{n+z}([O M]) >= 1 / (1/a + (1 + zeta) / b) = a b / (b + a (1 + zeta)).
 
-    O^+ injection and the Gram matrix of P^T injection are formed once. Each
-    set's zeta gains rows eps ||M||_F / a for rounding, and b^2 is the
-    smallest eigenvalue of its z x z principal submatrix G (a zero column's
-    diagonal entry is set to the trace, which leaves that eigenvalue alone),
-    less (rows + z) eps trace, the rounding of forming G: without it exactly
-    dependent projected columns could read b ~ 1e-8 ||M||, above the cut. A set is
-    accepted when the bound exceeds t = SPLIT_PIN_MARGIN RANK_RTOL ||A||_F
-    >= the pin cut on sigma_1(A), plus rows (n + z) eps ||A||_F for every
-    other rounding: the SVD in _split_holds then gives r = n + z, pinned. The
-    bound increases in b toward a, so it exceeds t exactly when a > t and
-    b > b* = t a (1 + zeta) / (a - t), that is when lambda_min(G) exceeds
-    b*^2 + (rows + z) eps trace, with b* raised by 4 ulps for its own
-    rounding; _eigenvalues_clear decides that by Cholesky. Sets of size 0,
-    and every set when O is singular, are left open."""
+    O^+ injection and the Gram matrix of P^T injection are formed once. Each set's
+    zeta gains rows eps ||M||_F / a for rounding, and b^2 is the smallest
+    eigenvalue of its z x z principal submatrix G (a zero column's diagonal entry
+    is set to the trace, which leaves that eigenvalue alone), less (rows + z) eps
+    trace, which bounds the rounding of forming G from sums over rows;
+    _eigenvalues_clear's (p+1) eps trace shift covers only the factorisation and
+    falls short of it whenever rows > p + 1. A set is accepted when the bound
+    exceeds t = SPLIT_PIN_MARGIN RANK_RTOL ||A||_F >= the pin cut on sigma_1(A),
+    plus rows (n + z) eps ||A||_F for every other rounding: the SVD in _split_holds
+    then gives r = n + z, pinned. The bound increases in b toward a, so it exceeds
+    t exactly when a > t and b > b* = t a (1 + zeta) / (a - t), that is when
+    lambda_min(G) exceeds tau = b*^2 + (rows + z) eps trace, with b* raised by 4
+    ulps for its own rounding; _eigenvalues_clear decides that by Cholesky. Sets of
+    size 0, and every set when O is singular, are left open."""
     eps = np.finfo(float).eps
     rows, n = o.shape
     u, s, vt = np.linalg.svd(o)
@@ -572,8 +561,8 @@ def decode_known_faults(stack: ObservabilityStack, obs: ObservationRecord, fault
     error instead of returning one of many answers.
     """
     _check_observation(stack, obs)
-    key = tuple(sorted(int(v) for v in fault_set))
     n = stack.o.shape[1]
+    key = check_nodes(fault_set, n)
     y = obs.samples.reshape(-1)
     a = np.hstack([stack.o, stack.m(key)])
     solution, _, _, svals = np.linalg.lstsq(a, y, rcond=None)
@@ -618,9 +607,9 @@ def _screened_candidates(stack: ObservabilityStack, y: np.ndarray, f: int) -> li
         p = np.linalg.svd(stack.o)[0][:, n:]
         projected = p.T @ stack.injection
         per_size = []
-        for size in range(f + 1):
+        for size in range(min(f, n) + 1):
             cands = list(combinations(range(n), size))
-            cols = _injection_columns(n, stack.k, np.array(cands, dtype=int).reshape(len(cands), size))
+            cols = _injection_columns(n, stack.k, np.array(cands, dtype=int))
             per_size.append((cands, np.linalg.qr(np.moveaxis(projected[:, cols], 1, 0))[0]))
         stack._screens[f] = p, per_size
     p, per_size = stack._screens[f]

@@ -11,10 +11,12 @@ the cut, which leaves every certificate as checking every pair gives it.
 Convention: the complete graph on n nodes has connectivity n - 1, so
 the (2f+1)-node seed clique certifies at 2f. A supplied topology is not
 generated: the scenario holds it as one Graph, graph.fixed, for a campaign.
+check_nodes is the package's one rule for the node ids a caller passes.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import deque
 from dataclasses import dataclass, field
@@ -30,9 +32,25 @@ _EDGE_LIST_HEADER = re.compile(r"#\s*nodes\s+(\d+)\s*$")
 
 
 def _norm_edge(i: int, j: int) -> Edge:
-    if i == j:
-        raise ValueError(f"self-loop at node {i}")
     return (i, j) if i < j else (j, i)
+
+
+def check_nodes(nodes, n: int | None = None) -> tuple[int, ...]:
+    """nodes as a sorted tuple of ints, else ValueError naming the first that is
+    not an integer (operator.index: Python and numpy integers pass), is outside
+    0..n-1 (any integer passes when n is None) or is repeated."""
+    kept: set[int] = set()
+    for v in nodes:
+        try:
+            i = operator.index(v)
+        except TypeError:
+            raise ValueError(f"node {v!r} is not an integer") from None
+        if n is not None and not 0 <= i < n:
+            raise ValueError(f"node {v} is outside 0..{n - 1}")
+        if i in kept:
+            raise ValueError(f"node {v} is repeated")
+        kept.add(i)
+    return tuple(sorted(kept))
 
 
 @dataclass(frozen=True)
@@ -67,20 +85,18 @@ class Graph:
 
     @classmethod
     def from_edges(cls, node_count: int, pairs) -> "Graph":
-        return cls(node_count, frozenset(_norm_edge(int(i), int(j)) for i, j in pairs))
+        return cls(node_count, frozenset(check_nodes((i, j), node_count) for i, j in pairs))
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
         return cls(n, frozenset(combinations(range(n), 2)))
 
     def has_edge(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
         return _norm_edge(i, j) in self.edges
 
     def _node(self, i: int) -> int:
-        if not 0 <= i < self.node_count:
-            raise ValueError(f"node {i} out of range for {self.node_count} nodes")
+        if not (type(i) is int and 0 <= i < self.node_count):  # a plain int in range skips the call
+            (i,) = check_nodes((i,), self.node_count)
         return i
 
     def neighbors(self, i: int) -> frozenset[int]:
@@ -142,8 +158,8 @@ class Graph:
             node_count = 1 + max((max(p) for p in pairs), default=0)
         return cls.from_edges(node_count, pairs)
 
-    def to_dot(self, name: str = "G") -> str:
-        lines = [f"graph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["graph G {"]
         lines.extend(f"  {v};" for v in range(self.node_count))
         lines.extend(f"  {i} -- {j};" for i, j in sorted(self.edges))
         lines.append("}")
@@ -309,14 +325,10 @@ def extend_graph(g: Graph, m: int, targets=None, rng: np.random.Generator | None
     if targets is None:
         if rng is None:
             raise ValueError("need explicit targets or an rng to sample them")
-        targets = [int(v) for v in rng.choice(g.node_count, size=m, replace=False)]
-    targets = [int(v) for v in targets]
-    chosen = set(targets)
-    if len(chosen) != len(targets) or len(chosen) != m:
+        targets = rng.choice(g.node_count, size=m, replace=False)
+    chosen = check_nodes(targets, g.node_count)
+    if len(chosen) != m:
         raise ValueError(f"targets must be {m} distinct nodes")
-    for v in chosen:
-        if not 0 <= v < g.node_count:
-            raise ValueError(f"target node {v} out of range")
     new = g.node_count
     return Graph(new + 1, g.edges | {(v, new) for v in chosen})
 
@@ -329,7 +341,7 @@ class LinkAttackSet:
 
     @classmethod
     def from_pairs(cls, pairs) -> "LinkAttackSet":
-        return cls(frozenset(_norm_edge(int(i), int(j)) for i, j in pairs))
+        return cls(frozenset(check_nodes((i, j)) for i, j in pairs))
 
     def validate_range(self, node_count: int) -> None:
         for i, j in self.forbidden_edges:
@@ -383,8 +395,8 @@ def generate_preventive(n: int, f: int, rng: np.random.Generator) -> Graph:
     m = _connectivity_target(n, f)
     order = [int(v) for v in rng.permutation(n)]
     edges = _grow(order[:m], order[m:], m, {}, rng)
-    perm = rng.permutation(n)
-    return _certified(Graph.from_edges(n, ((perm[i], perm[j]) for i, j in edges)), m, "preventive")
+    new = [int(v) for v in rng.permutation(n)]  # each node's final label
+    return _certified(Graph(n, frozenset(_norm_edge(new[i], new[j]) for i, j in edges)), m, "preventive")
 
 
 def generate_responsive(n: int, f: int, attacks: LinkAttackSet, rng: np.random.Generator) -> Graph:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .consensus import BASELINE_STEPS, InjectionSchedule, WeightMatrix
 from .errors import ConfigError
-from .graph import Graph, LinkAttackSet
+from .graph import Graph, LinkAttackSet, check_nodes
 
 INTERCONNECT = "interconnect"
 STAND_ALONE = "stand_alone"
@@ -301,8 +301,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         ctx = f"attack.controllers[{pos}]"
         _as_object(item, ("node", "injection"), ctx)
         node = _as_int(_require(item, "node", ctx), f"{ctx}.node")
-        if not 0 <= node < n:
-            raise ConfigError(f"{ctx}.node: {node} out of range for {n} microgrids")
         inj = _require(item, "injection", ctx)
         if not isinstance(inj, dict):
             raise ConfigError(f"{ctx}.injection: must be an object")
@@ -316,9 +314,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         if got.get("low", 0.0) > got.get("high", 0.0):
             raise ConfigError(f"{ctx}.injection.low: must not exceed {ctx}.injection.high")
         plans.append(InjectionPlan(node, kind, tuple(got.items())))
-    nodes = [p.node for p in plans]
-    if len(set(nodes)) != len(nodes):
-        raise ConfigError("attack.controllers: duplicate node entries")
+    try:
+        check_nodes([p.node for p in plans], n)
+    except ValueError as exc:
+        raise ConfigError(f"attack.controllers: {exc}") from None
     if len(plans) > f:
         raise ConfigError(
             f"attack.controllers: {len(plans)} compromised controllers exceed the fault bound f={f}")

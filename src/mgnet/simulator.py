@@ -33,11 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .consensus import (
+    BASELINE_RTOL,
     InjectionSchedule,
     ObservationRecord,
     WeightMatrix,
     build_observability_stack,
-    check_nodes,
     decode_known_faults,
     decode_unknown_faults,
     default_k_max,
@@ -53,7 +53,7 @@ from .errors import (
     InfeasibleTopologyError,
     SynthesisError,
 )
-from .graph import Graph, LinkAttackSet, generate_preventive, generate_responsive
+from .graph import Graph, LinkAttackSet, check_nodes, generate_preventive, generate_responsive
 from .scenario import (
     UNDECIDED,
     DecisionPeriod,
@@ -132,7 +132,7 @@ class RoundEngine:
         classes = []
         for size in sorted(by_size):
             nodes = np.array(by_size[size])
-            sel = np.array([weights.selector(i) for i in nodes])
+            sel = np.array([weights.selector(i) for i in by_size[size]])
             classes.append(SizeClass(nodes, sel, weights.entries[nodes[:, None], sel]))
         self.classes = tuple(classes)
         order = np.concatenate([c.nodes for c in classes])
@@ -338,7 +338,7 @@ def _run_baseline_period(scenario: Scenario, g: Graph, period_index: int) -> Dec
         "controllers": controllers,
         "true_totals": truth,
         "max_estimate_deviation": deviation,
-        "estimates_reliable": bool(max(deviation.values()) <= 1e-6 * max(*truth.values(), 1.0)),
+        "estimates_reliable": bool(max(deviation.values()) <= BASELINE_RTOL * max(*truth.values(), 1.0)),
     })
 
 

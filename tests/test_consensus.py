@@ -129,7 +129,7 @@ class TestInjectionSchedule:
             InjectionSchedule.from_values({0: [1.0, 2.0]}, horizon=1)
 
     def test_duplicate_nodes_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ValueError, match="node 1 is repeated"):
             InjectionSchedule((1, 1), np.zeros((2, 2)), 2)
 
     def test_empty(self):
@@ -678,6 +678,26 @@ class TestCertifiedSplit:
             assert consensus._split_certified(o, injection, np.array([[0]])).tolist() == [accepted]
             assert consensus._split_holds(np.hstack([o, injection])[None], n)
 
+    def test_one_orthogonal_column_is_bracketed_at_the_documented_tau(self):
+        # the same set at 1000 rows, where the Gram rounding allowance (rows + 1) eps
+        # trace is about 500 times the Cholesky's own 2 eps trace shift. O's SVD is
+        # exact here (U is a signed identity), so G = c^2 exactly, zeta rounds to 0,
+        # and c^2 is accepted exactly when c^2 > tau + 2 eps c^2 / (1 - 2 eps) with
+        # tau = b*^2 + (rows + 1) eps c^2, that is c^2 > lam. Points rows eps / 4 on
+        # either side of lam settle on either side; without the allowance the lower
+        # one, which _split_holds passes by its second SVD, would be accepted too
+        rows, n = 1000, 3
+        o = np.vstack([np.eye(n), np.zeros((rows - n, n))])
+        eps = np.finfo(float).eps
+        t = (consensus.SPLIT_PIN_MARGIN * RANK_RTOL + rows * (n + 1) * eps) * np.sqrt(n)
+        b_star = (1 + 4 * eps) * t / (1 - t)
+        lam = b_star ** 2 / (1 - (rows + 1) * eps - 2 * eps / (1 - 2 * eps))
+        for side, accepted in ((1, True), (-1, False)):
+            injection = np.zeros((rows, 1))
+            injection[n + 1, 0] = np.sqrt(lam * (1 + side * rows * eps / 4))
+            assert consensus._split_certified(o, injection, np.array([[0]])).tolist() == [accepted]
+            assert consensus._split_holds(np.hstack([o, injection])[None], n)
+
     @pytest.mark.parametrize("p", [4, 8])
     def test_blocks_just_below_the_threshold_stay_open(self, p):
         # G = Q diag(lam) Q^T with lambda_min(G) = tau - 1e-17 trace: an unshifted
@@ -1039,6 +1059,30 @@ class TestDecodeUnknownFaults:
         obs = ObservationRecord(2, sel, y.reshape(k + 1, len(sel)))
         with pytest.raises(InternalInvariantError, match="disagree"):
             decode_unknown_faults(stack, obs, 1)
+
+    def test_bound_past_n_decodes_as_the_bound_n(self):
+        # no fault set has more than n nodes, so f = n + 1 sweeps the sizes f = n does;
+        # on this draw some observers find a large fault set that explains the data
+        # without pinning the state and raise, the others return
+        _, w = _synthesized_instance(230, n=6, f=1)
+        k = verify_rank_condition(w, 1)
+        rng = np.random.default_rng(231)
+        inj = InjectionSchedule.from_values({0: rng.normal(0, 30, k).tolist()}, k)
+        traj = run_updates(w, rng.uniform(0, 1000, w.n), inj, k)
+        def outcome(stack, obs, f):
+            try:
+                res = decode_unknown_faults(stack, obs, f)
+            except (DecodeFailureError, InternalInvariantError, ValueError) as exc:
+                return type(exc), str(exc)
+            return res.initial_values.tobytes(), res.total, res.consistent_fault_sets
+        kinds = set()
+        for i in range(w.n):
+            stack = build_observability_stack(w, i, k)
+            obs = _observed(w, traj, i)
+            at_n = outcome(stack, obs, w.n)
+            assert outcome(stack, obs, w.n + 1) == at_n
+            kinds.add(at_n[0] is InternalInvariantError)
+        assert kinds == {True, False}
 
     def test_negative_bound_rejected(self, ref_weights):
         traj = run_updates(ref_weights, REF_SUPPLIES, InjectionSchedule.empty(3), 3)

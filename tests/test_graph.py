@@ -1,15 +1,19 @@
-"""Graph model, serialization, and the certified connectivity oracle."""
+"""Graph model, serialization, the certified connectivity oracle, and the node-id rule."""
 
+import re
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from mgnet import (ConnectivityCertificate, Graph, LinkAttackSet, extend_graph, generate_preventive,
-                   generate_responsive, metropolis_weights, simulator, vertex_connectivity)
+from mgnet import (ConnectivityCertificate, Graph, InjectionSchedule, LinkAttackSet, ObservationRecord,
+                   RoundEngine, build_observability_stack, decode_known_faults, extend_graph,
+                   generate_preventive, generate_responsive, load_golden_scenario, metropolis_weights,
+                   run_updates, simulator, vertex_connectivity)
 from mgnet import graph as graph_module
+from mgnet.graph import check_nodes
 
-from conftest import bench_workloads, relabeled, survivors_graph
+from conftest import REF_SUPPLIES, bench_workloads, relabeled, survivors_graph
 from oracles import brute_force_certificate, brute_force_connectivity
 
 
@@ -127,11 +131,11 @@ class TestGraphBasics:
         assert not g.has_edge(0, 1)
 
     def test_self_loop_rejected(self):
-        with pytest.raises(ValueError, match="self-loop"):
+        with pytest.raises(ValueError, match="node 1 is repeated"):
             Graph.from_edges(3, [(1, 1)])
 
     def test_out_of_range_edge_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"node 3 is outside 0\.\.2"):
             Graph.from_edges(3, [(0, 3)])
 
     def test_node_count_must_be_positive(self):
@@ -153,9 +157,9 @@ class TestGraphBasics:
             assert g.closed_neighborhood(i) == tuple(sorted({i} | g.neighbors(i)))
             assert w.selector(i) == g.closed_neighborhood(i)
         for bad in (-1, n):
-            with pytest.raises(ValueError, match="out of range"):
+            with pytest.raises(ValueError, match=rf"node {bad} is outside 0\.\.{n - 1}"):
                 g.closed_neighborhood(bad)
-            with pytest.raises(ValueError, match="out of range"):
+            with pytest.raises(ValueError, match=rf"node {bad} is outside 0\.\.{n - 1}"):
                 w.selector(bad)
 
     def test_complete_and_connected(self):
@@ -377,9 +381,9 @@ class TestExtendGraph:
             extend_graph(Graph.complete(3), 4, targets=[0, 1, 2, 2])
 
     def test_duplicate_or_out_of_range_targets(self):
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ValueError, match="node 1 is repeated"):
             extend_graph(Graph.complete(3), 2, targets=[1, 1])
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"node 5 is outside 0\.\.2"):
             extend_graph(Graph.complete(3), 2, targets=[0, 5])
 
     def test_needs_targets_or_rng(self):
@@ -413,3 +417,103 @@ class TestLinkAttackSet:
         with pytest.raises(ValueError, match="out of range"):
             attacks.validate_range(5)
         attacks.validate_range(10)
+
+
+def _node_entry_points(w) -> dict:
+    """Every entry point that takes a node id from its caller, as a call on one
+    id v in the six-node reference system. Node 3 is the golden injection's
+    node, so v = 3 decodes consistently."""
+    schedule = InjectionSchedule.from_values({3: [30.0, -45.0, 60.0]}, 3)
+    trajectory = run_updates(w, REF_SUPPLIES, schedule, 3)
+    stack = build_observability_stack(w, 0, 3)
+    observed = ObservationRecord(0, stack.selector, trajectory[:, list(stack.selector)])
+    profiles = load_golden_scenario().microgrids
+    def injected_at(v):
+        return InjectionSchedule((v,), np.zeros((3, 1)), 3)
+    return {
+        "Graph.from_edges": lambda v: Graph.from_edges(6, [(1, v)]),
+        "Graph.neighbors": lambda v: w.graph.neighbors(v),
+        "LinkAttackSet.from_pairs": lambda v: LinkAttackSet.from_pairs([(1, v)]),
+        "extend_graph": lambda v: extend_graph(Graph.complete(6), 2, targets=[0, v]),
+        "build_observability_stack": lambda v: build_observability_stack(w, v, 3),
+        "ObservabilityStack.m": lambda v: stack.m((v,)),
+        "decode_known_faults": lambda v: decode_known_faults(stack, observed, (v,)),
+        "InjectionSchedule": injected_at,
+        "InjectionSchedule.from_values": lambda v: InjectionSchedule.from_values({v: [1.0]}, 3),
+        "RoundEngine": lambda v: RoundEngine(w, profiles, injected_at(v)),
+        "run_updates": lambda v: run_updates(w, REF_SUPPLIES, injected_at(v), 3),
+    }
+
+
+NODE_ENTRY_POINTS = [
+    "Graph.from_edges", "Graph.neighbors", "LinkAttackSet.from_pairs", "extend_graph",
+    "build_observability_stack", "ObservabilityStack.m", "decode_known_faults", "InjectionSchedule",
+    "InjectionSchedule.from_values", "RoundEngine", "run_updates"]
+# those that know n: a link set and a schedule are checked against a graph only where one is used
+RANGED_ENTRY_POINTS = [e for e in NODE_ENTRY_POINTS
+                       if e not in ("LinkAttackSet.from_pairs", "InjectionSchedule",
+                                    "InjectionSchedule.from_values")]
+
+
+class TestNodeIdRule:
+    """check_nodes decides every node id a caller passes: each entry point names
+    a non-integer or, where it knows n, an id outside 0..n-1, and takes numpy integers."""
+
+    @pytest.mark.parametrize("entry", NODE_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [2.7, "1"], ids=["float", "str"])
+    def test_non_integer_id_rejected(self, entry, bad, ref_weights):
+        call = _node_entry_points(ref_weights)[entry]
+        with pytest.raises(ValueError, match=re.escape(f"node {bad!r} is not an integer")):
+            call(bad)
+
+    @pytest.mark.parametrize("entry", RANGED_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [-1, 6], ids=["negative", "n"])
+    def test_id_outside_the_graph_rejected(self, entry, bad, ref_weights):
+        call = _node_entry_points(ref_weights)[entry]
+        with pytest.raises(ValueError, match=rf"node {bad} is outside 0\.\.5"):
+            call(bad)
+
+    @pytest.mark.parametrize("entry", NODE_ENTRY_POINTS)
+    def test_numpy_integer_id_accepted(self, entry, ref_weights):
+        call = _node_entry_points(ref_weights)[entry]
+        call(np.int64(3))
+
+    def test_ids_come_back_sorted_as_python_ints(self):
+        nodes = check_nodes([np.int64(4), 0, np.int32(2)], 5)
+        assert nodes == (0, 2, 4) and all(type(v) is int for v in nodes)
+        assert check_nodes([]) == ()
+
+    @pytest.mark.parametrize("nodes, message", [
+        ((None,), "node None is not an integer"),
+        ((1, 1.5), "node 1.5 is not an integer"),
+        ((0, 7, 7), r"node 7 is outside 0\.\.4"),
+        ((2, 0, 2), "node 2 is repeated"),
+    ])
+    def test_first_offending_id_is_named(self, nodes, message):
+        with pytest.raises(ValueError, match=message):
+            check_nodes(nodes, 5)
+
+    def test_range_is_checked_only_with_a_node_count(self):
+        assert check_nodes((-1, 9)) == (-1, 9)
+        with pytest.raises(ValueError, match="node 9 is repeated"):
+            check_nodes((9, -1, 9))
+
+    def test_a_schedule_with_a_fractional_node_cannot_be_built(self):
+        with pytest.raises(ValueError, match="node 1.5 is not an integer"):
+            InjectionSchedule((1.5,), np.zeros((3, 1)), 3)
+
+    @pytest.mark.parametrize("node", [-1, 6])
+    def test_engine_and_reference_reject_the_same_schedules_before_any_round(
+            self, node, ref_weights, monkeypatch):
+        # every round of either reads the schedule's injections through at()
+        schedule = InjectionSchedule((node,), np.zeros((3, 1)), 3)
+        def no_round(*args):
+            raise AssertionError("a round ran")
+        monkeypatch.setattr(InjectionSchedule, "at", no_round)
+        messages = []
+        for run in (lambda: RoundEngine(ref_weights, load_golden_scenario().microgrids, schedule).run(),
+                    lambda: run_updates(ref_weights, REF_SUPPLIES, schedule, 3)):
+            with pytest.raises(ValueError) as caught:
+                run()
+            messages.append(str(caught.value))
+        assert messages == [f"node {node} is outside 0..5"] * 2

@@ -92,7 +92,14 @@ class TestScenarioParsing:
             {"node": 0, "injection": {"type": "constant", "value": 1.0}},
             {"node": 0, "injection": {"type": "constant", "value": 2.0}},
         ]})
-        with pytest.raises(ConfigError, match="duplicate"):
+        with pytest.raises(ConfigError, match="attack.controllers: node 0 is repeated"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("node", [-1, 4])
+    def test_attack_node_outside_the_microgrids_rejected(self, node):
+        data = minimal_dict(attack={"controllers": [
+            {"node": node, "injection": {"type": "constant", "value": 1.0}}]})
+        with pytest.raises(ConfigError, match=rf"^attack\.controllers: node {node} is outside 0\.\.3$"):
             scenario_from_dict(data)
 
     def test_unknown_injection_kind(self):
