@@ -41,7 +41,6 @@ AGREEMENT_RTOL = 1e-6
 BASELINE_RTOL = 1e-6
 CONDITION_LIMIT = 1e12
 SCREEN_MARGIN = 1e3
-SPLIT_PIN_MARGIN = 2.0
 WEIGHT_DEAD_ZONE = 1e-3
 BASELINE_STEPS = 30
 SYNTHESIS_ATTEMPTS = 40
@@ -325,22 +324,14 @@ def _smallest_split_horizon(w: WeightMatrix, subset_size: int, k_max: int | None
 
 def _split_holds(a: np.ndarray, n: int, s: np.ndarray | None = None) -> bool:
     """Whether rank([O M]) = n + rank(M) for each a = [O M] of a batch, O its
-    first n columns, from s, the singular values of a (computed if not given).
-    Rank r < n fails. With z nonzero columns in M, interlacing (sigma_z(M) >=
-    sigma_{n+z}([O M])) pins rank(M) = z when r = n + z and s[r-1] exceeds
-    SPLIT_PIN_MARGIN times the cut. Rounding moves s by about 1e-14 s[0], so
-    any margin over 1 + 1e-4 covers both SVDs. A batch passes exactly when
-    each of its matrices passes alone, so the scan may send it any subset of
-    the fault sets, such as those _split_certified leaves open."""
+    first n columns, both ranks by the RANK_RTOL cut: r from s, the singular
+    values of a (computed if not given), and rank(M) from a second SVD, which
+    runs only when no r is below n. A batch passes exactly when each of its
+    matrices passes alone, so the scan may send it any subset of the fault
+    sets, such as those _split_certified leaves open."""
     s = np.linalg.svd(a, compute_uv=False) if s is None else s
     r = _rank_from(s)
-    if np.any(r < n):
-        return False
-    m = a[..., n:]
-    z = np.count_nonzero(np.any(m != 0, axis=-2), axis=-1)
-    smallest_kept = np.take_along_axis(s, r[..., None] - 1, axis=-1)[..., 0]
-    rest = (r != n + z) | (smallest_kept <= SPLIT_PIN_MARGIN * RANK_RTOL * s[..., 0])
-    return bool(not rest.any() or np.all(r[rest] == n + numerical_rank(m[rest])))
+    return bool(np.all(r >= n) and np.all(r == n + numerical_rank(a[..., n:])))
 
 
 def _eigenvalues_clear(gram: np.ndarray, tau: np.ndarray, trace: np.ndarray) -> np.ndarray:
@@ -370,8 +361,8 @@ def _split_certified(o: np.ndarray, injection: np.ndarray, fault_cols: np.ndarra
     """Which fault sets a lower bound on sigma_min([O M^Y]) proves pass _split_holds.
 
     fault_cols holds each set's columns of injection, one row per set, and
-    M_nz is the z columns of M^Y that are not exactly zero (the test of
-    _split_holds). One full SVD of O gives a = sigma_n(O) and P = U[:, n:],
+    M_nz is the z columns of M^Y that are not exactly zero, so rank(M) <= z and
+    rank([O M]) <= n + z. One full SVD of O gives a = sigma_n(O) and P = U[:, n:],
     a basis of the complement of col(O), and Q = [U[:, :n] P] makes Q^T [O M]
     block triangular, [[R, X], [0, P^T M]] with R = diag(s) V^T. So, with
     b = sigma_min(P^T M_nz) and zeta = ||R^-1 X||_F = ||O^+ M||_F,
@@ -385,13 +376,16 @@ def _split_certified(o: np.ndarray, injection: np.ndarray, fault_cols: np.ndarra
     trace, which bounds the rounding of forming G from sums over rows;
     _eigenvalues_clear's (p+1) eps trace shift covers only the factorisation and
     falls short of it whenever rows > p + 1. A set is accepted when the bound
-    exceeds t = SPLIT_PIN_MARGIN RANK_RTOL ||A||_F >= the pin cut on sigma_1(A),
-    plus rows (n + z) eps ||A||_F for every other rounding: the SVD in _split_holds
-    then gives r = n + z, pinned. The bound increases in b toward a, so it exceeds
-    t exactly when a > t and b > b* = t a (1 + zeta) / (a - t), that is when
-    lambda_min(G) exceeds tau = b*^2 + (rows + z) eps trace, with b* raised by 4
-    ulps for its own rounding; _eigenvalues_clear decides that by Cholesky. Sets of
-    size 0, and every set when O is singular, are left open."""
+    exceeds t = RANK_RTOL ||A||_F, which is at least the rank cut RANK_RTOL
+    sigma_1(A), plus rows (n + z) eps ||A||_F for the rounding of both SVDs in
+    _split_holds. The SVD of A then gives r = n + z; and since deleting O's
+    columns interlaces, sigma_z(M) >= sigma_{n+z}(A), while sigma_1(M) <=
+    sigma_1(A), the SVD of M gives rank z, so the set passes. The bound
+    increases in b toward a, so it exceeds t exactly when a > t and
+    b > b* = t a (1 + zeta) / (a - t), that is when lambda_min(G) exceeds
+    tau = b*^2 + (rows + z) eps trace, with b* raised by 4 ulps for its own
+    rounding; _eigenvalues_clear decides that by Cholesky. Sets of size 0, and
+    every set when O is singular, are left open."""
     eps = np.finfo(float).eps
     rows, n = o.shape
     u, s, vt = np.linalg.svd(o)
@@ -409,7 +403,7 @@ def _split_certified(o: np.ndarray, injection: np.ndarray, fault_cols: np.ndarra
     m_fro = np.sqrt(np.einsum("ij,ij->j", injection, injection)[fault_cols].sum(-1))
     a_fro = np.sqrt(np.vdot(o, o) + m_fro ** 2)
     zeta = np.sqrt(np.einsum("ij,ij->j", coeffs, coeffs)[fault_cols].sum(-1)) + rows * eps * m_fro / a
-    t = (SPLIT_PIN_MARGIN * RANK_RTOL + rows * (n + z) * eps) * a_fro
+    t = (RANK_RTOL + rows * (n + z) * eps) * a_fro
     spare = a - t
     b_star = (1 + 4 * eps) * t * a * (1 + zeta) / np.where(spare > 0, spare, np.inf)
     return (spare > 0) & _eigenvalues_clear(gram, b_star ** 2 + (rows + z) * eps * trace, trace)
@@ -554,7 +548,7 @@ def decode_known_faults(stack: ObservabilityStack, obs: ObservationRecord, fault
 
     The stacked block may be column-deficient without harm: an injection
     step too late to reach the observer's window contributes a zero
-    column, leaving u non-unique while S(0) stays pinned. The reported
+    column, leaving u non-unique while S(0) stays unique. The reported
     condition number is therefore the effective one (largest over
     smallest retained singular value), and a consistent solution whose
     initial-state block is not uniquely determined raises an invariant

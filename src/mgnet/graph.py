@@ -71,12 +71,16 @@ class Graph:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.node_count < 1:
+        n = self.node_count
+        if n < 1:
             raise ValueError("node_count must be a positive integer")
-        adjacent: list[set[int]] = [set() for _ in range(self.node_count)]
-        for i, j in self.edges:
-            if not (0 <= i < j < self.node_count):
-                raise ValueError(f"edge ({i}, {j}) out of range or not normalized")
+        adjacent: list[set[int]] = [set() for _ in range(n)]
+        for edge in self.edges:
+            i, j = edge
+            if not (type(i) is int and type(j) is int and 0 <= i < j < n):  # plain ints skip the rule
+                i, j = check_nodes(edge, n)
+                if (i, j) != edge:
+                    raise ValueError(f"edge {edge} is not normalized")
             adjacent[i].add(j)
             adjacent[j].add(i)
         object.__setattr__(self, "_neighbors", tuple(frozenset(a) for a in adjacent))
@@ -92,7 +96,7 @@ class Graph:
         return cls(n, frozenset(combinations(range(n), 2)))
 
     def has_edge(self, i: int, j: int) -> bool:
-        return _norm_edge(i, j) in self.edges
+        return _norm_edge(self._node(i), self._node(j)) in self.edges
 
     def _node(self, i: int) -> int:
         if not (type(i) is int and 0 <= i < self.node_count):  # a plain int in range skips the call
@@ -343,11 +347,6 @@ class LinkAttackSet:
     def from_pairs(cls, pairs) -> "LinkAttackSet":
         return cls(frozenset(check_nodes((i, j)) for i, j in pairs))
 
-    def validate_range(self, node_count: int) -> None:
-        for i, j in self.forbidden_edges:
-            if j >= node_count or i < 0:
-                raise ValueError(f"attacked link ({i}, {j}) out of range for {node_count} nodes")
-
 
 def _connectivity_target(n: int, f: int) -> int:
     """2f+1, the connectivity n nodes need for fault bound f, once (n, f) are checked."""
@@ -408,9 +407,9 @@ def generate_responsive(n: int, f: int, attacks: LinkAttackSet, rng: np.random.G
     step can run short, since every seed node is a safe target for it.
     """
     m = _connectivity_target(n, f)
-    attacks.validate_range(n)
     barred: dict[int, set[int]] = {}  # each node on an attacked link: its forbidden partners
-    for i, j in attacks.forbidden_edges:
+    for edge in attacks.forbidden_edges:
+        i, j = check_nodes(edge, n)
         barred.setdefault(i, set()).add(j)
         barred.setdefault(j, set()).add(i)
     clean = [v for v in range(n) if v not in barred]

@@ -324,7 +324,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     link_pairs = _as_pairs(raw_attack.get("links", []), "attack.links")
     try:
         links = LinkAttackSet.from_pairs(link_pairs)
-        links.validate_range(n)
+        for edge in links.forbidden_edges:
+            check_nodes(edge, n)
     except ValueError as exc:
         raise ConfigError(f"attack.links: {exc}") from None
     attack = AttackSpec(tuple(plans), links,

@@ -238,6 +238,18 @@ def split_horizon_oracle(w: np.ndarray, subset_size: int, k_max: int, rtol: floa
     return None
 
 
+def split_by_definition(a: np.ndarray, n: int, rtol: float) -> np.ndarray:
+    """rank([O M]) == n + rank(M) for each a = [O M] of a stack, shape
+    (..., rows, cols), O its first n columns: two SVDs, one of a and one of
+    M, each rank counting the singular values above rtol times the largest
+    (an M with no columns has rank 0). A plain matrix gets a 0-d array."""
+    def rank(x):
+        s = np.linalg.svd(x, compute_uv=False)
+        return np.sum(s > rtol * s[..., :1], axis=-1)
+
+    return rank(a) == n + rank(a[..., n:])
+
+
 def plain_split_scan(w, subset_size: int, operator, split_holds) -> tuple[int | None, list]:
     """The rank-split scan with no bound: the first K in 1..n+2 at which every
     observer splits every node set of subset_size, or None, and the
@@ -269,11 +281,11 @@ def plain_split_scan(w, subset_size: int, operator, split_holds) -> tuple[int | 
 
 
 def eigvalsh_split_bound(o: np.ndarray, injection: np.ndarray, fault_cols: np.ndarray,
-                         pin_margin: float, rtol: float) -> np.ndarray:
+                         rtol: float) -> np.ndarray:
     """The certified split bound decided from the whole spectrum: which fault
     sets (rows of fault_cols, columns of injection) have
 
-        a b / (b + a (1 + zeta)) - rows (n + z) eps ||A||_F > pin_margin rtol ||A||_F,
+        a b / (b + a (1 + zeta)) - rows (n + z) eps ||A||_F > rtol ||A||_F,
 
     a = sigma_n(O), zeta = ||O^+ M||_F + rows eps ||M||_F / a, and b^2 the
     smallest eigenvalue from eigvalsh of the set's Gram block of P^T M, P the
@@ -300,7 +312,7 @@ def eigvalsh_split_bound(o: np.ndarray, injection: np.ndarray, fault_cols: np.nd
     a_fro = np.sqrt(np.vdot(o, o) + m_fro ** 2)
     zeta = np.sqrt(np.einsum("ij,ij->j", coeffs, coeffs)[fault_cols].sum(-1)) + rows * eps * m_fro / a
     bound = a * b / (b + a * (1 + zeta))
-    return bound - rows * (n + z) * eps * a_fro > pin_margin * rtol * a_fro
+    return bound - rows * (n + z) * eps * a_fro > rtol * a_fro
 
 
 # the largest prime below 2**25: a product of two residues is below 2**50, so

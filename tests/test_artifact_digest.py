@@ -92,8 +92,15 @@ def test_graph_set_pins_the_generators_refusals(tmp_path, capsys):
     assert len(lines) == 2 * 4 + 5 * 2
     assert list(tmp_path.iterdir()) == []
 
-    # (n, f) is checked before the attacked links' range
+    # an attacked link's ends go through the node-id rule
     capsys.readouterr()
+    assert main(["graph", "--n", "6", "--f", "1", "--strategy", "responsive",
+                 "--attacked-links", "0-9", "--seed", "1", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: node 9 is outside 0..5\n"
+    assert f"{hashlib.sha256(err.encode()).hexdigest()}  graph/responsive-n6-f1-range/stderr" in lines
+
+    # (n, f) is checked before the attacked links' range
     assert main(["graph", "--n", "3", "--f", "2", "--strategy", "responsive",
                  "--attacked-links", "0-9", "--seed", "1", "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err

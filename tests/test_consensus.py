@@ -8,6 +8,7 @@ import pytest
 
 from mgnet import consensus
 from mgnet import (
+    CommunicationAgent,
     ConfigError,
     DecodeFailureError,
     DecodeInconsistencyError,
@@ -21,7 +22,9 @@ from mgnet import (
     decode_known_faults,
     decode_unknown_faults,
     generate_preventive,
+    load_golden_scenario,
     metropolis_weights,
+    run_period,
     run_updates,
     simulator,
     synthesize_weights,
@@ -34,6 +37,7 @@ from mgnet.consensus import (
     WEIGHT_DEAD_ZONE,
     numerical_rank,
 )
+from mgnet.scenario import scenario_from_dict, scenario_to_dict
 
 from conftest import REF_SUPPLIES, REF_W, bench_workloads
 from oracles import (
@@ -45,6 +49,7 @@ from oracles import (
     plain_split_scan,
     random_field_weights,
     rank_mod_p,
+    split_by_definition,
     split_horizon_oracle,
     stacked_operators,
     unscreened_unknown_decode,
@@ -432,6 +437,22 @@ class TestSplitHorizonMemo:
         assert w.entries[0, 0] == REF_W[0][0]
 
 
+# (n, f) of the `split` set of tools/artifact_digest.py; (14, 1) and (10, 2) are the
+# resilient benchmark workloads' shapes, so their draws are the workloads' own
+SPLIT_SHAPES = [(10, 1), (14, 1), (18, 1), (8, 2), (10, 2), (12, 2)]
+
+
+def _split_draws(n: int, f: int, seed: int) -> list[WeightMatrix]:
+    """The first three weight draws of period 0's synthesis in the resilient_f<f>
+    recipe at n nodes, as the digest tool's `split` set takes them."""
+    workloads = bench_workloads()
+    inputs = {**workloads.load_specs()[f"resilient_f{f}"]["inputs"], "n": n}
+    scenario, agent = workloads.build(inputs, seed)
+    g = simulator._topology(scenario, agent, 0)
+    rng = simulator._rng(scenario.seed, 0, simulator._WEIGHT_STREAM)
+    return [consensus.draw_weights(g, rng) for _ in range(3)]
+
+
 # graphs below 2f+1 connectivity, on which the full split fails to the cap
 CAP_FAILING_GRAPHS = [
     pytest.param(Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)]), 1, id="cycle8-f1"),
@@ -440,10 +461,9 @@ CAP_FAILING_GRAPHS = [
 
 
 class TestSplitPin:
-    """One SVD of [O M] decides the split wherever it can: a rank below n
-    fails, and rank n + z with z nonzero columns in M and the smallest
-    kept singular value clear of the cut pins rank(M) = z. numerical_rank
-    runs on M only for the fault sets left open."""
+    """The split test is its definition: one SVD of each [O M] gives its rank
+    r, any r below n fails with no further SVD, and otherwise numerical_rank of
+    M decides r = n + rank(M)."""
 
     @pytest.fixture
     def rank_of_m(self, monkeypatch):
@@ -455,6 +475,55 @@ class TestSplitPin:
             return rank(a)
         monkeypatch.setattr(consensus, "numerical_rank", counted)
         return batches
+
+    @pytest.fixture
+    def split_calls(self, monkeypatch):
+        # (a, n, s, verdict) of every call of _split_holds, and the unpatched rule
+        calls = []
+        holds = consensus._split_holds
+        def recorded(a, n, s=None):
+            calls.append((a, n, s, holds(a, n, s)))
+            return calls[-1][3]
+        monkeypatch.setattr(consensus, "_split_holds", recorded)
+        return calls, holds
+
+    @staticmethod
+    def _assert_each_matrix_is_the_definition(calls, holds):
+        for a, n, s, verdict in calls:
+            expected = split_by_definition(a, n, RANK_RTOL)
+            assert verdict == expected.all()
+            if a.ndim == 3:
+                assert [holds(m[None], n) for m in a] == expected.tolist()
+
+    @pytest.mark.parametrize("n, f", SPLIT_SHAPES)
+    def test_every_scanned_matrix_is_decided_by_the_definition(self, n, f, split_calls):
+        # the digest's split draws, seeds 1-2, scanned at sizes 2f and f
+        calls, holds = split_calls
+        for seed in (1, 2):
+            for w in _split_draws(n, f, seed):
+                for size in (2 * f, f):
+                    consensus._scan_split_horizons(w, size)
+        assert any(verdict for *_, verdict in calls) and not all(verdict for *_, verdict in calls)
+        self._assert_each_matrix_is_the_definition(calls, holds)
+
+    @pytest.mark.parametrize("weights, split", [("fixed", "per_candidate"), ("random", "full")])
+    def test_every_decoded_matrix_is_decided_by_the_definition(self, weights, split, split_calls):
+        # golden decodes under the per-candidate split with its own weights at
+        # k = 3, and under the full split with weights synthesized on a preventive
+        # graph, as the digest's golden and pinned sets run it; each decoder
+        # checks its split with the singular values of its least-squares solve
+        calls, holds = split_calls
+        data = scenario_to_dict(load_golden_scenario())
+        if weights == "random":
+            data["graph"] = {"strategy": "preventive", "regenerate_per_period": False}
+            data["weights"] = {"type": "random"}
+            data["consensus"]["k"] = None
+        sc = scenario_from_dict(data)
+        agent = CommunicationAgent(sc.graph.strategy, sc.f, sc.seed)
+        for mode in ("known_faults", "unknown_faults"):
+            assert run_period(sc, agent, mode).diagnostics["rank_split"] == split
+        assert any(s is not None for _, _, s, _ in calls)
+        self._assert_each_matrix_is_the_definition(calls, holds)
 
     @pytest.mark.parametrize("n, f, seed", [(14, 1, 5), (10, 2, 6)])
     def test_scan_matches_the_per_pair_oracle(self, n, f, seed):
@@ -474,50 +543,30 @@ class TestSplitPin:
         assert verify_candidate_uniqueness(w, f) == split_horizon_oracle(
             w.entries, f, w.n + 2, RANK_RTOL)
 
-    def test_rank_of_m_runs_only_where_the_pin_leaves_it_open(self, rank_of_m):
-        rng = np.random.default_rng(5)
-        w = synthesize_weights(generate_preventive(14, 1, rng), 1, rng)
-        k = verify_rank_condition(w, 1)
-        rank_of_m.clear()
-        pairs = 0
-        for i in range(w.n):
-            stack = build_observability_stack(w, i, k)
-            a = np.stack([np.hstack([stack.o, stack.m(y)]) for y in combinations(range(w.n), 2)])
-            assert consensus._split_holds(a, w.n)
-            pairs += len(a)
-        # about 4% of the (observer, pair) systems keep M's rank open here
-        assert 0 < sum(rank_of_m) <= 0.1 * pairs
-
-    def test_kept_value_within_the_margin_is_not_pinned(self, rank_of_m):
-        for ratio, fallbacks in ((1.5, [1]), (3.0, [])):
-            rank_of_m.clear()
-            m = np.array([[0.0], [ratio * RANK_RTOL], [0.0]])
-            assert consensus._split_holds(np.hstack([[[1.0], [0.0], [0.0]], m]), 1)
-            assert rank_of_m == fallbacks
-
-    def test_zero_columns_count_against_the_pin(self, rank_of_m):
-        # M's third column is zero: rank n + 2 with z = 2 pins, and a dependent
-        # nonzero column instead leaves z = 3 and M's rank open
+    def test_zero_columns_count_toward_neither_rank(self):
+        # O = e1 and M = [0.5 e2, 0.25 e3, c]. With c = 0, rank(M) = 2 and
+        # rank([O M]) = 3, so the split holds; with c a copy of M's last column
+        # it still holds, and with c a copy of O's column M gains a rank that
+        # [O M] does not, so it fails, alone and in a batch with the others
         a = np.zeros((5, 4))
         a[0, 0], a[1, 1], a[2, 2] = 1.0, 0.5, 0.25
-        assert consensus._split_holds(a, 1) and rank_of_m == []
-        a[:, 3] = a[:, 2]
-        assert consensus._split_holds(a, 1) and rank_of_m == [1]
+        batch = []
+        for c in (np.zeros(5), a[:, 2].copy(), a[:, 0].copy()):
+            a[:, 3] = c
+            batch.append(a.copy())
+        assert [consensus._split_holds(m, 1) for m in batch] == [True, True, False]
+        assert split_by_definition(np.stack(batch), 1, RANK_RTOL).tolist() == [True, True, False]
+        assert consensus._split_holds(np.stack(batch[:2]), 1)
+        assert not consensus._split_holds(np.stack(batch), 1)
 
     def test_rank_below_n_fails_without_rank_of_m(self, rank_of_m):
         # [O M] of all ones has rank 1 < n = 2
         assert not consensus._split_holds(np.ones((1, 4, 3)), 2)
         assert rank_of_m == []
 
-    def test_decoder_pins_its_split(self, ref_weights, rank_of_m):
-        inj = InjectionSchedule.from_values(REF_INJECTION, 3)
-        traj = run_updates(ref_weights, REF_SUPPLIES, inj, 3)
-        stack = build_observability_stack(ref_weights, 0, 3)
-        decode_known_faults(stack, _observed(ref_weights, traj, 0), (3,))
-        assert rank_of_m == []
-
     def test_no_singular_values_of_an_empty_stack(self, monkeypatch):
-        # a batch the pin settles whole leaves numerical_rank nothing to rank
+        # the scan sends _split_holds only the sets the bound leaves open, and
+        # nothing when it settles them all; no SVD ever runs on an empty batch
         leading = []
         svd = np.linalg.svd
         def recorded(a, *args, **kwargs):
@@ -532,22 +581,6 @@ class TestSplitPin:
         for i in range(w.n):
             decode_unknown_faults(build_observability_stack(w, i, k), _observed(w, traj, i), 1)
         assert leading and 0 not in leading
-
-
-# (n, f) of the `split` set of tools/artifact_digest.py; (14, 1) and (10, 2) are the
-# resilient benchmark workloads' shapes, so their draws are the workloads' own
-SPLIT_SHAPES = [(10, 1), (14, 1), (18, 1), (8, 2), (10, 2), (12, 2)]
-
-
-def _split_draws(n: int, f: int, seed: int) -> list[WeightMatrix]:
-    """The first three weight draws of period 0's synthesis in the resilient_f<f>
-    recipe at n nodes, as the digest tool's `split` set takes them."""
-    workloads = bench_workloads()
-    inputs = {**workloads.load_specs()[f"resilient_f{f}"]["inputs"], "n": n}
-    scenario, agent = workloads.build(inputs, seed)
-    g = simulator._topology(scenario, agent, 0)
-    rng = simulator._rng(scenario.seed, 0, simulator._WEIGHT_STREAM)
-    return [consensus.draw_weights(g, rng) for _ in range(3)]
 
 
 class TestCertifiedSplit:
@@ -620,16 +653,20 @@ class TestCertifiedSplit:
 
     @pytest.mark.parametrize("n, f", SPLIT_SHAPES)
     def test_every_accepted_set_passes_split_holds(self, n, f, bounds):
-        # _split_holds passes a batch exactly when it passes each matrix of it,
-        # so one call over the accepted sets checks each one on its own
+        # every accepted set passes the definition, each on its own, at sizes 2f
+        # and f; _split_holds passes a batch exactly when it passes each matrix
+        # of it, so one call over the accepted sets agrees
         for w in _split_draws(n, f, 1):
-            consensus._scan_split_horizons(w, 2 * f)
+            for size in (2 * f, f):
+                consensus._scan_split_horizons(w, size)
         assert bounds and any(accepted.any() for *_, accepted in bounds)
         for o, injection, fault_cols, accepted in bounds:
             a = np.hstack([o, injection])
             cols = np.hstack([np.broadcast_to(np.arange(n), (len(fault_cols), n)), n + fault_cols])
             if accepted.any():
-                assert consensus._split_holds(np.moveaxis(a[:, cols[accepted]], 1, 0), n)
+                batch = np.moveaxis(a[:, cols[accepted]], 1, 0)
+                assert split_by_definition(batch, n, RANK_RTOL).all()
+                assert consensus._split_holds(batch, n)
 
     def test_exactly_dependent_projected_columns_fall_back(self):
         # M = [c, c + O v]: both columns leave col(O) along the same direction, so
@@ -656,27 +693,29 @@ class TestCertifiedSplit:
                 consensus._scan_split_horizons(w, size)
         assert bounds
         for o, injection, fault_cols, accepted in bounds:
-            expected = eigvalsh_split_bound(o, injection, fault_cols,
-                                            consensus.SPLIT_PIN_MARGIN, RANK_RTOL)
+            expected = eigvalsh_split_bound(o, injection, fault_cols, RANK_RTOL)
             assert not (accepted & ~expected).any()
             assert np.array_equal(accepted, expected)
 
     def test_one_orthogonal_column_is_accepted_above_the_documented_threshold(self):
         # O = [I; 0] has a = 1 and O^+ M = 0, so zeta ~ 0 and b = c for a column
         # of norm c outside col(O): the bound c / (c + 1) exceeds
-        # t = (SPLIT_PIN_MARGIN RANK_RTOL + rows (n + 1) eps) ||A||_F exactly when
-        # c > c* = t / (1 - t), where ||A||_F = sqrt(n) to within 1e-17. Both sets
-        # pass _split_holds: the open one, below the pin cut, by its second SVD
+        # t = (RANK_RTOL + rows (n + 1) eps) ||A||_F exactly when c > c* = t / (1 - t),
+        # where ||A||_F = sqrt(n) to within 1e-17. sigma_1(A) = 1, so the rank cut
+        # is RANK_RTOL: the accepted column passes, one left open between the cut
+        # and c* still passes by the SVDs, and one below the cut fails
         rows, n = 6, 3
         o = np.vstack([np.eye(n), np.zeros((rows - n, n))])
         eps = np.finfo(float).eps
-        t = (consensus.SPLIT_PIN_MARGIN * RANK_RTOL + rows * (n + 1) * eps) * np.sqrt(n)
+        t = (RANK_RTOL + rows * (n + 1) * eps) * np.sqrt(n)
         c_star = t / (1 - t)
-        for c, accepted in ((2 * c_star, True), (c_star / 2, False)):
+        for c, accepted, passes in ((2 * c_star, True, True), ((RANK_RTOL + c_star) / 2, False, True),
+                                    (RANK_RTOL / 2, False, False)):
             injection = np.zeros((rows, 1))
             injection[n + 1, 0] = c
             assert consensus._split_certified(o, injection, np.array([[0]])).tolist() == [accepted]
-            assert consensus._split_holds(np.hstack([o, injection])[None], n)
+            a = np.hstack([o, injection])
+            assert consensus._split_holds(a[None], n) == split_by_definition(a, n, RANK_RTOL) == passes
 
     def test_one_orthogonal_column_is_bracketed_at_the_documented_tau(self):
         # the same set at 1000 rows, where the Gram rounding allowance (rows + 1) eps
@@ -685,11 +724,11 @@ class TestCertifiedSplit:
         # and c^2 is accepted exactly when c^2 > tau + 2 eps c^2 / (1 - 2 eps) with
         # tau = b*^2 + (rows + 1) eps c^2, that is c^2 > lam. Points rows eps / 4 on
         # either side of lam settle on either side; without the allowance the lower
-        # one, which _split_holds passes by its second SVD, would be accepted too
+        # one would be accepted too. Both lie above the rank cut, so both pass
         rows, n = 1000, 3
         o = np.vstack([np.eye(n), np.zeros((rows - n, n))])
         eps = np.finfo(float).eps
-        t = (consensus.SPLIT_PIN_MARGIN * RANK_RTOL + rows * (n + 1) * eps) * np.sqrt(n)
+        t = (RANK_RTOL + rows * (n + 1) * eps) * np.sqrt(n)
         b_star = (1 + 4 * eps) * t / (1 - t)
         lam = b_star ** 2 / (1 - (rows + 1) * eps - 2 * eps / (1 - 2 * eps))
         for side, accepted in ((1, True), (-1, False)):

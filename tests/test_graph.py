@@ -412,12 +412,6 @@ class TestLinkAttackSet:
         assert attacks.forbidden_edges == {(1, 3), (0, 2)}
         assert (0, 1) not in attacks.forbidden_edges
 
-    def test_validate_range(self):
-        attacks = LinkAttackSet.from_pairs([(0, 9)])
-        with pytest.raises(ValueError, match="out of range"):
-            attacks.validate_range(5)
-        attacks.validate_range(10)
-
 
 def _node_entry_points(w) -> dict:
     """Every entry point that takes a node id from its caller, as a call on one
@@ -431,9 +425,13 @@ def _node_entry_points(w) -> dict:
     def injected_at(v):
         return InjectionSchedule((v,), np.zeros((3, 1)), 3)
     return {
+        "Graph": lambda v: Graph(6, frozenset({(1, v)})),
         "Graph.from_edges": lambda v: Graph.from_edges(6, [(1, v)]),
         "Graph.neighbors": lambda v: w.graph.neighbors(v),
+        "Graph.has_edge": lambda v: w.graph.has_edge(v, 1),
         "LinkAttackSet.from_pairs": lambda v: LinkAttackSet.from_pairs([(1, v)]),
+        "generate_responsive": lambda v: generate_responsive(
+            6, 1, LinkAttackSet(frozenset({(1, v)})), np.random.default_rng(1)),
         "extend_graph": lambda v: extend_graph(Graph.complete(6), 2, targets=[0, v]),
         "build_observability_stack": lambda v: build_observability_stack(w, v, 3),
         "ObservabilityStack.m": lambda v: stack.m((v,)),
@@ -446,7 +444,8 @@ def _node_entry_points(w) -> dict:
 
 
 NODE_ENTRY_POINTS = [
-    "Graph.from_edges", "Graph.neighbors", "LinkAttackSet.from_pairs", "extend_graph",
+    "Graph", "Graph.from_edges", "Graph.neighbors", "Graph.has_edge", "LinkAttackSet.from_pairs",
+    "generate_responsive", "extend_graph",
     "build_observability_stack", "ObservabilityStack.m", "decode_known_faults", "InjectionSchedule",
     "InjectionSchedule.from_values", "RoundEngine", "run_updates"]
 # those that know n: a link set and a schedule are checked against a graph only where one is used
@@ -477,6 +476,29 @@ class TestNodeIdRule:
     def test_numpy_integer_id_accepted(self, entry, ref_weights):
         call = _node_entry_points(ref_weights)[entry]
         call(np.int64(3))
+
+    def test_has_edge_checks_both_ends(self):
+        g = Graph.complete(3)
+        for ends, message in (((2.7, 1), "node 2.7 is not an integer"),
+                              ((1, 99), r"node 99 is outside 0\.\.2"),
+                              ((-1, 2), r"node -1 is outside 0\.\.2")):
+            with pytest.raises(ValueError, match=message):
+                g.has_edge(*ends)
+        assert g.has_edge(np.int64(2), 0)
+
+    @pytest.mark.parametrize("edge, message", [
+        ((0.5, 1.5), "node 0.5 is not an integer"),
+        ((1, 1), "node 1 is repeated"),
+        ((1, 0), r"edge \(1, 0\) is not normalized"),
+    ], ids=["fraction", "self-loop", "reversed"])
+    def test_constructor_applies_the_rule_to_each_edge(self, edge, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(3, frozenset({edge}))
+
+    def test_constructor_takes_numpy_integer_ends(self):
+        g = Graph(3, frozenset({(np.int64(0), np.int32(2))}))
+        assert g.has_edge(2, 0) and g.closed_neighborhood(0) == (0, 2)
+        assert all(type(v) is int for v in g.closed_neighborhood(0))
 
     def test_ids_come_back_sorted_as_python_ints(self):
         nodes = check_nodes([np.int64(4), 0, np.int32(2)], 5)

@@ -132,7 +132,7 @@ class TestResponsive:
 
     def test_attacked_link_out_of_range(self):
         attacks = LinkAttackSet.from_pairs([(0, 9)])
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"^node 9 is outside 0\.\.5$"):
             generate_responsive(6, 1, attacks, np.random.default_rng(0))
 
     def test_too_few_nodes(self):

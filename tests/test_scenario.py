@@ -155,7 +155,7 @@ class TestScenarioParsing:
 
     def test_attack_link_out_of_range(self):
         data = minimal_dict(attack={"links": [[0, 9]]})
-        with pytest.raises(ConfigError, match=r"attack\.links"):
+        with pytest.raises(ConfigError, match=r"^attack\.links: node 9 is outside 0\.\.3$"):
             scenario_from_dict(data)
 
     @pytest.mark.parametrize("path", ["attack.links", "graph.fixed_edges"])
