@@ -124,12 +124,9 @@ def cmd_graph(args: argparse.Namespace) -> int:
         g = generate_preventive(args.n, args.f, rng)
     else:
         g = generate_responsive(args.n, args.f, _parse_attacked_links(args.attacked_links), rng)
-    if g.node_count >= 2:
-        cert = g.certificate()
-        kappa = cert.kappa
-        witness = None if cert.witness_cut is None else sorted(cert.witness_cut)
-    else:
-        kappa, witness = 0, None
+    cert = g.certificate()
+    kappa = cert.kappa
+    witness = None if cert.witness_cut is None else sorted(cert.witness_cut)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

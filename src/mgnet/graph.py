@@ -4,14 +4,14 @@ Everything the communication agent needs to lay out who-talks-with-whom:
 an exact minimum-vertex-cut oracle, the single-node extension step that
 preserves m-connectivity, and two topology generators (a randomized one
 used before any attack is known, and an attack-aware one that avoids
-compromised links) that share one input check and one certificate.
+compromised links) that share one input check.
 The oracle's max-flows find augmenting paths by bidirectional BFS, and
 it skips each pivot pair the expansion lemma proves unable to improve
 the cut, which leaves every certificate as checking every pair gives it.
-Convention: the complete graph on n nodes has connectivity n - 1, so
-the (2f+1)-node seed clique certifies at 2f. A supplied topology is not
-generated: the scenario holds it as one Graph, graph.fixed, for a campaign.
-check_nodes is the package's one rule for the node ids a caller passes.
+Convention: the complete graph on n nodes, K_1 included, has connectivity
+n - 1. A supplied topology is not generated: the scenario holds it as one
+Graph, graph.fixed, for a campaign. check_nodes is the package's one rule
+for caller-supplied node ids, require_connectivity for a graph's 2f+1 fitness.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InfeasibleTopologyError, InternalInvariantError
+from .errors import InfeasibleTopologyError
 
 Edge = tuple[int, int]
 
@@ -235,7 +235,8 @@ def _min_cut_between(out_arcs: list[list[tuple[int, int]]], in_arcs: list[list[t
 
 
 def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
-    """Exact vertex connectivity with a witness cut for incomplete graphs.
+    """Exact vertex connectivity with a witness cut for incomplete graphs;
+    a complete graph, K_1 included, gets (n - 1, None) with no search.
 
     Minimizes the (s, t) vertex cut over a dominating family of pairs:
     a minimum-degree pivot against each of its non-neighbors, plus every
@@ -267,8 +268,6 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
     minimal source-side one) is unique, whichever maximum flow found it.
     """
     n = g.node_count
-    if n < 2:
-        raise ValueError("vertex connectivity needs at least 2 nodes")
     if g.is_complete():
         return ConnectivityCertificate(n - 1, None)
 
@@ -358,11 +357,15 @@ def _connectivity_target(n: int, f: int) -> int:
     return m
 
 
-def _certified(g: Graph, m: int, strategy: str) -> Graph:
-    """g, once its certificate shows kappa >= m; the bare seed clique needs none."""
-    if g.node_count > m and g.certificate().kappa < m:
-        raise InternalInvariantError(
-            f"{strategy} generator produced kappa={g.certificate().kappa} < {m}")
+def require_connectivity(g: Graph, m: int) -> Graph:
+    """g, once its certificate shows kappa >= min(m, n - 1), m being 2f+1; else
+    InfeasibleTopologyError naming the cut. Complete graphs, the bare seed
+    clique and K_1 among them, pass by the kappa = n - 1 convention."""
+    cert = g.certificate()
+    if cert.kappa < min(m, g.node_count - 1):
+        raise InfeasibleTopologyError(
+            f"graph has vertex connectivity {cert.kappa} < 2f+1 = {m}; "
+            f"witness cut {sorted(cert.witness_cut)}")
     return g
 
 
@@ -395,7 +398,7 @@ def generate_preventive(n: int, f: int, rng: np.random.Generator) -> Graph:
     order = [int(v) for v in rng.permutation(n)]
     edges = _grow(order[:m], order[m:], m, {}, rng)
     new = [int(v) for v in rng.permutation(n)]  # each node's final label
-    return _certified(Graph(n, frozenset(_norm_edge(new[i], new[j]) for i, j in edges)), m, "preventive")
+    return require_connectivity(Graph(n, frozenset(_norm_edge(new[i], new[j]) for i, j in edges)), m)
 
 
 def generate_responsive(n: int, f: int, attacks: LinkAttackSet, rng: np.random.Generator) -> Graph:
@@ -418,4 +421,4 @@ def generate_responsive(n: int, f: int, attacks: LinkAttackSet, rng: np.random.G
             f"only {len(clean)} nodes have no attacked links; the seed clique needs {m}")
     seed = [clean[int(p)] for p in rng.choice(len(clean), size=m, replace=False)]
     rest = [int(v) for v in rng.permutation(n) if int(v) not in seed]
-    return _certified(Graph(n, _grow(seed, rest, m, barred, rng)), m, "responsive")
+    return require_connectivity(Graph(n, _grow(seed, rest, m, barred, rng)), m)

@@ -46,14 +46,9 @@ from .consensus import (
     verify_candidate_uniqueness,
     verify_rank_condition,
 )
-from .errors import (
-    PERIOD_FAILURES,
-    ConfigError,
-    DecodeError,
-    InfeasibleTopologyError,
-    SynthesisError,
-)
-from .graph import Graph, LinkAttackSet, check_nodes, generate_preventive, generate_responsive
+from .errors import PERIOD_FAILURES, ConfigError, DecodeError, SynthesisError
+from .graph import (Graph, LinkAttackSet, check_nodes, generate_preventive,
+                    generate_responsive, require_connectivity)
 from .scenario import (
     UNDECIDED,
     DecisionPeriod,
@@ -211,58 +206,49 @@ def _topology(scenario: Scenario, agent: CommunicationAgent, period: int) -> Gra
     return agent.build_graph(scenario.n, links, period)
 
 
-def _resilient_weights(scenario: Scenario, g: Graph, period: int) -> WeightMatrix:
-    """The scenario's fixed matrix, or weights drawn once the graph is (2f+1)-connected.
-    Generated graphs arrive certified; a supplied incomplete one is certified here, once
-    per campaign, since the scenario holds one Graph (and one matrix) for all periods."""
-    if scenario.weights is not None:
-        return scenario.weights
-    m = 2 * scenario.f + 1
-    if scenario.graph.fixed is not None and not g.is_complete():
-        cert = g.certificate()
-        if cert.kappa < m:
-            raise InfeasibleTopologyError(
-                f"supplied graph has vertex connectivity {cert.kappa} < 2f+1 = {m}; "
-                f"witness cut {sorted(cert.witness_cut)}")
-    return synthesize_weights(g, scenario.f, _rng(scenario.seed, period, _WEIGHT_STREAM))
+def _weights_and_horizon(scenario: Scenario, g: Graph,
+                         period: int) -> tuple[WeightMatrix, int, str]:
+    """The period's weights, operating horizon and the rank split that certified it.
 
-
-def _pick_horizon(scenario: Scenario, w: WeightMatrix) -> tuple[int, str]:
-    """Operating horizon plus which rank split certified it.
-
-    Synthesized weights always pass the full 2f split (synthesis retries
-    until they do). A fixed, externally supplied matrix may not: a pair
-    of fault hypotheses can share stacked directions even though every
-    single hypothesis decodes uniquely. When such a matrix comes with an
-    explicit consensus.k, the run proceeds under the weaker size-f split
+    Drawn weights are synthesized once the graph passes require_connectivity:
+    generated graphs arrive certified by their generator, and a supplied one
+    is certified here, once per campaign, since the scenario holds one Graph
+    (which keeps its certificate) for all periods. Synthesis retries until a
+    draw passes the full 2f split, so the full split here is read back from
+    the matrix's memo rather than scanned again. A fixed, externally supplied
+    matrix may fail it: a pair of fault hypotheses can share stacked
+    directions even though every single hypothesis decodes uniquely. With an
+    explicit consensus.k such a matrix runs under the weaker size-f split,
     and the unknown-fault decoder's runtime agreement check carries the
-    cross-hypothesis guarantee; without an explicit k there is no
-    principled horizon to fall back to, so the full split is required.
-    For synthesized weights the full split is the certificate synthesis
-    already computed up to the same horizon cap, read back from the
-    matrix's memo rather than scanned again.
+    cross-hypothesis guarantee; without one there is no principled horizon
+    to fall back to, so the full split is required.
     """
-    cc = scenario.consensus
+    cc, f = scenario.consensus, scenario.f
+    if scenario.weights is None:
+        if scenario.graph.fixed is not None:
+            require_connectivity(g, 2 * f + 1)
+        w = synthesize_weights(g, f, _rng(scenario.seed, period, _WEIGHT_STREAM))
+        weaker_split, hint = False, ""
+    else:
+        w, weaker_split = scenario.weights, cc.k is not None
+        hint = "; supply consensus.k to run a fixed matrix under the weaker per-hypothesis split"
     k_max = default_k_max(scenario.n)
     floor = max(cc.k or 0, scenario.attack.longest_explicit())
     if floor > k_max:
         raise ConfigError(
             f"required horizon {floor} exceeds the horizon cap n + 2 = {k_max}; lower "
             f"consensus.k or shorten the explicit injection series")
-    smallest = verify_rank_condition(w, scenario.f)
+    smallest = verify_rank_condition(w, f)
     if smallest is not None:
-        return max(smallest, floor), "full"
-    if scenario.weights is not None and cc.k is not None:
-        if verify_candidate_uniqueness(w, scenario.f, floor) is not None:
-            return floor, "per_candidate"
+        return w, max(smallest, floor), "full"
+    if not weaker_split:
         raise SynthesisError(
-            f"fixed weights leave some fault hypothesis of size <= {scenario.f} "
-            f"undecodable at k={floor}")
-    raise SynthesisError(
-        f"weights do not satisfy the recovery rank condition for f={scenario.f} "
-        f"within the horizon cap K <= {k_max}" + (
-            "; supply consensus.k to run a fixed matrix under the weaker "
-            "per-hypothesis split" if scenario.weights is not None else ""))
+            f"weights do not satisfy the recovery rank condition for f={f} "
+            f"within the horizon cap K <= {k_max}" + hint)
+    if verify_candidate_uniqueness(w, f, floor) is None:
+        raise SynthesisError(
+            f"fixed weights leave some fault hypothesis of size <= {f} undecodable at k={floor}")
+    return w, floor, "per_candidate"
 
 
 def run_period(scenario: Scenario, agent: CommunicationAgent, decode_mode: str,
@@ -278,8 +264,7 @@ def run_period(scenario: Scenario, agent: CommunicationAgent, decode_mode: str,
 
 def _run_resilient_period(scenario: Scenario, g: Graph, decode_mode: str,
                           period_index: int) -> DecisionRecord:
-    w = _resilient_weights(scenario, g, period_index)
-    k, rank_split = _pick_horizon(scenario, w)
+    w, k, rank_split = _weights_and_horizon(scenario, g, period_index)
     schedule = sample_injections(scenario.attack, k, _rng(scenario.seed, period_index, _ATTACK_STREAM))
     run = RoundEngine(w, scenario.microgrids, schedule).run()
 

@@ -150,6 +150,28 @@ def stacked_operators(w: np.ndarray, observer: int, k: int, fault_nodes) -> tupl
     return o, m
 
 
+def aimed_injection(w: np.ndarray, observer: int, k: int, fault_nodes,
+                    rtol: float) -> tuple[float, np.ndarray]:
+    """The injection on fault_nodes that best hides a state direction from one
+    observer at horizon k, and how well it hides it.
+
+    With U_O an orthonormal basis of col(O) and Q_M one of col(M), cut at
+    singular values above rtol times the largest, the smallest singular value
+    of (I - Q_M Q_M^T) U_O is the sine of the smallest principal angle between
+    the two spaces (Bjorck & Golub 1973). Its right singular vector is O dx in
+    U_O's coordinates, for a state direction dx, and u solves M u ~ O dx by
+    least squares. Returns (sine, u), u step-major over the sorted fault_nodes
+    as M's columns are. O must have full column rank.
+    """
+    o, m = stacked_operators(w, observer, k, fault_nodes)
+    u_o, s_o, vt_o = np.linalg.svd(o, full_matrices=False)
+    u_m, s_m, _ = np.linalg.svd(m, full_matrices=False)
+    q_m = u_m[:, s_m > rtol * s_m[0]]
+    _, sines, vt = np.linalg.svd(u_o - q_m @ (q_m.T @ u_o))
+    dx = vt_o.T @ (vt[-1] / s_o)
+    return float(sines[-1]), np.linalg.lstsq(m, o @ dx, rcond=None)[0]
+
+
 def stacked_decode_oracle(w: np.ndarray, observer: int, trajectory: np.ndarray,
                           fault_nodes) -> tuple[np.ndarray, float]:
     """Brute-force least squares for the initial state seen by one node.

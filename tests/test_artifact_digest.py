@@ -182,3 +182,27 @@ def test_engine_set_runs_baseline_on_the_wheel(tmp_path):
     profiles = tuple(MicrogridProfile(i, 1.0, 1.0) for i in range(48))
     engine = RoundEngine(metropolis_weights(wheel), profiles, InjectionSchedule.empty(1))
     assert [c.selectors.shape for c in engine.classes] == [(47, 4), (1, 48)]
+
+
+def test_setup_set_pins_the_period_set_up_checks(tmp_path):
+    proc = digest("setup", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert all(LINE.match(line) for line in lines), lines
+    assert [line for line in lines if line.startswith("exit=")] == [
+        "exit=0  setup/k3-f1-drawn", "exit=0  setup/one-microgrid-f0",
+        "exit=0  setup/preventive-n7-f1-supplied", "exit=2  setup/golden-no-k",
+        "exit=2  setup/golden-f2", "exit=1  setup/golden-k9", "exit=0  setup/graph-n1-f0"]
+    # three two-period runs of four artifacts a period, two runs of two error records,
+    # K_1's three graph artifacts, and an exit line and a stderr digest per run
+    assert len(lines) == 3 * 2 * 4 + 2 * 2 + 3 + 7 * 2
+    empty = hashlib.sha256(b"").hexdigest()
+    assert sum(line == f"{empty}  setup/{run}/stderr" for line in lines
+               for run in ("k3-f1-drawn", "one-microgrid-f0", "preventive-n7-f1-supplied",
+                           "golden-no-k", "golden-f2", "graph-n1-f0")) == 6
+    assert list(tmp_path.iterdir()) == []
+
+    # K_1 is complete: its certificate is kappa 0 with no cut
+    certificate = '{\n  "kappa": 0,\n  "witness_cut": null\n}\n'
+    sha = hashlib.sha256(certificate.encode()).hexdigest()
+    assert f"{sha}  setup/graph-n1-f0/certificate.json" in lines

@@ -254,7 +254,7 @@ class TestRun:
         code = main(["run", "--scenario", str(scenario), "--fixed-graph", str(gfile),
                      "--out", str(tmp_path / "o")])
         assert code == 2
-        assert ("FAILED (InfeasibleTopologyError: supplied graph has vertex connectivity "
+        assert ("FAILED (InfeasibleTopologyError: graph has vertex connectivity "
                 "2 < 2f+1 = 3; witness cut [1, 9])") in capsys.readouterr().out
 
     def test_fixed_graph_of_another_size_exits_one(self, tmp_path, capsys):
@@ -306,7 +306,7 @@ class TestGraphCommand:
     @pytest.mark.parametrize("argv", [
         ["--n", "120", "--f", "2", "--strategy", "responsive"],
         ["--n", "12", "--f", "1", "--strategy", "preventive"],
-        # the bare seed clique, which its generator does not certify
+        # the bare seed clique: its generator certifies it with no search, the CLI reads the memo
         ["--n", "5", "--f", "2", "--strategy", "preventive"],
     ])
     def test_one_run_certifies_once(self, tmp_path, monkeypatch, argv):

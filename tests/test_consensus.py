@@ -21,6 +21,7 @@ from mgnet import (
     build_observability_stack,
     decode_known_faults,
     decode_unknown_faults,
+    evaluate_criterion,
     generate_preventive,
     load_golden_scenario,
     metropolis_weights,
@@ -34,6 +35,7 @@ from mgnet import (
 from mgnet.consensus import (
     AGREEMENT_RTOL,
     RANK_RTOL,
+    RESIDUAL_TOL,
     WEIGHT_DEAD_ZONE,
     numerical_rank,
 )
@@ -41,6 +43,7 @@ from mgnet.scenario import scenario_from_dict, scenario_to_dict
 
 from conftest import REF_SUPPLIES, REF_W, bench_workloads
 from oracles import (
+    aimed_injection,
     brute_force_connectivity,
     eigvalsh_split_bound,
     gf_split_horizon_oracle,
@@ -1098,6 +1101,30 @@ class TestDecodeUnknownFaults:
         obs = ObservationRecord(2, sel, y.reshape(k + 1, len(sel)))
         with pytest.raises(InternalInvariantError, match="disagree"):
             decode_unknown_faults(stack, obs, 1)
+
+    @pytest.mark.xfail(strict=True, raises=InternalInvariantError,
+                       reason="an aimed in-budget injection denies the decision (ROADMAP item 11)")
+    def test_aimed_in_budget_injection_still_decides(self):
+        # resilient_f1's seed-1 draw at period 0 (K = 10) passes the full split, yet
+        # observer 6 sees col(O) and col(M^Y), Y = (0, 3), at a sine of about 1.4e-8:
+        # the split's RANK_RTOL cut accepts what the decoder's RESIDUAL_TOL cannot
+        # separate. Node 0 alone, within f = 1, injects its part of the aimed u at
+        # max |u| = 10; the rank condition's promise that all consistent hypotheses
+        # agree then fails in float64, and the period raises instead of deciding
+        workloads = bench_workloads()
+        inputs = workloads.load_specs()["resilient_f1"]["inputs"]
+        sc, agent = workloads.build(inputs, 1)
+        w, k, split = simulator._weights_and_horizon(sc, simulator._topology(sc, agent, 0), 0)
+        assert (k, split) == (10, "full")
+        sine, u = aimed_injection(w.entries, 6, k, (0, 3), RANK_RTOL)
+        assert sine < 10 * RESIDUAL_TOL
+        data = workloads.scenario_dict(inputs, 1)
+        data["attack"]["controllers"] = [{"node": 0, "injection": {
+            "type": "explicit", "values": (10 * u[0::2] / np.abs(u).max()).tolist()}}]
+        aimed = scenario_from_dict(data)
+        rec = run_period(aimed, agent, "unknown_faults", 0)
+        truth = evaluate_criterion(*aimed.true_totals())
+        assert set(rec.per_controller_verdict.values()) == {truth}
 
     def test_bound_past_n_decodes_as_the_bound_n(self):
         # no fault set has more than n nodes, so f = n + 1 sweeps the sizes f = n does;

@@ -6,12 +6,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mgnet import (ConnectivityCertificate, Graph, InjectionSchedule, LinkAttackSet, ObservationRecord,
-                   RoundEngine, build_observability_stack, decode_known_faults, extend_graph,
-                   generate_preventive, generate_responsive, load_golden_scenario, metropolis_weights,
-                   run_updates, simulator, vertex_connectivity)
+from mgnet import (ConnectivityCertificate, Graph, InfeasibleTopologyError, InjectionSchedule,
+                   LinkAttackSet, ObservationRecord, RoundEngine, build_observability_stack,
+                   decode_known_faults, extend_graph, generate_preventive, generate_responsive,
+                   load_golden_scenario, metropolis_weights, run_updates, simulator,
+                   vertex_connectivity)
 from mgnet import graph as graph_module
-from mgnet.graph import check_nodes
+from mgnet.graph import check_nodes, require_connectivity
 
 from conftest import REF_SUPPLIES, bench_workloads, relabeled, survivors_graph
 from oracles import brute_force_certificate, brute_force_connectivity
@@ -230,9 +231,9 @@ class TestVertexConnectivity:
         cert = vertex_connectivity(Graph.from_edges(12, edges))
         assert cert == ConnectivityCertificate(2, frozenset({0, 1}))
 
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            vertex_connectivity(Graph(1, frozenset()))
+    def test_single_node_is_complete(self):
+        # K_1 is complete, so the kappa = n - 1 convention gives 0 and no cut
+        assert vertex_connectivity(Graph(1, frozenset())) == ConnectivityCertificate(0, None)
 
     def test_certificate_is_computed_once_per_graph(self, monkeypatch):
         calls = []
@@ -363,6 +364,24 @@ class TestVertexConnectivity:
         # 16 of the pivot's 114 pairs, then its 10 non-adjacent neighbour pairs;
         # checking every pair runs all 124
         assert len(ran) <= 26
+
+
+class TestRequireConnectivity:
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (3, 3), (3, 5), (6, 3)])
+    def test_complete_graphs_pass_by_convention(self, n, m):
+        g = Graph.complete(n)
+        assert require_connectivity(g, m) is g
+
+    def test_an_incomplete_graph_needs_m(self):
+        cycle = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+        assert require_connectivity(cycle, 2) is cycle
+        with pytest.raises(InfeasibleTopologyError, match=r"^graph has vertex connectivity 2 < "
+                           r"2f\+1 = 3; witness cut \[\d, \d\]$"):
+            require_connectivity(cycle, 3)
+        # below n - 1 an incomplete graph can never reach min(m, n - 1)
+        path = Graph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(InfeasibleTopologyError, match=r"connectivity 1 < 2f\+1 = 5; witness cut \[1\]"):
+            require_connectivity(path, 5)
 
 
 class TestExtendGraph:

@@ -5,6 +5,7 @@ import pytest
 
 from mgnet import graph as graph_module
 from mgnet import (
+    ConnectivityCertificate,
     Graph,
     InfeasibleTopologyError,
     LinkAttackSet,
@@ -138,6 +139,19 @@ class TestResponsive:
     def test_too_few_nodes(self):
         with pytest.raises(InfeasibleTopologyError):
             generate_responsive(4, 2, LinkAttackSet(), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("generate", [
+    lambda rng: generate_preventive(8, 1, rng),
+    lambda rng: generate_responsive(8, 1, LinkAttackSet(), rng),
+], ids=["preventive", "responsive"])
+def test_a_certificate_below_two_f_plus_one_is_refused(generate, monkeypatch):
+    # the expansion lemma rules this out; a forced certificate shows the rule still reads it
+    monkeypatch.setattr(graph_module, "vertex_connectivity",
+                        lambda g: ConnectivityCertificate(2, frozenset({4, 1})))
+    with pytest.raises(InfeasibleTopologyError,
+                       match=r"^graph has vertex connectivity 2 < 2f\+1 = 3; witness cut \[1, 4\]$"):
+        generate(np.random.default_rng(0))
 
 
 class TestWitnessAtScale:

@@ -303,6 +303,28 @@ class TestRunPeriod:
         assert rec.recovered_demand_total == pytest.approx(demand, rel=1e-9)
         assert rec.unanimous()
 
+    def test_supplied_complete_graph_with_drawn_weights_decodes_exactly(self):
+        # K3 is the bare clique at f=1: complete, so the one rule passes it
+        sc = random_scenario(n=3).with_fixed_graph(Graph.complete(3))
+        rec = run_period(sc, CommunicationAgent("preventive", sc.f, sc.seed), "unknown_faults")
+        assert rec.diagnostics["rank_split"] == "full"
+        assert rec.diagnostics["weights_source"] == "random"
+        supply, demand = sc.true_totals()
+        assert rec.recovered_supply_total == pytest.approx(supply, rel=1e-9)
+        assert rec.recovered_demand_total == pytest.approx(demand, rel=1e-9)
+        assert rec.unanimous()
+
+    @pytest.mark.parametrize("mode", ["known_faults", "unknown_faults", "baseline"])
+    def test_one_microgrid_at_f_zero_completes(self, mode):
+        # K_1 is complete, and its generator and the simulator certify it by convention
+        sc = scenario_from_dict({"microgrids": [{"id": 0, "supply": 30.0, "critical_demand": 20.0}],
+                                 "f": 0, "seed": 3})
+        rec = run_period(sc, CommunicationAgent("preventive", sc.f, sc.seed), mode)
+        assert rec.diagnostics["error"] is None and rec.graph == Graph(1, frozenset())
+        assert rec.recovered_supply_total == pytest.approx(30.0, rel=1e-9)
+        assert rec.recovered_demand_total == pytest.approx(20.0, rel=1e-9)
+        assert rec.unanimous()
+
     def test_one_split_scan_per_weight_draw(self, monkeypatch, operator_builds):
         # the golden system with synthesized weights: the horizon pick reads
         # synthesis's certificate instead of scanning the winning draw again

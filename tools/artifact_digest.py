@@ -52,6 +52,13 @@ Sets (all of them when none is named):
           joined to the rim cycle 1-47) with 48 microgrids, f=2, and golden's
           explicit injection at the hub and at rim node 3: one neighbourhood
           of 48 nodes beside 47 of 4
+  setup   the period set-up's checks, each CLI run with its stderr, each
+          `mgnet run` resilient-unknown for 2 periods: a supplied K3 at f=1
+          with drawn weights (complete, so it passes), one microgrid at f=0,
+          a supplied preventive n=7 f=1 draw (incomplete, kappa >= 3); golden
+          without `consensus.k` (exit 2), at f=2 (the per-candidate split
+          fails at k=3, exit 2) and with k=9 (past the horizon cap, exit 1);
+          and `mgnet graph --n 1 --f 0` (K_1's certificate)
 
 Each line is `<sha256>  <set>/<run>/<file>`; a CLI run also prints its
 exit code and a period that raises prints its error instead of digests.
@@ -324,9 +331,47 @@ def engine_set(work: Path) -> list[str]:
                                       "--periods", "2", "--fixed-graph", str(wheel)], work)
 
 
+def setup_set(work: Path) -> list[str]:
+    golden = scenario_to_dict(load_golden_scenario())
+    drawn = {**golden, "graph": {"strategy": "preventive"}, "weights": {"type": "random"},
+             "consensus": {**golden["consensus"], "k": None}}
+    seventh = {"id": 6, "supply": 40.0, "critical_demand": 30.0}
+    scenarios = {
+        "k3-f1-drawn": {**drawn, "microgrids": golden["microgrids"][:3],
+                        "attack": {**golden["attack"], "controllers": [
+                            {**golden["attack"]["controllers"][0], "node": 2}]}},
+        "one-microgrid-f0": {"microgrids": golden["microgrids"][:1], "f": 0, "seed": 1},
+        "preventive-n7-f1-supplied": {**drawn, "microgrids": [*golden["microgrids"], seventh]},
+        "golden-no-k": {**golden, "consensus": {**golden["consensus"], "k": None}},
+        "golden-f2": {**golden, "f": 2},
+        "golden-k9": {**golden, "consensus": {**golden["consensus"], "k": 9}},
+    }
+    graphs = {"k3-f1-drawn": Graph.complete(3),
+              "preventive-n7-f1-supplied": generate_preventive(7, 1, np.random.default_rng(7))}
+    runs = []
+    for run, data in scenarios.items():
+        path = work / f"setup-{run}.json"
+        path.write_text(json.dumps(data))
+        argv = ["run", "--scenario", str(path), "--mode", "resilient-unknown", "--periods", "2"]
+        if run in graphs:
+            edges = work / f"setup-{run}.edges"
+            edges.write_text(graphs[run].to_edge_list_text())
+            argv += ["--fixed-graph", str(edges)]
+        runs.append((f"setup/{run}", argv))
+    runs.append(("setup/graph-n1-f0", ["graph", "--n", "1", "--f", "0", "--seed", "1"]))
+    lines = []
+    for name, argv in runs:
+        code, _, stderr = quiet_main([*argv, "--out", str(work / name)])
+        lines.append(f"exit={code}  {name}")
+        lines += digests(work / name, name) if (work / name).exists() else []
+        lines.append(f"{sha256(stderr.encode())}  {name}/stderr")
+    return lines
+
+
 SETS = {"golden": golden_set, "fixed": fixed_set, "pinned": pinned_set,
         "bench": bench_set, "graph": graph_set, "verify": verify_set, "split": split_set,
-        "overflow": overflow_set, "attack": attack_set, "cert": cert_set, "engine": engine_set}
+        "overflow": overflow_set, "attack": attack_set, "cert": cert_set, "engine": engine_set,
+        "setup": setup_set}
 
 
 def run(names) -> int:
