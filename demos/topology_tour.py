@@ -13,12 +13,12 @@ import numpy as np
 
 from mgnet import (
     Graph,
-    LinkAttackSet,
     extend_graph,
     generate_preventive,
     generate_responsive,
     vertex_connectivity,
 )
+from mgnet.graph import check_edges
 
 OUT = Path("out/topology_tour")
 SEED = 7
@@ -37,11 +37,11 @@ def main():
     print("\nresponsive generation: same bar, but attacked links are off limits")
     # the seed clique needs 2f+1 nodes with fully clean links, so three
     # attacked pairs (six tainted nodes) still leave room at n = 12
-    attacks = LinkAttackSet.from_pairs([(0, 1), (2, 5), (3, 7)])
+    attacks = check_edges([(0, 1), (2, 5), (3, 7)])
     g = generate_responsive(12, 2, attacks, rng)
     cert = vertex_connectivity(g)
-    used = set(g.edges) & attacks.forbidden_edges
-    print(f"  n=12 f=2 avoiding {sorted(attacks.forbidden_edges)}: kappa={cert.kappa}, "
+    used = g.edges & attacks
+    print(f"  n=12 f=2 avoiding {sorted(attacks)}: kappa={cert.kappa}, "
           f"attacked links used: {sorted(used) or 'none'}")
 
     print("\nextension scheme: grow K4 to ten nodes, three links per newcomer")

@@ -13,7 +13,6 @@ from .errors import (
 from .graph import (
     ConnectivityCertificate,
     Graph,
-    LinkAttackSet,
     extend_graph,
     generate_preventive,
     generate_responsive,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PERIOD_FAILURES, ConfigError
-from .graph import Graph, LinkAttackSet, generate_preventive, generate_responsive
+from .graph import Edge, Graph, check_edges, generate_preventive, generate_responsive
 from .consensus import WeightMatrix, horizon_bound, verify_rank_condition
 from .scenario import golden_scenario_path, load_scenario
 from .simulator import CommunicationAgent, run_campaign, write_run_artifacts
@@ -58,9 +58,9 @@ def _resolve_seed(cli_seed: int | None, fallback: int | None = None) -> int | No
     return fallback
 
 
-def _parse_attacked_links(raw: str | None) -> LinkAttackSet:
+def _parse_attacked_links(raw: str | None) -> frozenset[Edge]:
     if not raw:
-        return LinkAttackSet()
+        return frozenset()
     pairs = []
     for chunk in raw.split(","):
         part = chunk.strip()
@@ -71,7 +71,7 @@ def _parse_attacked_links(raw: str | None) -> LinkAttackSet:
             raise ConfigError(f"--attacked-links: expected 'i-j' pairs, got {part!r}")
         pairs.append((int(bits[0]), int(bits[1])))
     try:
-        return LinkAttackSet.from_pairs(pairs)
+        return check_edges(pairs)
     except ValueError as exc:
         raise ConfigError(f"--attacked-links: {exc}") from None
 

@@ -31,7 +31,7 @@ from .errors import (
     InternalInvariantError,
     SynthesisError,
 )
-from .graph import Graph, check_nodes
+from .graph import Graph, check_nodes, require_connectivity
 
 # The numerical policy: one set of thresholds for every scenario, looked up
 # when each function runs rather than passed down from callers.
@@ -446,20 +446,20 @@ def _scan_split_horizons(w: WeightMatrix, subset_size: int) -> int | None:
 def synthesize_weights(g: Graph, f: int, rng: np.random.Generator) -> WeightMatrix:
     """Draw random pattern-respecting weights until the rank split holds.
 
-    Each draw must pass within the horizon cap. Almost any draw works when
-    the graph is (2f+1)-connected, up to about n = 20 at f = 1, beyond which
-    float64 ranks fail on ill-conditioned stacks; the cap of SYNTHESIS_ATTEMPTS
-    draws trips on either. The caller certifies connectivity beforehand:
-    generated graphs are certified by their generator, and the simulator
-    certifies a supplied graph before it draws weights for it.
+    g must first pass require_connectivity, before any draw (for a generated
+    graph, a read of the certificate its generator kept). Each draw must then
+    pass within the horizon cap; almost any draw does up to about n = 20 at
+    f = 1, beyond which float64 ranks fail on ill-conditioned stacks, the one
+    cause left when all SYNTHESIS_ATTEMPTS draws fail.
     """
+    require_connectivity(g, f)
     for _ in range(SYNTHESIS_ATTEMPTS):
         w = draw_weights(g, rng)
         if verify_rank_condition(w, f) is not None:
             return w
     raise SynthesisError(
         f"no weight draw satisfied the rank condition for f={f} after {SYNTHESIS_ATTEMPTS} "
-        f"attempts: the graph lacks 2f+1 connectivity, or float64 ranks fail at n={g.node_count}")
+        f"attempts: float64 ranks fail on the stacked operators at n={g.node_count}")
 
 
 def draw_weights(g: Graph, rng: np.random.Generator) -> WeightMatrix:
@@ -623,9 +623,10 @@ def decode_unknown_faults(stack: ObservabilityStack, obs: ObservationRecord, f: 
     ones _screened_candidates proves inconsistent are never solved, which
     changes no result since decode_known_faults would reject each of them.
     The rank condition at size 2f guarantees all kept candidates decode
-    the same initial state, so a relative gap above AGREEMENT_RTOL means
-    the stacked systems are too ill-conditioned to trust and is raised as
-    an invariant violation rather than papered over.
+    the same initial state, so a relative gap above AGREEMENT_RTOL (a NaN
+    gap included) is raised as an invariant violation rather than papered
+    over. It names the observer and the first candidate that disagrees with
+    the first kept one, both with their totals and residuals, and the gap.
     """
     _check_observation(stack, obs)
     if f < 0:
@@ -640,10 +641,14 @@ def decode_unknown_faults(stack: ObservabilityStack, obs: ObservationRecord, f: 
         raise DecodeFailureError(f"no fault set of size <= {f} explains the observations")
     ref = results[0]
     for other in results[1:]:
-        if not _relative_gap(ref.initial_values, other.initial_values) <= AGREEMENT_RTOL:
+        gap = _relative_gap(ref.initial_values, other.initial_values)
+        if not gap <= AGREEMENT_RTOL:
+            a, b = ref.consistent_fault_sets[0], other.consistent_fault_sets[0]
             raise InternalInvariantError(
-                "consistent fault hypotheses disagree on the recovered state; "
-                "the stacked systems are too ill-conditioned to trust")
+                f"observer {obs.observer}: consistent fault hypotheses disagree on the recovered "
+                f"state: fault set {a} gives total {ref.total!r} at residual {ref.residual:.3e}, "
+                f"fault set {b} gives total {other.total!r} at residual {other.residual:.3e}; "
+                f"relative gap {gap:.3e} is not within AGREEMENT_RTOL = {AGREEMENT_RTOL:.1e}")
     return replace(ref, consistent_fault_sets=tuple(r.consistent_fault_sets[0] for r in results))
 
 

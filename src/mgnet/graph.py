@@ -11,7 +11,9 @@ the cut, which leaves every certificate as checking every pair gives it.
 Convention: the complete graph on n nodes, K_1 included, has connectivity
 n - 1. A supplied topology is not generated: the scenario holds it as one
 Graph, graph.fixed, for a campaign. check_nodes is the package's one rule
-for caller-supplied node ids, require_connectivity for a graph's 2f+1 fitness.
+for caller-supplied node ids, check_edges the one for node pairs (a graph's
+edges and the attacked links alike), and require_connectivity the one for a
+graph's 2f+1 fitness, which the generators and weight synthesis apply.
 """
 
 from __future__ import annotations
@@ -53,6 +55,12 @@ def check_nodes(nodes, n: int | None = None) -> tuple[int, ...]:
     return tuple(sorted(kept))
 
 
+def check_edges(pairs, n: int | None = None) -> frozenset[Edge]:
+    """pairs as a set of normalized edges (i, j), i < j, each pair's ends passed
+    through check_nodes against n: a self-loop is a repeated node."""
+    return frozenset(check_nodes((i, j), n) for i, j in pairs)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on nodes 0..node_count-1.
@@ -89,7 +97,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, node_count: int, pairs) -> "Graph":
-        return cls(node_count, frozenset(check_nodes((i, j), node_count) for i, j in pairs))
+        return cls(node_count, check_edges(pairs, node_count))
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -336,17 +344,6 @@ def extend_graph(g: Graph, m: int, targets=None, rng: np.random.Generator | None
     return Graph(new + 1, g.edges | {(v, new) for v in chosen})
 
 
-@dataclass(frozen=True)
-class LinkAttackSet:
-    """Communication links an adversary has compromised."""
-
-    forbidden_edges: frozenset[Edge] = frozenset()
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "LinkAttackSet":
-        return cls(frozenset(check_nodes((i, j)) for i, j in pairs))
-
-
 def _connectivity_target(n: int, f: int) -> int:
     """2f+1, the connectivity n nodes need for fault bound f, once (n, f) are checked."""
     if f < 0 or n < 1:
@@ -357,10 +354,11 @@ def _connectivity_target(n: int, f: int) -> int:
     return m
 
 
-def require_connectivity(g: Graph, m: int) -> Graph:
-    """g, once its certificate shows kappa >= min(m, n - 1), m being 2f+1; else
+def require_connectivity(g: Graph, f: int) -> Graph:
+    """g, once its certificate shows kappa >= min(2f+1, n - 1); else
     InfeasibleTopologyError naming the cut. Complete graphs, the bare seed
     clique and K_1 among them, pass by the kappa = n - 1 convention."""
+    m = 2 * f + 1
     cert = g.certificate()
     if cert.kappa < min(m, g.node_count - 1):
         raise InfeasibleTopologyError(
@@ -398,12 +396,13 @@ def generate_preventive(n: int, f: int, rng: np.random.Generator) -> Graph:
     order = [int(v) for v in rng.permutation(n)]
     edges = _grow(order[:m], order[m:], m, {}, rng)
     new = [int(v) for v in rng.permutation(n)]  # each node's final label
-    return require_connectivity(Graph(n, frozenset(_norm_edge(new[i], new[j]) for i, j in edges)), m)
+    return require_connectivity(Graph(n, frozenset(_norm_edge(new[i], new[j]) for i, j in edges)), f)
 
 
-def generate_responsive(n: int, f: int, attacks: LinkAttackSet, rng: np.random.Generator) -> Graph:
+def generate_responsive(n: int, f: int, links: frozenset[Edge], rng: np.random.Generator) -> Graph:
     """Attack-aware topology using only uncompromised links, certified (2f+1)-connected.
 
+    links are the attacked node pairs, checked by check_edges against n.
     Seeds a clique on 2f+1 nodes none of whose incident links are
     attacked, then extends one node at a time over safe links only.
     Raises when fewer than 2f+1 nodes touch no attacked link; no later
@@ -411,8 +410,7 @@ def generate_responsive(n: int, f: int, attacks: LinkAttackSet, rng: np.random.G
     """
     m = _connectivity_target(n, f)
     barred: dict[int, set[int]] = {}  # each node on an attacked link: its forbidden partners
-    for edge in attacks.forbidden_edges:
-        i, j = check_nodes(edge, n)
+    for i, j in check_edges(links, n):
         barred.setdefault(i, set()).add(j)
         barred.setdefault(j, set()).add(i)
     clean = [v for v in range(n) if v not in barred]
@@ -421,4 +419,4 @@ def generate_responsive(n: int, f: int, attacks: LinkAttackSet, rng: np.random.G
             f"only {len(clean)} nodes have no attacked links; the seed clique needs {m}")
     seed = [clean[int(p)] for p in rng.choice(len(clean), size=m, replace=False)]
     rest = [int(v) for v in rng.permutation(n) if int(v) not in seed]
-    return require_connectivity(Graph(n, _grow(seed, rest, m, barred, rng)), m)
+    return require_connectivity(Graph(n, _grow(seed, rest, m, barred, rng)), f)

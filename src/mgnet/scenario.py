@@ -22,7 +22,7 @@ import numpy as np
 
 from .consensus import BASELINE_STEPS, InjectionSchedule, WeightMatrix
 from .errors import ConfigError
-from .graph import Graph, LinkAttackSet, check_nodes
+from .graph import Edge, Graph, check_edges, check_nodes
 
 INTERCONNECT = "interconnect"
 STAND_ALONE = "stand_alone"
@@ -69,7 +69,7 @@ class InjectionPlan:
 @dataclass(frozen=True)
 class AttackSpec:
     controllers: tuple[InjectionPlan, ...] = ()
-    links: LinkAttackSet = LinkAttackSet()
+    links: frozenset[Edge] = frozenset()
     known_to_agent: bool = False
 
     @property
@@ -323,9 +323,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             f"attack.controllers: {len(plans)} compromised controllers exceed the fault bound f={f}")
     link_pairs = _as_pairs(raw_attack.get("links", []), "attack.links")
     try:
-        links = LinkAttackSet.from_pairs(link_pairs)
-        for edge in links.forbidden_edges:
-            check_nodes(edge, n)
+        links = check_edges(link_pairs, n)
     except ValueError as exc:
         raise ConfigError(f"attack.links: {exc}") from None
     attack = AttackSpec(tuple(plans), links,
@@ -392,7 +390,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         "seed": s.seed,
         "attack": {
             "known_to_agent": s.attack.known_to_agent,
-            "links": [list(e) for e in sorted(s.attack.links.forbidden_edges)],
+            "links": [list(e) for e in sorted(s.attack.links)],
             "controllers": [
                 {"node": p.node, "injection": {"type": p.kind, **{
                     name: list(v) if isinstance(v, tuple) else v for name, v in p.params}}}

@@ -47,8 +47,7 @@ from .consensus import (
     verify_rank_condition,
 )
 from .errors import PERIOD_FAILURES, ConfigError, DecodeError, SynthesisError
-from .graph import (Graph, LinkAttackSet, check_nodes, generate_preventive,
-                    generate_responsive, require_connectivity)
+from .graph import Edge, Graph, check_nodes, generate_preventive, generate_responsive
 from .scenario import (
     UNDECIDED,
     DecisionPeriod,
@@ -183,12 +182,12 @@ class CommunicationAgent:
         if self.strategy not in ("preventive", "responsive"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
-    def build_graph(self, n: int, link_attacks: LinkAttackSet = LinkAttackSet(),
+    def build_graph(self, n: int, link_attacks: frozenset[Edge] = frozenset(),
                     period: int = 0) -> Graph:
         self.calls.append({
             "n": n,
             "f": self.f,
-            "link_attacks": sorted(link_attacks.forbidden_edges),
+            "link_attacks": sorted(link_attacks),
             "seed": self.seed,
             "period": period,
             "strategy": self.strategy,
@@ -202,7 +201,7 @@ class CommunicationAgent:
 def _topology(scenario: Scenario, agent: CommunicationAgent, period: int) -> Graph:
     if scenario.graph.fixed is not None:
         return scenario.graph.fixed
-    links = scenario.attack.links if scenario.attack.known_to_agent else LinkAttackSet()
+    links = scenario.attack.links if scenario.attack.known_to_agent else frozenset()
     return agent.build_graph(scenario.n, links, period)
 
 
@@ -210,23 +209,20 @@ def _weights_and_horizon(scenario: Scenario, g: Graph,
                          period: int) -> tuple[WeightMatrix, int, str]:
     """The period's weights, operating horizon and the rank split that certified it.
 
-    Drawn weights are synthesized once the graph passes require_connectivity:
-    generated graphs arrive certified by their generator, and a supplied one
-    is certified here, once per campaign, since the scenario holds one Graph
-    (which keeps its certificate) for all periods. Synthesis retries until a
-    draw passes the full 2f split, so the full split here is read back from
-    the matrix's memo rather than scanned again. A fixed, externally supplied
-    matrix may fail it: a pair of fault hypotheses can share stacked
-    directions even though every single hypothesis decodes uniquely. With an
-    explicit consensus.k such a matrix runs under the weaker size-f split,
-    and the unknown-fault decoder's runtime agreement check carries the
-    cross-hypothesis guarantee; without one there is no principled horizon
-    to fall back to, so the full split is required.
+    Synthesis certifies the graph before its first draw, a supplied one once
+    per campaign, since the scenario holds one Graph (which keeps its
+    certificate) for all periods. It retries until a draw passes the full 2f
+    split, so the full split here is read back from the matrix's memo rather
+    than scanned again. A fixed, externally supplied matrix may fail it: a
+    pair of fault hypotheses can share stacked directions even though every
+    single hypothesis decodes uniquely. With an explicit consensus.k such a
+    matrix runs under the weaker size-f split, and the unknown-fault
+    decoder's runtime agreement check carries the cross-hypothesis
+    guarantee; without one there is no principled horizon to fall back to,
+    so the full split is required.
     """
     cc, f = scenario.consensus, scenario.f
     if scenario.weights is None:
-        if scenario.graph.fixed is not None:
-            require_connectivity(g, 2 * f + 1)
         w = synthesize_weights(g, f, _rng(scenario.seed, period, _WEIGHT_STREAM))
         weaker_split, hint = False, ""
     else:

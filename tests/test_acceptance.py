@@ -15,7 +15,6 @@ from mgnet import (
     Graph,
     InfeasibleTopologyError,
     InjectionSchedule,
-    LinkAttackSet,
     MicrogridProfile,
     RoundEngine,
     build_observability_stack,
@@ -32,6 +31,7 @@ from mgnet import (
     vertex_connectivity,
 )
 from mgnet.consensus import ObservationRecord
+from mgnet.graph import check_edges
 from mgnet.simulator import CommunicationAgent, trajectory_csv_text
 
 from conftest import REF_W, REF_SUPPLIES, REF_DEMANDS
@@ -171,7 +171,7 @@ def test_criterion_4_topology_generators_meet_the_connectivity_bar():
             while len(forbidden) < link_count:
                 a, b = rng.choice(n, size=2, replace=False)
                 forbidden.add((min(int(a), int(b)), max(int(a), int(b))))
-            attacks = LinkAttackSet.from_pairs(sorted(forbidden))
+            attacks = check_edges(sorted(forbidden))
             responsive_total += 1
             try:
                 r = generate_responsive(n, f, attacks, rng)

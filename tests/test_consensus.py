@@ -13,6 +13,7 @@ from mgnet import (
     DecodeFailureError,
     DecodeInconsistencyError,
     Graph,
+    InfeasibleTopologyError,
     InjectionSchedule,
     InternalInvariantError,
     ObservationRecord,
@@ -36,6 +37,7 @@ from mgnet.consensus import (
     AGREEMENT_RTOL,
     RANK_RTOL,
     RESIDUAL_TOL,
+    SYNTHESIS_ATTEMPTS,
     WEIGHT_DEAD_ZONE,
     numerical_rank,
 )
@@ -812,16 +814,29 @@ class TestSynthesizeWeights:
         b = synthesize_weights(g, 1, np.random.default_rng(2))
         assert np.array_equal(a.entries, b.entries)
 
-    def test_infeasible_graph_raises(self):
+    def test_infeasible_graph_raises(self, monkeypatch):
+        # synthesis certifies the graph itself, before any draw
+        draws = []
+        monkeypatch.setattr(consensus, "draw_weights", lambda *args: draws.append(args))
         path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        with pytest.raises(SynthesisError, match="rank condition for f=1 after 40 attempts"):
+        with pytest.raises(InfeasibleTopologyError,
+                           match=r"^graph has vertex connectivity 1 < 2f\+1 = 3; witness cut \[\d\]$"):
             synthesize_weights(path, 1, np.random.default_rng(0))
+        assert draws == []
 
-    def test_failure_names_both_causes(self):
-        # the simulator certifies connectivity first, so float64 is the other suspect
-        path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        with pytest.raises(SynthesisError, match="lacks 2f\\+1 connectivity, or float64 .* n=4"):
-            synthesize_weights(path, 1, np.random.default_rng(0))
+    def test_failure_on_a_certified_graph_names_float64(self, monkeypatch):
+        # a certified graph leaves float64 ranks as the one cause of exhausted draws
+        g = generate_preventive(6, 1, np.random.default_rng(5))
+        draws = []
+        real = consensus.draw_weights
+        monkeypatch.setattr(consensus, "draw_weights", lambda *args: draws.append(args) or real(*args))
+        monkeypatch.setattr(consensus, "verify_rank_condition", lambda w, f: None)
+        with pytest.raises(SynthesisError) as caught:
+            synthesize_weights(g, 1, np.random.default_rng(0))
+        assert len(draws) == SYNTHESIS_ATTEMPTS
+        message = str(caught.value)
+        assert f"rank condition for f=1 after {SYNTHESIS_ATTEMPTS} attempts" in message
+        assert "float64" in message and "n=6" in message and "connectivity" not in message
 
     def test_result_is_the_first_passing_draw(self):
         g = generate_preventive(7, 1, np.random.default_rng(3))
@@ -1076,11 +1091,11 @@ class TestDecodeUnknownFaults:
         with pytest.raises(DecodeFailureError, match="no fault set"):
             decode_unknown_faults(stack, _observed(w, traj, 1), 1)
 
-    def test_engineered_hypothesis_disagreement_is_caught(self, ref_weights):
-        # the reference matrix's structural deficiency lets observer 2
-        # build observations that two different single-node hypotheses
-        # explain with different initial states; the decoder must refuse
-        # rather than pick one
+    @staticmethod
+    def _engineered_disagreement(ref_weights):
+        """Observer 2's stack and observations that fault sets (0,) and (1,)
+        both explain, with initial states a vector of norm 100 apart: the reference matrix's
+        structural deficiency puts a null vector in [O M^(0,1)]."""
         k = 3
         stack = build_observability_stack(ref_weights, 2, k)
         o = stack.o
@@ -1098,9 +1113,28 @@ class TestDecodeUnknownFaults:
         s0 = rng.uniform(0, 100, 6)
         y = o @ s0 - stack.m((0,)) @ u0
         sel = stack.selector
-        obs = ObservationRecord(2, sel, y.reshape(k + 1, len(sel)))
+        return stack, ObservationRecord(2, sel, y.reshape(k + 1, len(sel)))
+
+    def test_engineered_hypothesis_disagreement_is_caught(self, ref_weights):
+        # two different single-node hypotheses explain observer 2's
+        # observations with different initial states; the decoder must
+        # refuse rather than pick one
+        stack, obs = self._engineered_disagreement(ref_weights)
         with pytest.raises(InternalInvariantError, match="disagree"):
             decode_unknown_faults(stack, obs, 1)
+
+    def test_disagreement_names_the_observer_and_both_fault_sets(self, ref_weights):
+        stack, obs = self._engineered_disagreement(ref_weights)
+        results = {c: decode_known_faults(stack, obs, c) for c in ((0,), (1,))}
+        with pytest.raises(InternalInvariantError) as caught:
+            decode_unknown_faults(stack, obs, 1)
+        message = str(caught.value)
+        assert message.startswith("observer 2: consistent fault hypotheses disagree")
+        for c, res in results.items():
+            assert f"fault set {c} gives total {res.total!r} at residual {res.residual:.3e}" in message
+        gap = consensus._relative_gap(results[(0,)].initial_values, results[(1,)].initial_values)
+        assert gap > AGREEMENT_RTOL
+        assert message.endswith(f"relative gap {gap:.3e} is not within AGREEMENT_RTOL = 1.0e-06")
 
     @pytest.mark.xfail(strict=True, raises=InternalInvariantError,
                        reason="an aimed in-budget injection denies the decision (ROADMAP item 11)")

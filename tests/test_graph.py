@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from mgnet import (ConnectivityCertificate, Graph, InfeasibleTopologyError, InjectionSchedule,
-                   LinkAttackSet, ObservationRecord, RoundEngine, build_observability_stack,
+                   ObservationRecord, RoundEngine, build_observability_stack,
                    decode_known_faults, extend_graph, generate_preventive, generate_responsive,
                    load_golden_scenario, metropolis_weights, run_updates, simulator,
                    vertex_connectivity)
 from mgnet import graph as graph_module
-from mgnet.graph import check_nodes, require_connectivity
+from mgnet.graph import check_edges, check_nodes, require_connectivity
 
 from conftest import REF_SUPPLIES, bench_workloads, relabeled, survivors_graph
 from oracles import brute_force_certificate, brute_force_connectivity
@@ -301,7 +301,7 @@ class TestVertexConnectivity:
 
     def test_pruning_changes_no_certificate_on_generated_graphs(self, monkeypatch):
         rng = np.random.default_rng(23)
-        attacks = LinkAttackSet.from_pairs([(0, 1), (2, 3), (5, 9), (10, 19), (4, 17)])
+        attacks = check_edges([(0, 1), (2, 3), (5, 9), (10, 19), (4, 17)])
         flows = traced_flows(monkeypatch)
         for n in (20, 33, 50, 80, 120):
             for f in (1, 2, 3):
@@ -367,21 +367,26 @@ class TestVertexConnectivity:
 
 
 class TestRequireConnectivity:
-    @pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (3, 3), (3, 5), (6, 3)])
-    def test_complete_graphs_pass_by_convention(self, n, m):
+    """require_connectivity takes the fault bound f and forms m = 2f+1 itself."""
+
+    @pytest.mark.parametrize("n, f", [(1, 0), (1, 1), (1, 3), (3, 1), (3, 3), (3, 5), (6, 1),
+                                      (6, 3)])
+    def test_complete_graphs_pass_by_convention(self, n, f):
+        # kappa(K_n) = n - 1 meets min(2f+1, n - 1) whether or not n reaches 2f+1
         g = Graph.complete(n)
-        assert require_connectivity(g, m) is g
+        assert require_connectivity(g, f) is g
 
     def test_an_incomplete_graph_needs_m(self):
+        # m = 2f+1: a 5-cycle (kappa 2) is fit for f = 0 and not for f = 1
         cycle = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-        assert require_connectivity(cycle, 2) is cycle
+        assert require_connectivity(cycle, 0) is cycle
         with pytest.raises(InfeasibleTopologyError, match=r"^graph has vertex connectivity 2 < "
                            r"2f\+1 = 3; witness cut \[\d, \d\]$"):
-            require_connectivity(cycle, 3)
-        # below n - 1 an incomplete graph can never reach min(m, n - 1)
+            require_connectivity(cycle, 1)
+        # below n - 1 an incomplete graph can never reach min(2f+1, n - 1)
         path = Graph.from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(InfeasibleTopologyError, match=r"connectivity 1 < 2f\+1 = 5; witness cut \[1\]"):
-            require_connectivity(path, 5)
+            require_connectivity(path, 2)
 
 
 class TestExtendGraph:
@@ -425,13 +430,6 @@ class TestExtendGraph:
             assert vertex_connectivity(g).kappa >= m
 
 
-class TestLinkAttackSet:
-    def test_normalization_and_queries(self):
-        attacks = LinkAttackSet.from_pairs([(3, 1), (0, 2)])
-        assert attacks.forbidden_edges == {(1, 3), (0, 2)}
-        assert (0, 1) not in attacks.forbidden_edges
-
-
 def _node_entry_points(w) -> dict:
     """Every entry point that takes a node id from its caller, as a call on one
     id v in the six-node reference system. Node 3 is the golden injection's
@@ -448,9 +446,10 @@ def _node_entry_points(w) -> dict:
         "Graph.from_edges": lambda v: Graph.from_edges(6, [(1, v)]),
         "Graph.neighbors": lambda v: w.graph.neighbors(v),
         "Graph.has_edge": lambda v: w.graph.has_edge(v, 1),
-        "LinkAttackSet.from_pairs": lambda v: LinkAttackSet.from_pairs([(1, v)]),
+        "check_edges": lambda v: check_edges([(1, v)]),
+        "check_edges(n)": lambda v: check_edges([(1, v)], 6),
         "generate_responsive": lambda v: generate_responsive(
-            6, 1, LinkAttackSet(frozenset({(1, v)})), np.random.default_rng(1)),
+            6, 1, frozenset({(1, v)}), np.random.default_rng(1)),
         "extend_graph": lambda v: extend_graph(Graph.complete(6), 2, targets=[0, v]),
         "build_observability_stack": lambda v: build_observability_stack(w, v, 3),
         "ObservabilityStack.m": lambda v: stack.m((v,)),
@@ -463,13 +462,13 @@ def _node_entry_points(w) -> dict:
 
 
 NODE_ENTRY_POINTS = [
-    "Graph", "Graph.from_edges", "Graph.neighbors", "Graph.has_edge", "LinkAttackSet.from_pairs",
-    "generate_responsive", "extend_graph",
+    "Graph", "Graph.from_edges", "Graph.neighbors", "Graph.has_edge", "check_edges",
+    "check_edges(n)", "generate_responsive", "extend_graph",
     "build_observability_stack", "ObservabilityStack.m", "decode_known_faults", "InjectionSchedule",
     "InjectionSchedule.from_values", "RoundEngine", "run_updates"]
 # those that know n: a link set and a schedule are checked against a graph only where one is used
 RANGED_ENTRY_POINTS = [e for e in NODE_ENTRY_POINTS
-                       if e not in ("LinkAttackSet.from_pairs", "InjectionSchedule",
+                       if e not in ("check_edges", "InjectionSchedule",
                                     "InjectionSchedule.from_values")]
 
 
@@ -538,6 +537,16 @@ class TestNodeIdRule:
         assert check_nodes((-1, 9)) == (-1, 9)
         with pytest.raises(ValueError, match="node 9 is repeated"):
             check_nodes((9, -1, 9))
+        assert check_edges([(9, -1)]) == {(-1, 9)}
+
+    def test_edges_come_back_as_a_normalized_frozenset(self):
+        edges = check_edges([(3, 1), (0, np.int64(2)), (1, 3)], 4)
+        assert type(edges) is frozenset and edges == {(1, 3), (0, 2)}
+        assert all(type(v) is int for e in edges for v in e)
+        assert (0, 1) not in edges and check_edges([]) == frozenset()
+        assert Graph.from_edges(4, [(3, 1), (0, 2)]).edges == edges
+        with pytest.raises(ValueError, match="node 1 is repeated"):
+            check_edges([(1, 1)])
 
     def test_a_schedule_with_a_fractional_node_cannot_be_built(self):
         with pytest.raises(ValueError, match="node 1.5 is not an integer"):

@@ -158,6 +158,15 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match=r"^attack\.links: node 9 is outside 0\.\.3$"):
             scenario_from_dict(data)
 
+    def test_attack_links_are_checked_pair_by_pair_against_n(self):
+        # one check_edges pass at n names the first offending pair: the range
+        # error at [0, 9], not the self-loop after it
+        data = minimal_dict(attack={"links": [[0, 9], [1, 1]]})
+        with pytest.raises(ConfigError, match=r"^attack\.links: node 9 is outside 0\.\.3$"):
+            scenario_from_dict(data)
+        links = scenario_from_dict(minimal_dict(attack={"links": [[3, 1], [0, 2]]})).attack.links
+        assert type(links) is frozenset and links == {(1, 3), (0, 2)}
+
     @pytest.mark.parametrize("path", ["attack.links", "graph.fixed_edges"])
     @pytest.mark.parametrize("pair", [[0, 4.9], "05", [True, 5], [0, "5"], [0, 1, 2], [3]],
                              ids=["float", "string", "bool", "digit-string", "triple", "single"])

@@ -12,7 +12,6 @@ from mgnet import (
     Graph,
     InfeasibleTopologyError,
     InjectionSchedule,
-    LinkAttackSet,
     MicrogridProfile,
     RoundEngine,
     SynthesisError,
@@ -25,6 +24,7 @@ from mgnet import (
     run_period,
     run_updates,
 )
+from mgnet.graph import check_edges
 from mgnet.scenario import scenario_from_dict, scenario_to_dict
 from mgnet.simulator import CommunicationAgent, trajectory_csv_text, write_run_artifacts
 
@@ -109,7 +109,7 @@ class TestEngineFaithfulness:
     def test_bench_size_engine_matches_compact_iteration_bitwise(self):
         # the baseline_large shape: plain averaging on a responsive n=120, f=2 graph
         rng = np.random.default_rng(11)
-        g = generate_responsive(120, 2, LinkAttackSet(), rng)
+        g = generate_responsive(120, 2, frozenset(), rng)
         w = metropolis_weights(g)
         steps = 30
         profiles = bench_profiles(120, rng)
@@ -127,7 +127,7 @@ class TestEngineFaithfulness:
         # classes whose order is not node order, nor an involution of it, and injections
         # at a node of the smallest and of the largest class
         rng = np.random.default_rng(4)
-        w = metropolis_weights(generate_responsive(30, 1, LinkAttackSet(), rng))
+        w = metropolis_weights(generate_responsive(30, 1, frozenset(), rng))
         profiles = bench_profiles(30, rng)
         classes = RoundEngine(w, profiles, InjectionSchedule.empty(1)).classes
         order = np.concatenate([c.nodes for c in classes])
@@ -175,7 +175,7 @@ class TestGatherMedium:
         elif kind == "preventive":
             w = metropolis_weights(generate_preventive(40, 2, rng))
         else:
-            w = metropolis_weights(generate_responsive(40, 2, LinkAttackSet.from_pairs(
+            w = metropolis_weights(generate_responsive(40, 2, check_edges(
                 [(0, 1), (2, 3), (5, 9)]), rng))
         n = w.graph.node_count
         engine = RoundEngine(w, bench_profiles(n, rng), InjectionSchedule.empty(2))
@@ -437,12 +437,14 @@ class TestRunPeriod:
             sc.with_fixed_graph(Graph.from_edges(6, [(i, i + 1) for i in range(5)]))
 
     def test_supplied_graph_below_two_f_plus_one_fails_before_synthesis(self, monkeypatch):
-        # a 10-node cycle is 2-connected and f=1 needs 3: no weight draw is tried
+        # a 10-node cycle is 2-connected and f=1 needs 3: synthesis certifies it
+        # and tries no weight draw
         cycle = Graph.from_edges(10, [(i, (i + 1) % 10) for i in range(10)])
         sc = random_scenario(n=10).with_fixed_graph(cycle)
         agent = CommunicationAgent("preventive", sc.f, sc.seed)
         draws = []
-        monkeypatch.setattr(simulator, "synthesize_weights", lambda *args: draws.append(args))
+        real = consensus.draw_weights
+        monkeypatch.setattr(consensus, "draw_weights", lambda *args: draws.append(args) or real(*args))
         with pytest.raises(InfeasibleTopologyError,
                            match=r"connectivity 2 < 2f\+1 = 3; witness cut \[1, 9\]"):
             run_period(sc, agent, "unknown_faults")
