@@ -413,13 +413,20 @@ def _observer_splits(rows: np.ndarray, cols: np.ndarray, n: int) -> bool:
     """Whether one observer splits every fault set at one horizon K: rows is the
     leading q(K+1) rows and n(K+1) columns of its operator, and cols holds each
     set's columns of [O M^Y] in it. Fewer than n rows fail with no SVD. Only
-    the sets _split_certified leaves open go to _split_holds, as one batch; the
-    verdict is the same, since _split_holds passes a batch exactly when it
-    passes each of its matrices."""
+    the sets _split_certified leaves open go to _split_holds, in order, in
+    chunks of 4, 8, 16, ..., and the check fails at its first failing chunk.
+    The verdict is the same as one batch's, since _split_holds passes a batch
+    exactly when it passes each of its matrices; a failing check, where
+    nearly every open set fails, skips the SVDs of the chunks after it."""
     if len(rows) < n:
         return False
     cols = cols[~_split_certified(rows[:, :n], rows[:, n:], cols[:, n:] - n)]
-    return not len(cols) or _split_holds(np.moveaxis(rows[:, cols], 1, 0), n)
+    start, size = 0, 4
+    while start < len(cols):
+        if not _split_holds(np.moveaxis(rows[:, cols[start:start + size]], 1, 0), n):
+            return False
+        start, size = start + size, 2 * size
+    return True
 
 
 def _scan_split_horizons(w: WeightMatrix, subset_size: int) -> int | None:
@@ -429,7 +436,8 @@ def _scan_split_horizons(w: WeightMatrix, subset_size: int) -> int | None:
     that see the fewest neighbours are the likeliest to fail, so they go
     first, one at a time: a failing horizon stops at its first failing
     observer. Each observer skips the SVDs of the sets _split_certified
-    proves, which leaves every verdict as it was."""
+    proves, and a failing one those after its first failing chunk, which
+    leaves every verdict as it was."""
     n = w.n
     cap = default_k_max(n)
     subsets = np.array(list(combinations(range(n), subset_size)), dtype=int)

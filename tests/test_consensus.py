@@ -766,34 +766,72 @@ class TestCertifiedSplit:
         settled = sum(int(a.sum()) for a in passing)
         assert settled >= 0.8 * sum(a.size for a in passing)
 
-    def test_first_observer_bounds_before_its_svds(self, monkeypatch):
-        # the resilient_f2 workload's first draw of seed 1, period 0
-        w = _split_draws(10, 2, 1)[0]
-        # [K, sets the bound left open, sets sent to _split_holds] of every check
+    @pytest.fixture
+    def chunks(self, monkeypatch):
+        # [rows, cols, accepted, [(chunk, verdict) of each _split_holds call],
+        # verdict] of every (K, observer) check the scan makes
         made = []
         splits, certified = consensus._observer_splits, consensus._split_certified
         holds = consensus._split_holds
         def check(rows, cols, n):
-            made.append([rows.shape[1] // n - 1, None, 0])
-            return splits(rows, cols, n)
+            made.append([rows, cols, None, [], None])
+            made[-1][4] = splits(rows, cols, n)
+            return made[-1][4]
         def bound(o, injection, fault_cols):
-            accepted = certified(o, injection, fault_cols)
-            made[-1][1] = int(np.count_nonzero(~accepted))
-            return accepted
+            made[-1][2] = certified(o, injection, fault_cols)
+            return made[-1][2]
         def sent(a, n, s=None):
-            made[-1][2] = len(a)
-            return holds(a, n, s)
+            made[-1][3].append((a, holds(a, n, s)))
+            return made[-1][3][-1][1]
         monkeypatch.setattr(consensus, "_observer_splits", check)
         monkeypatch.setattr(consensus, "_split_certified", bound)
         monkeypatch.setattr(consensus, "_split_holds", sent)
+        return made
+
+    def test_first_observer_bounds_before_its_svds(self, chunks):
+        # the resilient_f2 workload's first draw of seed 1, period 0
+        w = _split_draws(10, 2, 1)[0]
         assert consensus._scan_split_horizons(w, 4) == 4
+        # K, sets the bound left open and sets sent to _split_holds over all of
+        # the check's chunks, of every check
+        made = [(rows.shape[1] // w.n - 1,
+                 None if accepted is None else int(np.count_nonzero(~accepted)),
+                 sum(len(a) for a, _ in calls)) for rows, _, accepted, calls, _ in chunks]
         first = {}
         for k, left_open, batch in made:
             first.setdefault(k, (left_open, batch))
         assert sorted(first) == [1, 2, 3, 4]
         assert all(left_open is not None for left_open, _ in first.values())
-        # at K = 2 the bound settles 165 of the 210 sets: 45 reach the SVDs
-        assert first[2] == (45, 45)
+        # at K = 2 the bound settles 165 of the 210 sets and leaves 45 open; the
+        # first chunk of 4 already fails, so only it reaches the SVDs
+        assert first[2] == (45, 4)
+        # at the passing K = 4 every observer sends each open set exactly once
+        assert all(batch == left_open for k, left_open, batch in made if k == 4)
+
+    @pytest.mark.parametrize("n, f", SPLIT_SHAPES)
+    def test_open_sets_go_to_the_svds_in_doubling_chunks(self, n, f, chunks):
+        # the chunks are non-empty, disjoint and in the open sets' order, of sizes
+        # 4, 8, 16, ...; a passing check covers every open set, and a failing one
+        # stops at its first failing chunk
+        for w in _split_draws(n, f, 1):
+            for size in (2 * f, f):
+                consensus._scan_split_horizons(w, size)
+        assert any(verdict for *_, verdict in chunks) and not all(verdict for *_, verdict in chunks)
+        for rows, cols, accepted, calls, verdict in chunks:
+            if len(rows) < n:
+                assert accepted is None and calls == [] and not verdict
+                continue
+            batch = np.moveaxis(rows[:, cols[~accepted]], 1, 0)
+            start = 0
+            for j, (chunk, passes) in enumerate(calls):
+                size = min(4 * 2 ** j, len(batch) - start)
+                assert size > 0 and np.array_equal(chunk, batch[start:start + size])
+                assert passes == (verdict or j < len(calls) - 1)
+                start += size
+            assert start == len(batch) if verdict else calls
+        # the n >= 14 draws leave checks more than 4 open sets that pass the first
+        # chunk; at the smaller shapes every check ends within it
+        assert any(len(calls) > 1 for *_, calls, _ in chunks) == (n >= 14)
 
 
 class TestSynthesizeWeights:
