@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PERIOD_FAILURES, ConfigError
 from .graph import Edge, Graph, check_edges, generate_preventive, generate_responsive
-from .consensus import WeightMatrix, horizon_bound, verify_rank_condition
+from .consensus import WeightMatrix, horizon_cap, verify_rank_condition
 from .scenario import golden_scenario_path, load_scenario
 from .simulator import CommunicationAgent, run_campaign, write_run_artifacts
 
@@ -149,9 +149,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         w = WeightMatrix.from_csv_text(text)
     except ValueError as exc:
         raise ConfigError(f"weights file {args.weights}: {exc}") from None
-    k_max = horizon_bound(w.n, args.k_max)
-    k = verify_rank_condition(w, args.f, k_max)
-    if k is None:
+    # the first passing K in 1..n+2 is at most k_max iff it is the first in 1..k_max
+    cap = horizon_cap(w.n)
+    k_max = cap if args.k_max is None else min(args.k_max, cap)
+    if k_max < 1:
+        raise ConfigError("k_max must be at least 1")
+    k = verify_rank_condition(w, args.f)
+    if k is None or k > k_max:
         print(f"rank condition FAILS for f={args.f} at every K <= {k_max}")
         return EXIT_INFEASIBLE
     print(f"rank condition holds for f={args.f}; smallest feasible horizon K={k}")

@@ -46,19 +46,9 @@ BASELINE_STEPS = 30
 SYNTHESIS_ATTEMPTS = 40
 
 
-def default_k_max(n: int) -> int:
-    """Horizon cap of the rank split: the scan stops at n + 2."""
+def horizon_cap(n: int) -> int:
+    """Horizon cap of the rank split: no horizon past n + 2 is scanned or run."""
     return n + 2
-
-
-def horizon_bound(n: int, k_max: int | None) -> int:
-    """Largest horizon a verify_* call checks: k_max clamped to the cap,
-    the cap itself when k_max is None."""
-    cap = default_k_max(n)
-    k_max = cap if k_max is None else min(k_max, cap)
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    return k_max
 
 
 def _rank_from(s: np.ndarray) -> np.ndarray:
@@ -84,9 +74,9 @@ class WeightMatrix:
     closed neighbourhood as the graph computed it once; nothing else
     about the values is assumed (no symmetry, no row sums).
     entries is a read-only copy of the array passed in, so each observer's
-    operator and the rank-split horizon at each fault-set size are memoised
-    on it and stay valid. Two matrices are equal when their graphs and entry
-    bytes are, and hash alike, so a scenario holding one is a value.
+    operator and the rank-split horizon per fault-set size and floor are
+    memoised on it and stay valid. Two matrices are equal when their graphs
+    and entry bytes are, and hash alike, so a scenario holding one is a value.
     """
 
     entries: np.ndarray
@@ -257,7 +247,7 @@ class ObservabilityStack:
 def _operator(w: WeightMatrix, observer: int) -> np.ndarray:
     """The observer's [O | injection] at the horizon cap, read-only, memoised on w."""
     if observer not in w._operators:
-        sel, n, k = w.selector(observer), w.n, default_k_max(w.n)
+        sel, n, k = w.selector(observer), w.n, horizon_cap(w.n)
         o = c = np.eye(n)[list(sel), :]
         a = np.zeros((len(sel) * (k + 1), n * (k + 1)))
         for step in reversed(range(k)):
@@ -272,36 +262,33 @@ def _operator(w: WeightMatrix, observer: int) -> np.ndarray:
 
 def build_observability_stack(w: WeightMatrix, observer: int, k: int) -> ObservabilityStack:
     """The leading q(k+1) rows and n(k+1) columns of the observer's operator, as views."""
-    if not 1 <= k <= default_k_max(w.n):
-        raise ValueError(f"horizon k={k} is outside 1..{default_k_max(w.n)}, the cap n + 2")
+    if not 1 <= k <= horizon_cap(w.n):
+        raise ValueError(f"horizon k={k} is outside 1..{horizon_cap(w.n)}, the cap n + 2")
     (observer,) = check_nodes((observer,), w.n)
     a = _operator(w, observer)[:len(w.selector(observer)) * (k + 1), :w.n * (k + 1)]
     return ObservabilityStack(a[:, :w.n], a[:, w.n:], k, observer, w.selector(observer))
 
 
-def verify_rank_condition(w: WeightMatrix, f: int, k_max: int | None = None) -> int | None:
-    """Smallest horizon K <= k_max at which every node can decode.
+def verify_rank_condition(w: WeightMatrix, f: int, *, floor: int = 1) -> int | None:
+    """First horizon K in floor..n+2 at which every node can decode, or None.
 
     For each observer i and each candidate corrupted set Y of size
     min(2f, n), the stacked system must satisfy
     rank([O_{i,K} M_{i,K}^Y]) = n + rank(M_{i,K}^Y): the state block has
     full column rank and shares nothing with the injection block.
     Checking size-2f sets covers all smaller ones (their M is a column
-    subset). In floating point a passing K need not pass at K+1, so the
-    answer is the first passing K. k_max defaults to the horizon cap
-    default_k_max(n) and is clamped to it; None means no K <= k_max passes.
-
-    The scan to the cap runs once per subset size, memoised on w, and
-    k_max only filters its answer: the first passing K in 1..n+2 is at
-    most k_max exactly when it is the first passing K in 1..k_max.
+    subset). In floating point a passing K need not pass at K+1, so no
+    horizon is taken on trust: the answer is the first K at or above floor,
+    up to the cap horizon_cap(n), at which the split was checked and holds.
+    The scan runs once per (subset size, floor), memoised on w.
     """
-    return _smallest_split_horizon(w, min(2 * f, w.n), k_max)
+    return _first_split_horizon(w, min(2 * f, w.n), floor)
 
 
-def verify_candidate_uniqueness(w: WeightMatrix, f: int, k_max: int | None = None) -> int | None:
-    """Smallest K <= k_max at which each fault hypothesis decodes uniquely.
+def verify_candidate_uniqueness(w: WeightMatrix, f: int, *, floor: int = 1) -> int | None:
+    """First K in floor..n+2 at which each fault hypothesis decodes uniquely.
 
-    Same rank split, bound and memo as verify_rank_condition but over
+    Same rank split, rule and memo as verify_rank_condition but over
     sets of size f rather than 2f: enough for every candidate decode of
     size <= f to have one answer, not enough to promise two consistent
     hypotheses agree a priori. Externally supplied weight matrices
@@ -309,17 +296,18 @@ def verify_candidate_uniqueness(w: WeightMatrix, f: int, k_max: int | None = Non
     enforces cross-candidate agreement at runtime instead of by
     construction.
     """
-    return _smallest_split_horizon(w, min(f, w.n), k_max)
+    return _first_split_horizon(w, min(f, w.n), floor)
 
 
-def _smallest_split_horizon(w: WeightMatrix, subset_size: int, k_max: int | None) -> int | None:
+def _first_split_horizon(w: WeightMatrix, subset_size: int, floor: int) -> int | None:
     if subset_size < 0:
         raise ValueError("fault bound f must be non-negative")
-    k_max = horizon_bound(w.n, k_max)
-    if subset_size not in w._horizons:
-        w._horizons[subset_size] = _scan_split_horizons(w, subset_size)
-    k = w._horizons[subset_size]
-    return k if k is not None and k <= k_max else None
+    if not 1 <= floor <= horizon_cap(w.n):
+        raise ValueError(f"floor {floor} is outside 1..{horizon_cap(w.n)}, the cap n + 2")
+    key = (subset_size, floor)
+    if key not in w._horizons:
+        w._horizons[key] = _scan_split_horizons(w, subset_size, floor)
+    return w._horizons[key]
 
 
 def _split_holds(a: np.ndarray, n: int, s: np.ndarray | None = None) -> bool:
@@ -429,8 +417,8 @@ def _observer_splits(rows: np.ndarray, cols: np.ndarray, n: int) -> bool:
     return True
 
 
-def _scan_split_horizons(w: WeightMatrix, subset_size: int) -> int | None:
-    """First K in 1..n+2 at which every observer splits every node set of
+def _scan_split_horizons(w: WeightMatrix, subset_size: int, floor: int = 1) -> int | None:
+    """First K in floor..n+2 at which every observer splits every node set of
     subset_size, or None. Every [O M^Y] is gathered from the leading rows of
     the observer's memoised operator, the one the decoders read. Observers
     that see the fewest neighbours are the likeliest to fail, so they go
@@ -439,31 +427,32 @@ def _scan_split_horizons(w: WeightMatrix, subset_size: int) -> int | None:
     proves, and a failing one those after its first failing chunk, which
     leaves every verdict as it was."""
     n = w.n
-    cap = default_k_max(n)
+    cap = horizon_cap(n)
     subsets = np.array(list(combinations(range(n), subset_size)), dtype=int)
     state = np.broadcast_to(np.arange(n), (len(subsets), n))
     observers = sorted(range(n), key=lambda i: len(w.selector(i)))
     blocks = [(len(w.selector(i)), _operator(w, i)) for i in observers]
-    for k in range(1, cap + 1):
+    for k in range(floor, cap + 1):
         cols = np.hstack([state, n + _injection_columns(n, k, subsets)])
         if all(_observer_splits(block[:q * (k + 1), :n * (k + 1)], cols, n) for q, block in blocks):
             return k
     return None
 
 
-def synthesize_weights(g: Graph, f: int, rng: np.random.Generator) -> WeightMatrix:
-    """Draw random pattern-respecting weights until the rank split holds.
+def synthesize_weights(g: Graph, f: int, rng: np.random.Generator, *, floor: int = 1) -> WeightMatrix:
+    """Draw random pattern-respecting weights until the rank split holds at some
+    K in floor..n+2, which verify_rank_condition(w, f, floor=floor) reads back.
 
     g must first pass require_connectivity, before any draw (for a generated
-    graph, a read of the certificate its generator kept). Each draw must then
-    pass within the horizon cap; almost any draw does up to about n = 20 at
-    f = 1, beyond which float64 ranks fail on ill-conditioned stacks, the one
-    cause left when all SYNTHESIS_ATTEMPTS draws fail.
+    graph, a read of the certificate its generator kept). Almost any draw
+    passes up to about n = 20 at f = 1, beyond which float64 ranks fail on
+    ill-conditioned stacks, the one cause left when all SYNTHESIS_ATTEMPTS
+    draws fail.
     """
     require_connectivity(g, f)
     for _ in range(SYNTHESIS_ATTEMPTS):
         w = draw_weights(g, rng)
-        if verify_rank_condition(w, f) is not None:
+        if verify_rank_condition(w, f, floor=floor) is not None:
             return w
     raise SynthesisError(
         f"no weight draw satisfied the rank condition for f={f} after {SYNTHESIS_ATTEMPTS} "

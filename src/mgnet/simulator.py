@@ -40,7 +40,7 @@ from .consensus import (
     build_observability_stack,
     decode_known_faults,
     decode_unknown_faults,
-    default_k_max,
+    horizon_cap,
     metropolis_weights,
     synthesize_weights,
     verify_candidate_uniqueness,
@@ -209,42 +209,42 @@ def _weights_and_horizon(scenario: Scenario, g: Graph,
                          period: int) -> tuple[WeightMatrix, int, str]:
     """The period's weights, operating horizon and the rank split that certified it.
 
-    Synthesis certifies the graph before its first draw, a supplied one once
-    per campaign, since the scenario holds one Graph (which keeps its
-    certificate) for all periods. It retries until a draw passes the full 2f
-    split, so the full split here is read back from the matrix's memo rather
-    than scanned again. A fixed, externally supplied matrix may fail it: a
-    pair of fault hypotheses can share stacked directions even though every
-    single hypothesis decodes uniquely. With an explicit consensus.k such a
-    matrix runs under the weaker size-f split, and the unknown-fault
-    decoder's runtime agreement check carries the cross-hypothesis
-    guarantee; without one there is no principled horizon to fall back to,
-    so the full split is required.
+    K is the first horizon from the floor, max(consensus.k, longest explicit
+    series), to the cap n + 2 at which the recorded split holds; a floor past
+    the cap is a configuration error, found before any certificate or draw.
+    Synthesis certifies the graph first (a supplied one once per campaign: the
+    scenario's Graph keeps its certificate) and draws until the full 2f split
+    holds at such a K, read back here from the matrix's memo. A fixed, supplied
+    matrix may fail it, as two fault hypotheses can share stacked directions
+    while each decodes uniquely. With an explicit consensus.k it then runs
+    under the weaker size-f split, the unknown-fault decoder checking agreement
+    at run time; without one, no horizon is pinned and the full split is required.
     """
     cc, f = scenario.consensus, scenario.f
+    cap = horizon_cap(scenario.n)
+    floor = max(cc.k or 1, scenario.attack.longest_explicit())
+    if floor > cap:
+        raise ConfigError(
+            f"required horizon {floor} exceeds the horizon cap n + 2 = {cap}; lower "
+            f"consensus.k or shorten the explicit injection series")
     if scenario.weights is None:
-        w = synthesize_weights(g, f, _rng(scenario.seed, period, _WEIGHT_STREAM))
+        w = synthesize_weights(g, f, _rng(scenario.seed, period, _WEIGHT_STREAM), floor=floor)
         weaker_split, hint = False, ""
     else:
         w, weaker_split = scenario.weights, cc.k is not None
         hint = "; supply consensus.k to run a fixed matrix under the weaker per-hypothesis split"
-    k_max = default_k_max(scenario.n)
-    floor = max(cc.k or 0, scenario.attack.longest_explicit())
-    if floor > k_max:
-        raise ConfigError(
-            f"required horizon {floor} exceeds the horizon cap n + 2 = {k_max}; lower "
-            f"consensus.k or shorten the explicit injection series")
-    smallest = verify_rank_condition(w, f)
-    if smallest is not None:
-        return w, max(smallest, floor), "full"
+    k = verify_rank_condition(w, f, floor=floor)
+    if k is not None:
+        return w, k, "full"
     if not weaker_split:
         raise SynthesisError(
             f"weights do not satisfy the recovery rank condition for f={f} "
-            f"within the horizon cap K <= {k_max}" + hint)
-    if verify_candidate_uniqueness(w, f, floor) is None:
+            f"within the horizon cap K <= {cap}" + hint)
+    k = verify_candidate_uniqueness(w, f, floor=floor)
+    if k is None:
         raise SynthesisError(
             f"fixed weights leave some fault hypothesis of size <= {f} undecodable at k={floor}")
-    return w, floor, "per_candidate"
+    return w, k, "per_candidate"
 
 
 def run_period(scenario: Scenario, agent: CommunicationAgent, decode_mode: str,

@@ -232,8 +232,9 @@ def observability_index_oracle(w: np.ndarray, observer: int, k_max: int) -> int 
     return None
 
 
-def split_horizon_oracle(w: np.ndarray, subset_size: int, k_max: int, rtol: float) -> int | None:
-    """Smallest K <= k_max at which every observer splits every node set of subset_size.
+def split_horizon_oracle(w: np.ndarray, subset_size: int, k_max: int, rtol: float,
+                         floor: int = 1) -> int | None:
+    """Smallest K in floor..k_max at which every observer splits every node set of subset_size.
 
     One (observer, node set) pair at a time: rank([O M]) must equal
     n + rank(M), ranks counted from the SVD as singular values above
@@ -248,7 +249,7 @@ def split_horizon_oracle(w: np.ndarray, subset_size: int, k_max: int, rtol: floa
         s = np.linalg.svd(a, compute_uv=False)
         return int(np.sum(s > rtol * s[0]))
 
-    for k in range(1, k_max + 1):
+    for k in range(floor, k_max + 1):
         feasible = True
         for observer in range(n):
             for ys in combinations(range(n), subset_size):

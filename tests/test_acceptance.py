@@ -199,7 +199,7 @@ def test_criterion_5_unknown_fault_decoding_is_exact_end_to_end():
         n = int(rng.integers(5, 9))
         g = generate_preventive(n, max(f, 1), rng)
         w = synthesize_weights(g, f, rng)
-        k = verify_rank_condition(w, f, n + 2)
+        k = verify_rank_condition(w, f)
         assert k is not None
 
         s0 = rng.uniform(0.0, 1000.0, size=n)
@@ -232,7 +232,7 @@ def test_criterion_6_known_fault_decoder_matches_brute_force_least_squares():
         n = int(rng.integers(4, 7))
         g = generate_preventive(n, 1, rng)
         w = synthesize_weights(g, 1, rng)
-        k = verify_rank_condition(w, 1, n + 2)
+        k = verify_rank_condition(w, 1)
         s0 = rng.uniform(0.0, 1000.0, size=n)
         node = int(rng.integers(0, n))
         series = {node: (rng.uniform(1.0, 60.0, size=k)
@@ -276,7 +276,7 @@ def test_criterion_7_round_engine_is_bitwise_faithful_and_blind():
         n = int(rng.integers(4, 10))
         g = generate_preventive(n, 1, rng)
         w = synthesize_weights(g, 1, rng)
-        k = verify_rank_condition(w, 1, n + 2)
+        k = verify_rank_condition(w, 1)
         profiles = [
             MicrogridProfile(i, float(rng.uniform(10, 200)), float(rng.uniform(10, 200)))
             for i in range(n)

@@ -192,14 +192,20 @@ def test_setup_set_pins_the_period_set_up_checks(tmp_path):
     assert [line for line in lines if line.startswith("exit=")] == [
         "exit=0  setup/k3-f1-drawn", "exit=0  setup/one-microgrid-f0",
         "exit=0  setup/preventive-n7-f1-supplied", "exit=2  setup/golden-no-k",
-        "exit=2  setup/golden-f2", "exit=1  setup/golden-k9", "exit=0  setup/graph-n1-f0"]
-    # three two-period runs of four artifacts a period, two runs of two error records,
+        "exit=2  setup/golden-f2", "exit=1  setup/golden-k9", "exit=0  setup/graph-n1-f0",
+        "exit=0  setup/resilient_f1-s1-k11", "exit=1  setup/golden-path6-k99"]
+    # four two-period runs of four artifacts a period, two runs of two error records,
     # K_1's three graph artifacts, and an exit line and a stderr digest per run
-    assert len(lines) == 3 * 2 * 4 + 2 * 2 + 3 + 7 * 2
+    assert len(lines) == 4 * 2 * 4 + 2 * 2 + 3 + 9 * 2
     empty = hashlib.sha256(b"").hexdigest()
     assert sum(line == f"{empty}  setup/{run}/stderr" for line in lines
                for run in ("k3-f1-drawn", "one-microgrid-f0", "preventive-n7-f1-supplied",
-                           "golden-no-k", "golden-f2", "graph-n1-f0")) == 6
+                           "golden-no-k", "golden-f2", "graph-n1-f0",
+                           "resilient_f1-s1-k11")) == 7
+    # the path graph would fail its certificate, but the horizon cap is checked first
+    cap = ("error: required horizon 99 exceeds the horizon cap n + 2 = 8; lower "
+           "consensus.k or shorten the explicit injection series\n")
+    assert f"{hashlib.sha256(cap.encode()).hexdigest()}  setup/golden-path6-k99/stderr" in lines
     assert list(tmp_path.iterdir()) == []
 
     # K_1 is complete: its certificate is kappa 0 with no cut

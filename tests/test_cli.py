@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mgnet import consensus
 from mgnet import graph as graph_module
 from mgnet.cli import SEED_ENV_VAR, main
 from mgnet.graph import Graph
@@ -256,6 +257,30 @@ class TestRun:
         assert code == 2
         assert ("FAILED (InfeasibleTopologyError: graph has vertex connectivity "
                 "2 < 2f+1 = 3; witness cut [1, 9])") in capsys.readouterr().out
+
+    def test_horizon_past_the_cap_exits_one_before_any_certificate(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # drawn weights on the 6-node path graph (connectivity 1 < 3) with
+        # consensus.k = 99: the horizon cap is a configuration error, reported
+        # before synthesis certifies the graph or draws a weight
+        calls = []
+        monkeypatch.setattr(graph_module, "vertex_connectivity",
+                            lambda g: calls.append("certificate"))
+        monkeypatch.setattr(consensus, "draw_weights", lambda g, rng: calls.append("draw"))
+        data = scenario_to_dict(load_golden_scenario())
+        data["weights"] = {"type": "random"}
+        data["consensus"]["k"] = 99
+        scenario = tmp_path / "k99.json"
+        scenario.write_text(json.dumps(data))
+        gfile = tmp_path / "path.edges"
+        gfile.write_text(Graph.from_edges(6, [(i, i + 1) for i in range(5)]).to_edge_list_text())
+        code = main(["run", "--scenario", str(scenario), "--fixed-graph", str(gfile),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: required horizon 99 exceeds the horizon cap n + 2 = 8; lower "
+            "consensus.k or shorten the explicit injection series\n")
+        assert calls == []
 
     def test_fixed_graph_of_another_size_exits_one(self, tmp_path, capsys):
         gfile = tmp_path / "k4.edges"

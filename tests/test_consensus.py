@@ -252,12 +252,13 @@ class TestVerifyRankCondition:
 
     def test_complete_graph_decodes_immediately_at_any_bound(self):
         # complete graphs have no separator: every observer sees the
-        # whole state directly, so the split holds at K = 1 whatever f
+        # whole state directly, so the split holds at K = 1 whatever f,
+        # and from any floor at the floor itself
         g = Graph.complete(3)
         rng = np.random.default_rng(4)
         w = synthesize_weights(g, 0, rng)
-        assert verify_rank_condition(w, 1, k_max=6) == 1
-        assert verify_rank_condition(w, 3, k_max=6) == 1
+        for f in (1, 3):
+            assert [verify_rank_condition(w, f, floor=k) for k in range(1, 6)] == [1, 2, 3, 4, 5]
 
     def test_separated_graphs_fail_at_every_horizon(self):
         # incomplete graphs with kappa <= 2f carry a real separator, and
@@ -268,7 +269,7 @@ class TestVerifyRankCondition:
             g = Graph.from_edges(max(max(p) for p in pairs) + 1, pairs)
             rng = np.random.default_rng(9)
             w = synthesize_weights(g, 0, rng)
-            assert verify_rank_condition(w, 1, k_max=8) is None
+            assert verify_rank_condition(w, 1) is None
 
     def test_necessity_exhaustive_up_to_five_nodes(self):
         # every incomplete graph with kappa <= 2f, all edge subsets on
@@ -287,7 +288,7 @@ class TestVerifyRankCondition:
                     if kappa <= 2 * f:
                         checked += 1
                         w = _random_pattern_weights(g, rng)
-                        assert verify_rank_condition(w, f, n + 2) is None, \
+                        assert verify_rank_condition(w, f) is None, \
                             f"n={n} edges={edges} kappa={kappa} f={f}"
         assert checked > 2000
 
@@ -308,20 +309,32 @@ class TestVerifyRankCondition:
                 if kappa <= 2 * f and checked < 300:
                     checked += 1
                     w = _random_pattern_weights(g, rng)
-                    assert verify_rank_condition(w, f, 8) is None, \
+                    assert verify_rank_condition(w, f) is None, \
                         f"edges={edges} kappa={kappa} f={f}"
         assert checked == 300
 
     def test_argument_validation(self, ref_weights):
         with pytest.raises(ValueError):
             verify_rank_condition(ref_weights, -1)
-        with pytest.raises(ValueError):
-            verify_rank_condition(ref_weights, 1, k_max=0)
+        for floor in (0, ref_weights.n + 3):
+            with pytest.raises(ValueError, match=r"outside 1\.\.8, the cap n \+ 2"):
+                verify_rank_condition(ref_weights, 1, floor=floor)
+            with pytest.raises(ValueError, match=r"outside 1\.\.8, the cap n \+ 2"):
+                verify_candidate_uniqueness(ref_weights, 1, floor=floor)
+        # the floor is keyword-only: a third positional argument is no floor
+        with pytest.raises(TypeError):
+            verify_rank_condition(ref_weights, 1, 8)
+        with pytest.raises(TypeError):
+            verify_candidate_uniqueness(ref_weights, 1, 8)
 
-    def test_large_k_max_builds_only_the_horizons_scanned(self, ref_graph, operator_builds):
-        # a bound past the cap is clamped to it: one operator per observer, at n + 2
+    def test_floor_at_the_cap_builds_one_operator_per_observer(self, ref_graph, operator_builds):
+        # a floor past the cap builds nothing; one at the cap scans only K = n + 2,
+        # on one operator per observer, built at n + 2
         w = WeightMatrix(np.array(REF_W, dtype=float), ref_graph)
-        assert verify_rank_condition(w, 0, k_max=10**6) == 1
+        with pytest.raises(ValueError):
+            verify_rank_condition(w, 0, floor=10**6)
+        assert operator_builds == []
+        assert verify_rank_condition(w, 0, floor=w.n + 2) == w.n + 2
         assert sorted(operator_builds) == list(range(w.n))
         cap = w.n + 2
         assert [w._operators[i].shape for i in range(w.n)] == [
@@ -338,8 +351,8 @@ class TestVerifyRankCondition:
                 pairs = list(combinations(range(n), 2))
                 g = Graph.from_edges(n, [p for p in pairs if rng.random() < 0.6])
             w = _random_pattern_weights(g, rng)
-            full = verify_rank_condition(w, f, n + 2)
-            weak = verify_candidate_uniqueness(w, f, n + 2)
+            full = verify_rank_condition(w, f)
+            weak = verify_candidate_uniqueness(w, f)
             # the oracle runs past the cap and finds no horizon the cap missed
             for found, size in ((full, min(2 * f, n)), (weak, min(f, n))):
                 exact = split_horizon_oracle(w.entries, size, n + 4, RANK_RTOL)
@@ -377,16 +390,16 @@ class TestVerifyRankCondition:
 
 
 class TestSplitHorizonMemo:
-    """Each matrix scans its rank split once per fault-set size and builds each
-    observer's operator once for all sizes; a bound filters the answer."""
+    """Each matrix scans its rank split once per fault-set size and floor and
+    builds each observer's operator once for all of them."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
-        sizes = []
+        keys = []
         scan = consensus._scan_split_horizons
         monkeypatch.setattr(consensus, "_scan_split_horizons",
-                            lambda w, size: sizes.append(size) or scan(w, size))
-        return sizes
+                            lambda w, size, floor: keys.append((size, floor)) or scan(w, size, floor))
+        return keys
 
     @pytest.fixture
     def fresh(self, ref_graph):
@@ -394,41 +407,41 @@ class TestSplitHorizonMemo:
         return WeightMatrix(np.array(REF_W, dtype=float), ref_graph)
 
     def test_repeated_check_builds_nothing(self, fresh, operator_builds, scans):
-        assert verify_rank_condition(fresh, 1, 8) is None
-        assert sorted(operator_builds) == list(range(fresh.n)) and scans == [2]
-        assert verify_rank_condition(fresh, 1, 8) is None
-        # k_max=None means n + 2, which is the horizon already scanned
+        assert verify_rank_condition(fresh, 1, floor=1) is None
+        assert sorted(operator_builds) == list(range(fresh.n)) and scans == [(2, 1)]
+        assert verify_rank_condition(fresh, 1, floor=1) is None
+        # the default floor is 1, the key already scanned
         assert verify_rank_condition(fresh, 1) is None
-        assert scans == [2]
+        assert scans == [(2, 1)]
         # the size-0 scan reads the operators the size-2 scan built
         assert verify_rank_condition(fresh, 0) == 1
         assert verify_rank_condition(fresh, 0) == 1
         # f=0 asks both splits for size-0 fault sets: one scan serves them
         assert verify_candidate_uniqueness(fresh, 0) == 1
-        assert scans == [2, 0] and len(operator_builds) == fresh.n
+        assert scans == [(2, 1), (0, 1)] and len(operator_builds) == fresh.n
 
     def test_another_key_scans_again(self, fresh, operator_builds, scans):
-        assert verify_rank_condition(fresh, 1, 8) is None
-        # the key is the fault-set size alone, so another bound reads the same scan
-        assert verify_rank_condition(fresh, 1, 4) is None
-        assert scans == [2]
+        assert verify_rank_condition(fresh, 1) is None
         operators = dict(fresh._operators)
-        # size-1 sets are another key, scanned on the operators already built
-        assert verify_candidate_uniqueness(fresh, 1, 8) == 1
-        assert scans == [2, 1] and len(operator_builds) == fresh.n
+        # another floor is another key, scanned from that floor
+        assert verify_rank_condition(fresh, 1, floor=4) is None
+        assert scans == [(2, 1), (2, 4)]
+        # size-1 sets are another key too; both scan on the operators already built
+        assert verify_candidate_uniqueness(fresh, 1) == 1
+        assert scans == [(2, 1), (2, 4), (1, 1)] and len(operator_builds) == fresh.n
         assert all(fresh._operators[i] is operators[i] for i in range(fresh.n))
 
-    def test_bound_filters_the_memoised_horizon(self, operator_builds):
+    def test_floor_starts_the_scan(self, operator_builds):
         g, synthesized = _synthesized_instance(30, n=7, f=1)
         w = WeightMatrix(synthesized.entries, g)
         operator_builds.clear()
         smallest = verify_rank_condition(w, 1)
         assert smallest == 3
-        for bound in range(1, w.n + 5):
-            # the first passing K in 1..bound, as a scan up to the bound alone finds it
-            expected = split_horizon_oracle(w.entries, 2, min(bound, w.n + 2), RANK_RTOL)
-            assert verify_rank_condition(w, 1, bound) == expected
-            assert expected == (smallest if bound >= smallest else None)
+        for floor in range(1, w.n + 3):
+            # the first passing K in floor..n+2, as a per-pair scan from the floor finds it
+            expected = split_horizon_oracle(w.entries, 2, w.n + 2, RANK_RTOL, floor=floor)
+            assert verify_rank_condition(w, 1, floor=floor) == expected
+            assert expected == max(floor, smallest)
         assert len(operator_builds) == w.n
 
     def test_entries_are_a_read_only_copy(self, ref_graph):
@@ -868,7 +881,7 @@ class TestSynthesizeWeights:
         draws = []
         real = consensus.draw_weights
         monkeypatch.setattr(consensus, "draw_weights", lambda *args: draws.append(args) or real(*args))
-        monkeypatch.setattr(consensus, "verify_rank_condition", lambda w, f: None)
+        monkeypatch.setattr(consensus, "verify_rank_condition", lambda w, f, floor: None)
         with pytest.raises(SynthesisError) as caught:
             synthesize_weights(g, 1, np.random.default_rng(0))
         assert len(draws) == SYNTHESIS_ATTEMPTS
@@ -882,6 +895,22 @@ class TestSynthesizeWeights:
         draws = [consensus.draw_weights(g, rng) for _ in range(3)]
         first = next(w for w in draws if verify_rank_condition(w, 1) is not None)
         assert synthesize_weights(g, 1, np.random.default_rng(4)) == first
+
+    @pytest.mark.parametrize("floor", [1, 5, 9])
+    def test_result_is_the_first_draw_passing_from_the_floor(self, floor, monkeypatch):
+        # a draw is kept only when the split holds at some K in floor..n+2, and the
+        # horizon the simulator then reads for it is the one synthesis found
+        g = generate_preventive(7, 1, np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        draws = [consensus.draw_weights(g, rng) for _ in range(SYNTHESIS_ATTEMPTS)]
+        first = next(w for w in draws if verify_rank_condition(w, 1, floor=floor) is not None)
+        scans = []
+        scan = consensus._scan_split_horizons
+        monkeypatch.setattr(consensus, "_scan_split_horizons",
+                            lambda w, size, start: scans.append(start) or scan(w, size, start))
+        w = synthesize_weights(g, 1, np.random.default_rng(4), floor=floor)
+        assert w == first and set(scans) == {floor}
+        assert floor <= verify_rank_condition(w, 1, floor=floor) <= g.node_count + 2
 
 
 class TestRunUpdates:

@@ -224,7 +224,7 @@ class TestScenarioParsing:
         # tolerances, retries and the horizon cap are not scenario settings
         assert [f.name for f in dataclasses.fields(ConsensusConfig)] == ["k", "baseline_steps"]
         assert (cons.k, cons.baseline_steps) == (None, consensus.BASELINE_STEPS)
-        assert consensus.default_k_max(6) == 8
+        assert consensus.horizon_cap(6) == 8
 
     @pytest.mark.parametrize("path, overrides", [
         ("graph.regenerate_per_period", {"graph": {"regenerate_per_period": "false"}}),

@@ -1,5 +1,6 @@
 """Round engine faithfulness, the gather medium, and campaign behavior."""
 
+import itertools
 import json
 
 import numpy as np
@@ -28,7 +29,8 @@ from mgnet.graph import check_edges
 from mgnet.scenario import scenario_from_dict, scenario_to_dict
 from mgnet.simulator import CommunicationAgent, trajectory_csv_text, write_run_artifacts
 
-from conftest import REF_SUPPLIES, REF_DEMANDS
+from conftest import REF_SUPPLIES, REF_DEMANDS, bench_workloads
+from oracles import split_by_definition
 
 
 def golden():
@@ -334,7 +336,7 @@ class TestRunPeriod:
         draws = []
         check = consensus.verify_rank_condition
         monkeypatch.setattr(consensus, "verify_rank_condition",
-                            lambda *args: draws.append(args) or check(*args))
+                            lambda *args, **kwargs: draws.append(args) or check(*args, **kwargs))
         rec = run_period(sc, CommunicationAgent(sc.graph.strategy, sc.f, sc.seed),
                          "unknown_faults")
         assert rec.diagnostics["rank_split"] == "full"
@@ -502,6 +504,36 @@ class TestRunPeriod:
         agent = CommunicationAgent(sc.graph.strategy, sc.f, sc.seed)
         with pytest.raises(ConfigError, match=r"horizon 9 exceeds the horizon cap n \+ 2 = 8"):
             run_period(sc, agent, "unknown_faults")
+
+    @pytest.mark.parametrize("k", [11, 13, 16])
+    def test_recorded_horizon_is_one_where_the_split_holds(self, monkeypatch, k):
+        # the resilient_f1 recipe at seed 1, period 0, with consensus.k raised to
+        # the floor k: the period's first draw passes the full split at K = 10 and
+        # at no K in 11..16, so it must not run at k; the kept draw splits every
+        # observer's every pair by the definition at the K its record names
+        workloads = bench_workloads()
+        data = workloads.scenario_dict(workloads.load_specs()["resilient_f1"]["inputs"], 1)
+        data["consensus"]["k"] = k
+        sc = scenario_from_dict(data)
+        agent = CommunicationAgent(sc.graph.strategy, sc.f, sc.seed)
+        kept = []
+        synthesize = simulator.synthesize_weights
+        monkeypatch.setattr(simulator, "synthesize_weights",
+                            lambda *args, **kwargs: kept.append(synthesize(*args, **kwargs)) or kept[-1])
+        rec = run_period(sc, agent, "unknown_faults")
+        assert rec.diagnostics["error"] is None
+        assert (rec.diagnostics["k"], rec.diagnostics["rank_split"]) == (k, "full")
+        (w,) = kept
+        pairs = list(itertools.combinations(range(w.n), 2))
+        for i in range(w.n):
+            stack = simulator.build_observability_stack(w, i, k)
+            batch = np.stack([np.hstack([stack.o, stack.m(y)]) for y in pairs])
+            assert split_by_definition(batch, w.n, consensus.RANK_RTOL).all(), f"observer {i}"
+        first = consensus.draw_weights(simulator._topology(sc, agent, 0),
+                                       simulator._rng(sc.seed, 0, simulator._WEIGHT_STREAM))
+        assert first != w
+        assert consensus.verify_rank_condition(first, 1) == 10
+        assert consensus.verify_rank_condition(first, 1, floor=11) is None
 
     def test_series_longer_than_the_baseline_steps_is_a_config_error(self):
         data = scenario_to_dict(golden())

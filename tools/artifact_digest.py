@@ -58,7 +58,11 @@ Sets (all of them when none is named):
           a supplied preventive n=7 f=1 draw (incomplete, kappa >= 3); golden
           without `consensus.k` (exit 2), at f=2 (the per-candidate split
           fails at k=3, exit 2) and with k=9 (past the horizon cap, exit 1);
-          and `mgnet graph --n 1 --f 0` (K_1's certificate)
+          `mgnet graph --n 1 --f 0` (K_1's certificate); the resilient_f1
+          recipe at seed 1 with k=11, whose first draw of period 0 splits at
+          K=10 and at no K from 11, so synthesis draws again; and golden with
+          drawn weights on the 6-node path graph and k=99 (past the cap, exit 1,
+          before the graph's certificate and any draw)
 
 Each line is `<sha256>  <set>/<run>/<file>`; a CLI run also prints its
 exit code and a period that raises prints its error instead of digests.
@@ -346,10 +350,16 @@ def setup_set(work: Path) -> list[str]:
         "golden-f2": {**golden, "f": 2},
         "golden-k9": {**golden, "consensus": {**golden["consensus"], "k": 9}},
     }
+    resilient = workloads.scenario_dict(workloads.load_specs()["resilient_f1"]["inputs"], 1)
+    later = {
+        "resilient_f1-s1-k11": {**resilient, "consensus": {**resilient["consensus"], "k": 11}},
+        "golden-path6-k99": {**drawn, "consensus": {**golden["consensus"], "k": 99}},
+    }
     graphs = {"k3-f1-drawn": Graph.complete(3),
-              "preventive-n7-f1-supplied": generate_preventive(7, 1, np.random.default_rng(7))}
-    runs = []
-    for run, data in scenarios.items():
+              "preventive-n7-f1-supplied": generate_preventive(7, 1, np.random.default_rng(7)),
+              "golden-path6-k99": Graph.from_edges(6, [(i, i + 1) for i in range(5)])}
+
+    def scenario_run(run: str, data: dict) -> tuple[str, list[str]]:
         path = work / f"setup-{run}.json"
         path.write_text(json.dumps(data))
         argv = ["run", "--scenario", str(path), "--mode", "resilient-unknown", "--periods", "2"]
@@ -357,8 +367,11 @@ def setup_set(work: Path) -> list[str]:
             edges = work / f"setup-{run}.edges"
             edges.write_text(graphs[run].to_edge_list_text())
             argv += ["--fixed-graph", str(edges)]
-        runs.append((f"setup/{run}", argv))
+        return f"setup/{run}", argv
+
+    runs = [scenario_run(run, data) for run, data in scenarios.items()]
     runs.append(("setup/graph-n1-f0", ["graph", "--n", "1", "--f", "0", "--seed", "1"]))
+    runs += [scenario_run(run, data) for run, data in later.items()]
     lines = []
     for name, argv in runs:
         code, _, stderr = quiet_main([*argv, "--out", str(work / name)])
