@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -31,31 +30,12 @@ _MODE_MAP = {
     "baseline": "baseline",
 }
 
-SEED_ENV_VAR = "MGNET_SEED"
-
-
-def _env_seed() -> int | None:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise ConfigError(f"{SEED_ENV_VAR}={raw!r} is not an integer seed") from None
-    if seed < 0:
-        raise ConfigError(f"{SEED_ENV_VAR}={raw!r}: seed must be non-negative")
-    return seed
-
-
-def _resolve_seed(cli_seed: int | None, fallback: int | None = None) -> int | None:
-    if cli_seed is not None:
-        if cli_seed < 0:
-            raise ConfigError(f"--seed {cli_seed}: seed must be non-negative")
-        return cli_seed
-    env = _env_seed()
-    if env is not None:
-        return env
-    return fallback
+def _resolve_seed(cli_seed: int | None, fallback: int) -> int:
+    if cli_seed is None:
+        return fallback
+    if cli_seed < 0:
+        raise ConfigError(f"--seed {cli_seed}: seed must be non-negative")
+    return cli_seed
 
 
 def _parse_attacked_links(raw: str | None) -> frozenset[Edge]:
@@ -174,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--mode", choices=sorted(_MODE_MAP), default="resilient-unknown")
     run_p.add_argument("--out", default="out", help="output directory (default: out)")
     run_p.add_argument("--seed", type=int, default=None,
-                       help=f"master seed; falls back to ${SEED_ENV_VAR}, then the scenario")
+                       help="master seed; falls back to the scenario's seed")
     run_p.add_argument("--periods", type=int, default=1)
     run_p.add_argument("--fixed-graph", default=None,
                        help="edge-list file replacing the scenario's graph.fixed_edges")

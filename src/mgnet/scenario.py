@@ -84,7 +84,7 @@ class AttackSpec:
 class ConsensusConfig:
     """Horizons a scenario may set; the numerical policy lives in consensus."""
 
-    k: int | None = None
+    k: int = 1  # the horizon floor; null in a scenario file is 1
     baseline_steps: int = BASELINE_STEPS
 
 
@@ -331,13 +331,13 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     raw_cons = _as_object(data.get("consensus", {}), ("k", "baseline_steps"), "scenario.consensus")
     cons = ConsensusConfig(
-        k=None if raw_cons.get("k") is None else _as_int(raw_cons["k"], "consensus.k"),
+        k=_as_int(1 if raw_cons.get("k") is None else raw_cons["k"], "consensus.k"),
         baseline_steps=_as_int(raw_cons.get("baseline_steps", BASELINE_STEPS),
                                "consensus.baseline_steps"),
     )
     for name in ("k", "baseline_steps"):
         value = getattr(cons, name)
-        if value is not None and value < 1:
+        if value < 1:
             raise ConfigError(f"consensus.{name}: must be at least 1")
 
     raw_graph = _as_object(data.get("graph", {}), ("strategy", "fixed_edges", "regenerate_per_period"),

@@ -210,40 +210,33 @@ def _weights_and_horizon(scenario: Scenario, g: Graph,
     """The period's weights, operating horizon and the rank split that certified it.
 
     K is the first horizon from the floor, max(consensus.k, longest explicit
-    series), to the cap n + 2 at which the recorded split holds; a floor past
+    series), to the cap n + 2 at which the full 2f split holds; a floor past
     the cap is a configuration error, found before any certificate or draw.
     Synthesis certifies the graph first (a supplied one once per campaign: the
-    scenario's Graph keeps its certificate) and draws until the full 2f split
+    scenario's Graph keeps its certificate) and draws until the full split
     holds at such a K, read back here from the matrix's memo. A fixed, supplied
     matrix may fail it, as two fault hypotheses can share stacked directions
-    while each decodes uniquely. With an explicit consensus.k it then runs
-    under the weaker size-f split, the unknown-fault decoder checking agreement
-    at run time; without one, no horizon is pinned and the full split is required.
+    while each decodes uniquely; it then runs at the first such K where the
+    size-f split holds, the unknown-fault decoder checking agreement at run time.
     """
-    cc, f = scenario.consensus, scenario.f
+    f = scenario.f
     cap = horizon_cap(scenario.n)
-    floor = max(cc.k or 1, scenario.attack.longest_explicit())
+    floor = max(scenario.consensus.k, scenario.attack.longest_explicit())
     if floor > cap:
         raise ConfigError(
             f"required horizon {floor} exceeds the horizon cap n + 2 = {cap}; lower "
             f"consensus.k or shorten the explicit injection series")
-    if scenario.weights is None:
+    w = scenario.weights
+    if w is None:
         w = synthesize_weights(g, f, _rng(scenario.seed, period, _WEIGHT_STREAM), floor=floor)
-        weaker_split, hint = False, ""
-    else:
-        w, weaker_split = scenario.weights, cc.k is not None
-        hint = "; supply consensus.k to run a fixed matrix under the weaker per-hypothesis split"
     k = verify_rank_condition(w, f, floor=floor)
     if k is not None:
         return w, k, "full"
-    if not weaker_split:
-        raise SynthesisError(
-            f"weights do not satisfy the recovery rank condition for f={f} "
-            f"within the horizon cap K <= {cap}" + hint)
     k = verify_candidate_uniqueness(w, f, floor=floor)
     if k is None:
         raise SynthesisError(
-            f"fixed weights leave some fault hypothesis of size <= {f} undecodable at k={floor}")
+            f"fixed weights leave some fault hypothesis of size <= {f} undecodable "
+            f"at every k from {floor} to the cap {cap}")
     return w, k, "per_candidate"
 
 

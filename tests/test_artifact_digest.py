@@ -191,12 +191,12 @@ def test_setup_set_pins_the_period_set_up_checks(tmp_path):
     assert all(LINE.match(line) for line in lines), lines
     assert [line for line in lines if line.startswith("exit=")] == [
         "exit=0  setup/k3-f1-drawn", "exit=0  setup/one-microgrid-f0",
-        "exit=0  setup/preventive-n7-f1-supplied", "exit=2  setup/golden-no-k",
+        "exit=0  setup/preventive-n7-f1-supplied", "exit=0  setup/golden-no-k",
         "exit=2  setup/golden-f2", "exit=1  setup/golden-k9", "exit=0  setup/graph-n1-f0",
         "exit=0  setup/resilient_f1-s1-k11", "exit=1  setup/golden-path6-k99"]
-    # four two-period runs of four artifacts a period, two runs of two error records,
+    # five two-period runs of four artifacts a period, one run of two error records,
     # K_1's three graph artifacts, and an exit line and a stderr digest per run
-    assert len(lines) == 4 * 2 * 4 + 2 * 2 + 3 + 9 * 2
+    assert len(lines) == 5 * 2 * 4 + 1 * 2 + 3 + 9 * 2
     empty = hashlib.sha256(b"").hexdigest()
     assert sum(line == f"{empty}  setup/{run}/stderr" for line in lines
                for run in ("k3-f1-drawn", "one-microgrid-f0", "preventive-n7-f1-supplied",

@@ -11,7 +11,7 @@ import pytest
 
 from mgnet import consensus
 from mgnet import graph as graph_module
-from mgnet.cli import SEED_ENV_VAR, main
+from mgnet.cli import main
 from mgnet.graph import Graph
 from mgnet.scenario import load_golden_scenario, save_scenario, scenario_to_dict
 from mgnet.scenario import scenario_from_dict
@@ -21,11 +21,6 @@ from conftest import checkout_env, ref_csv_text
 # keys that once tuned the numerical policy, each with the value in force on golden
 REMOVED_CONSENSUS_KEYS = {"k_max": 8, "residual_tol": 1e-8, "agreement_tol": 1e-6,
                           "condition_limit": 1e12, "synthesis_attempts": 40}
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
 
 
 class TestRun:
@@ -60,6 +55,27 @@ class TestRun:
             assert main(["run", "--scenario", "golden", "--out", str(out)]) == 0
         for name in ("decision_record.json", "trajectory.csv", "graph.edges", "graph.dot"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("mode", ["resilient-known", "resilient-unknown"])
+    def test_consensus_k_is_only_the_floor(self, mode, tmp_path):
+        # golden's explicit series sets the floor to 3, so a null k (which is
+        # 1) and every k up to 3 run its fixed matrix at the same horizon
+        data = scenario_to_dict(load_golden_scenario())
+
+        def artifacts(k):
+            data["consensus"]["k"] = k
+            path = tmp_path / f"k{k}.json"
+            path.write_text(json.dumps(data))
+            out = tmp_path / f"out-k{k}"
+            assert main(["run", "--scenario", str(path), "--mode", mode,
+                         "--periods", "2", "--out", str(out)]) == 0
+            return {str(p.relative_to(out)): p.read_bytes()
+                    for p in sorted(out.rglob("*")) if p.is_file()}
+
+        pinned = artifacts(3)
+        assert len(pinned) == 8
+        for k in (None, 1, 2):
+            assert artifacts(k) == pinned
 
     def test_multi_period_layout(self, tmp_path):
         data = scenario_to_dict(load_golden_scenario())
@@ -417,18 +433,8 @@ class TestSeedPrecedence:
         assert main(["graph", "--n", "9", "--f", "2", "--out", str(out), *extra]) == 0
         return (out / "graph.edges").read_text()
 
-    def test_flag_beats_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "1")
-        env_only = self.run_graph(tmp_path, "env", [])
-        flagged = self.run_graph(tmp_path, "flag", ["--seed", "99"])
-        direct = self.run_graph(tmp_path, "direct", ["--seed", "99"])
-        monkeypatch.delenv(SEED_ENV_VAR)
-        env_one = self.run_graph(tmp_path, "one", ["--seed", "1"])
-        assert flagged == direct
-        assert env_only == env_one
-        assert flagged != env_only
-
-    def test_environment_beats_scenario_seed(self, tmp_path, monkeypatch):
+    @staticmethod
+    def drawn_scenario(tmp_path):
         # resilient totals are seed independent; the drawn topology is not
         data = scenario_to_dict(load_golden_scenario())
         data["graph"] = {"strategy": "preventive", "regenerate_per_period": True}
@@ -438,41 +444,58 @@ class TestSeedPrecedence:
             {"node": 3, "injection": {"type": "constant", "value": 40.0}}]
         path = tmp_path / "s.json"
         save_scenario(scenario_from_dict(data), path)
+        return path
 
-        def edges(tag, env):
-            if env is not None:
-                monkeypatch.setenv(SEED_ENV_VAR, str(env))
-            else:
-                monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    def test_flag_beats_default_seed(self, tmp_path):
+        default = self.run_graph(tmp_path, "default", [])
+        flagged = self.run_graph(tmp_path, "flag", ["--seed", "99"])
+        direct = self.run_graph(tmp_path, "direct", ["--seed", "99"])
+        zero = self.run_graph(tmp_path, "zero", ["--seed", "0"])
+        assert flagged == direct
+        assert default == zero
+        assert flagged != default
+
+    def test_flag_beats_scenario_seed(self, tmp_path):
+        path = self.drawn_scenario(tmp_path)
+
+        def edges(tag, extra):
             out = tmp_path / tag
-            assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+            assert main(["run", "--scenario", str(path), "--out", str(out), *extra]) == 0
             return (out / "graph.edges").read_text()
 
-        scenario_default = edges("plain", None)
-        overridden = edges("env", 4242)
-        same_as_scenario = edges("pinned", 20260817)
+        scenario_default = edges("plain", [])
+        overridden = edges("flag", ["--seed", "4242"])
+        same_as_scenario = edges("pinned", ["--seed", "20260817"])
         assert same_as_scenario == scenario_default
         assert overridden != scenario_default
 
-    def test_garbage_environment_seed_exits_one(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv(SEED_ENV_VAR, "many")
-        code = main(["graph", "--n", "6", "--f", "1", "--out", str(tmp_path)])
-        assert code == 1
-        assert "not an integer seed" in capsys.readouterr().err
+    def test_seed_environment_variable_is_ignored(self, tmp_path, monkeypatch):
+        # --seed is the one override: an exported MGNET_SEED changes no output
+        path = self.drawn_scenario(tmp_path)
+        argvs = {"run": ["run", "--scenario", str(path)],
+                 "graph": ["graph", "--n", "9", "--f", "2"]}
 
-    @pytest.mark.parametrize("argv, env, marker", [
-        (["run", "--scenario", "golden", "--seed", "-3"], None, "--seed -3"),
-        (["graph", "--n", "6", "--f", "1", "--seed", "-3"], None, "--seed -3"),
-        (["graph", "--n", "6", "--f", "1"], "-1", f"{SEED_ENV_VAR}='-1'"),
-        (["run", "--scenario", "golden"], "-1", f"{SEED_ENV_VAR}='-1'"),
-    ])
-    def test_negative_seed_exits_one(self, tmp_path, monkeypatch, capsys, argv, env, marker):
-        if env is not None:
-            monkeypatch.setenv(SEED_ENV_VAR, env)
+        def outputs(tag):
+            files = {}
+            for name, argv in argvs.items():
+                out = tmp_path / tag / name
+                assert main([*argv, "--out", str(out)]) == 0
+                files[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            return files
+
+        plain = outputs("plain")
+        monkeypatch.setenv("MGNET_SEED", "4242")
+        assert outputs("env") == plain
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "golden", "--seed", "-3"],
+        ["graph", "--n", "6", "--f", "1", "--seed", "-3"],
+    ], ids=["run", "graph"])
+    def test_negative_seed_exits_one(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert marker in err and "must be non-negative" in err
+        assert "--seed -3" in err and "must be non-negative" in err
         assert not out.exists()
 
 

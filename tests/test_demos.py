@@ -36,3 +36,16 @@ def test_demo_runs_clean(script, tmp_path):
     assert MARKERS[script] in proc.stdout
     for rel in ARTIFACTS[script]:
         assert (tmp_path / rel).is_file(), f"{script} did not write {rel} under its cwd"
+
+
+def test_readme_library_example_runs(tmp_path):
+    # README's one Python block, run as written, exposes the attacker
+    readme = (ROOT / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    source = blocks[0].split("```", 1)[0]
+    proc = subprocess.run(
+        [sys.executable, "-c", source],
+        cwd=tmp_path, env=checkout_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "((5,),)\n"

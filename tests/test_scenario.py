@@ -223,7 +223,8 @@ class TestScenarioParsing:
         assert cons == ConsensusConfig()
         # tolerances, retries and the horizon cap are not scenario settings
         assert [f.name for f in dataclasses.fields(ConsensusConfig)] == ["k", "baseline_steps"]
-        assert (cons.k, cons.baseline_steps) == (None, consensus.BASELINE_STEPS)
+        assert (cons.k, cons.baseline_steps) == (1, consensus.BASELINE_STEPS)
+        assert scenario_from_dict(minimal_dict(consensus={"k": None})).consensus == cons
         assert consensus.horizon_cap(6) == 8
 
     @pytest.mark.parametrize("path, overrides", [

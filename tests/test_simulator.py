@@ -478,13 +478,35 @@ class TestRunPeriod:
         assert len({id(r.graph) for r in records}) == 1
         assert len(calls) == 1
 
-    def test_fixed_weights_without_pinned_horizon_demand_the_full_split(self):
+    def test_fixed_weights_without_pinned_horizon_fall_back_to_the_per_candidate_split(self):
+        # a null k is 1; golden's matrix fails the full split at every K, so it
+        # runs where the per-candidate split first holds from the series' floor 3
         data = scenario_to_dict(golden())
         data["consensus"]["k"] = None
         sc = scenario_from_dict(data)
         agent = CommunicationAgent(sc.graph.strategy, sc.f, sc.seed)
-        with pytest.raises(SynthesisError, match="consensus.k"):
-            run_period(sc, agent, "unknown_faults")
+        assert consensus.verify_rank_condition(sc.weights, sc.f) is None
+        for mode in ("known_faults", "unknown_faults"):
+            rec = run_period(sc, agent, mode)
+            assert rec.unanimous()
+            assert (rec.diagnostics["k"], rec.diagnostics["rank_split"]) == (3, "per_candidate")
+
+    def test_supplied_matrix_that_splits_fully_records_the_full_split(self):
+        # a matrix synthesis would keep, supplied as fixed with no consensus.k,
+        # is certified by the full split and runs where synthesis found it
+        rng = np.random.default_rng(11)
+        g = generate_preventive(8, 1, rng)
+        w = consensus.synthesize_weights(g, 1, rng)
+        data = scenario_to_dict(random_scenario(n=8))
+        data["graph"] = {"fixed_edges": [list(e) for e in sorted(g.edges)]}
+        data["weights"] = {"type": "fixed", "matrix": w.entries.tolist()}
+        data["consensus"]["k"] = None
+        sc = scenario_from_dict(data)
+        agent = CommunicationAgent(sc.graph.strategy, sc.f, sc.seed)
+        rec = run_period(sc, agent, "unknown_faults")
+        assert rec.diagnostics["error"] is None and rec.unanimous()
+        assert rec.diagnostics["rank_split"] == "full"
+        assert rec.diagnostics["k"] == consensus.verify_rank_condition(w, 1)
 
     def test_fixed_weights_with_undecodable_hypothesis_fail(self):
         # at f = 2 one hypothesis pair shares a stacked direction, so
@@ -493,7 +515,8 @@ class TestRunPeriod:
         data["f"] = 2
         sc = scenario_from_dict(data)
         agent = CommunicationAgent(sc.graph.strategy, sc.f, sc.seed)
-        with pytest.raises(SynthesisError, match="hypothesis"):
+        with pytest.raises(SynthesisError,
+                           match="hypothesis of size <= 2 undecodable at every k from 3 to the cap 8"):
             run_period(sc, agent, "unknown_faults")
 
     def test_horizon_past_the_cap_is_a_config_error(self):

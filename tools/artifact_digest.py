@@ -56,8 +56,10 @@ Sets (all of them when none is named):
           `mgnet run` resilient-unknown for 2 periods: a supplied K3 at f=1
           with drawn weights (complete, so it passes), one microgrid at f=0,
           a supplied preventive n=7 f=1 draw (incomplete, kappa >= 3); golden
-          without `consensus.k` (exit 2), at f=2 (the per-candidate split
-          fails at k=3, exit 2) and with k=9 (past the horizon cap, exit 1);
+          without `consensus.k` (a null k is 1, and the floor is still 3 from
+          the explicit series, so it runs as golden does), at f=2 (the
+          per-candidate split fails at every k from 3 to the cap 8, exit 2)
+          and with k=9 (past the horizon cap, exit 1);
           `mgnet graph --n 1 --f 0` (K_1's certificate); the resilient_f1
           recipe at seed 1 with k=11, whose first draw of period 0 splits at
           K=10 and at no K from 11, so synthesis draws again; and golden with
@@ -79,7 +81,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 import tempfile
 from itertools import combinations
@@ -393,7 +394,6 @@ def run(names) -> int:
         print(f"unknown set(s): {', '.join(unknown)}; choose from {', '.join(SETS)}",
               file=sys.stderr)
         return 2
-    os.environ.pop("MGNET_SEED", None)
     with tempfile.TemporaryDirectory() as tmp:
         for name in names or SETS:
             for line in SETS[name](Path(tmp)):
