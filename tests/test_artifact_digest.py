@@ -112,11 +112,12 @@ def test_cert_set_prints_each_certificate(tmp_path):
     proc = digest("cert", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    # five baseline_large periods, the pivot-cut graph, four planted graphs, the joined
-    # halves, two disconnected
-    assert len(lines) == 5 + 1 + 4 + 1 + 2
+    # five baseline_large periods, the pivot-cut graph, the reroute graph, four planted
+    # graphs, the joined halves, two disconnected
+    assert len(lines) == 5 + 1 + 1 + 4 + 1 + 2
     assert all(re.match(r"^kappa=\d+ cut=\[[\d, ]*\]  cert/\S+$", line) for line in lines), lines
     assert "kappa=2 cut=[0, 1]  cert/pivot-cut-n12" in lines
+    assert "kappa=2 cut=[1, 3]  cert/reroute-n8" in lines
     assert "kappa=3 cut=[60, 61, 62]  cert/halves-n30-f2-sep3" in lines
     assert lines[-2:] == ["kappa=0 cut=[]  cert/n120-plus-isolated", "kappa=0 cut=[]  cert/two-n60"]
     assert list(tmp_path.iterdir()) == []

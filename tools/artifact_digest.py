@@ -41,13 +41,15 @@ Sets (all of them when none is named):
           the saved file is digested as `attack/<type>/scenario.json`
   cert    `vertex_connectivity` on the baseline_large seed-1 graphs of
           periods 0-4; the 12-node graph whose only minimum cut holds the
-          pivot; four planted-separator graphs (two cliques joined through a
-          k-clique, each of whose nodes links one port of each side, so the
-          ports on either side are minimum cuts as well), the last with sides
-          of 20 and 30; two preventive n=30 f=2 graphs joined through 3 nodes,
-          so kappa drops below the minimum degree after the pivot's first
-          pairs; and two disconnected shapes: a preventive n=120 f=2 graph plus
-          an isolated node, and two disjoint preventive n=60 f=2 graphs
+          pivot; the 8-node graph whose only shortest path from node 0 to
+          node 7 the second unit of flow must reroute; four planted-separator
+          graphs (two cliques joined through a k-clique, each of whose nodes
+          links one port of each side, so the ports on either side are
+          minimum cuts as well), the last with sides of 20 and 30; two
+          preventive n=30 f=2 graphs joined through 3 nodes, so kappa drops
+          below the minimum degree after the pivot's first pairs; and two
+          disconnected shapes: a preventive n=120 f=2 graph plus an isolated
+          node, and two disjoint preventive n=60 f=2 graphs
   engine  `mgnet run` baseline, 2 periods, on a supplied 48-node wheel (hub 0
           joined to the rim cycle 1-47) with 48 microgrids, f=2, and golden's
           explicit injection at the hub and at rim node 3: one neighbourhood
@@ -129,6 +131,7 @@ INJECTIONS = ({"type": "explicit", "values": [30.0, -45.0, 60.0]},
               {"type": "uniform", "low": -50.0, "high": 50.0},
               {"type": "normal", "mean": 0.0, "std": 40.0})
 WHEEL_RIM = 47
+REROUTE_EDGES = [(0, 1), (0, 3), (1, 2), (2, 7), (1, 4), (4, 5), (5, 7), (3, 6), (6, 2)]
 
 
 def sha256(data: bytes) -> str:
@@ -300,6 +303,7 @@ def cert_set(work: Path) -> list[str]:
     graphs = [(f"baseline_large/s1/p{p}", simulator._topology(scenario, agent, p))
               for p in range(5)]
     graphs.append(("pivot-cut-n12", Graph.from_edges(12, PIVOT_CUT_EDGES)))
+    graphs.append(("reroute-n8", Graph.from_edges(8, REROUTE_EDGES)))
     graphs += [(f"planted-k{k}-p{p}-q{q}", planted_separator(k, p, q))
                for k, p, q in PLANTED_SHAPES]
     graphs.append(("halves-n30-f2-sep3", separated_halves(3)))
