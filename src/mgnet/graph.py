@@ -4,10 +4,11 @@ Everything the communication agent needs to lay out who-talks-with-whom:
 an exact minimum-vertex-cut oracle, the single-node extension step that
 preserves m-connectivity, and two topology generators (a randomized one
 used before any attack is known, and an attack-aware one that avoids
-compromised links) that share one input check.
-The oracle's max-flows find augmenting paths by bidirectional BFS, and
-it skips each pivot pair the expansion lemma proves unable to improve
-the cut, which leaves every certificate as checking every pair gives it.
+compromised links) that share one input check. The oracle's max-flows
+read the node-split network's residual off the graph's own neighbour
+sets and find augmenting paths by bidirectional BFS; it skips each pivot
+pair the expansion lemma proves unable to improve the cut, which leaves
+every certificate as checking every pair gives it.
 Convention: the complete graph on n nodes, K_1 included, has connectivity
 n - 1. A supplied topology is not generated: the scenario holds it as one
 Graph, graph.fixed, for a campaign. check_nodes is the package's one rule
@@ -190,55 +191,65 @@ class ConnectivityCertificate:
     witness_cut: frozenset[int] | None
 
 
-def _search_level(arcs: list[list[tuple[int, int]]], cap: list[int], frontier: list[int],
-                  seen: list[int | None], other: list[int | None]) -> tuple[list[int], int | None]:
-    """The next BFS level of one side of the augmenting-path search, over the
-    (arc, vertex) pairs in arcs with residual capacity; seen[vertex] records
-    the arc. Stops early at the first vertex the other side has seen."""
+def _search_level(nbrs: tuple[frozenset[int], ...], used: list[bool], link: list, frontier: list[int],
+                  fans: bool, seen: list, other: list) -> tuple[list[int], int | None]:
+    """The next BFS level of one side of the augmenting-path search, seen[w]
+    naming the node w came from: a fanning node (exit forward, entry backward)
+    reaches every neighbour's node of the other kind, and its own if used,
+    another its own if unused, else link[v]'s. Stops where other has seen."""
     level = []
-    for u in frontier:
-        for a, v in arcs[u]:
-            if cap[a] and seen[v] is None:
-                seen[v] = a
-                if other[v] is not None:
-                    return level, v
-                level.append(v)
+    for v in frontier:
+        if fans:
+            reach = (*nbrs[v], v) if used[v] else nbrs[v]
+        else:
+            reach = (link[v] if used[v] else v,)
+        for w in reach:
+            if seen[w] is None:
+                seen[w] = v
+                if other[w] is not None:
+                    return level, w
+                level.append(w)
     return level, None
 
 
-def _min_cut_between(out_arcs: list[list[tuple[int, int]]], in_arcs: list[list[tuple[int, int]]],
-                     head: list[int], cap: list[int], s: int, t: int,
-                     stop_at: int) -> frozenset[int] | None:
+def _min_cut_between(g: Graph, s: int, t: int, stop_at: int) -> frozenset[int] | None:
     """Minimal source-side minimum vertex cut of the non-adjacent pair (s, t),
     or None once stop_at units flow, as the pair cannot then beat the caller.
 
-    cap, a fresh copy of the capacities, is used up as the residual. Each
-    one-unit augmenting path comes from a bidirectional BFS, forward from
-    s's exit over out_arcs and backward from t's entry over in_arcs, each
-    step growing the smaller frontier, spliced at the first vertex both
-    sides reach: the only one they share, so the path is simple. With no
-    path left, the forward search runs on to its closure, which gives the
-    cut; a backward side that ran dry can no longer meet it.
+    The flow is used[v] (v's unit arc carries it), into[v] (the neighbour
+    whose exit feeds v's entry) and outof[v] (the one v's exit feeds). Each
+    augmenting path comes from a BFS forward from s's exit and backward from
+    t's entry, growing the smaller frontier, spliced at the first split node
+    both reach: the only one they share, so the path is simple. Its arcs set
+    their entries, or clear those still naming them, in any order. With no
+    path left the forward search runs on to its closure, which gives the cut.
     """
-    source, sink = 2 * s + 1, 2 * t
+    n, nbrs = g.node_count, g._neighbors
+    used, into, outof = [False] * n, [None] * n, [None] * n
     for _ in range(stop_at):
-        into, out_of = [None] * len(out_arcs), [None] * len(out_arcs)
-        into[source] = out_of[sink] = -1  # reached, by no arc
-        ahead, behind, meet = [source], [sink], None
-        while ahead and meet is None:
-            if behind and len(behind) < len(ahead):
-                behind, meet = _search_level(in_arcs, cap, behind, out_of, into)
-            else:
-                ahead, meet = _search_level(out_arcs, cap, ahead, into, out_of)
+        seen = (([None] * n, [None] * n), ([None] * n, [None] * n))  # [side][kind][v]: came from
+        seen[0][1][s] = seen[1][0][t] = -1  # side 0 starts at s's exit (kind 1), side 1 at t's entry
+        front, reach, meet = [[s], [t]], [0, 1], None  # reach[d]: the kind side d reaches next
+        while front[0] and meet is None:
+            d = 1 if front[1] and len(front[1]) < len(front[0]) else 0
+            kind, reach[d] = reach[d], 1 - reach[d]
+            front[d], meet = _search_level(nbrs, used, (into, outof)[d], front[d], kind == d,
+                                           seen[d][kind], seen[1 - d][kind])
         if meet is None:
-            return frozenset(v for v in range(len(out_arcs) // 2)
-                             if into[2 * v] is not None and into[2 * v + 1] is None)
-        # back from meet to the source over the arcs into each vertex, then on to the sink
-        for v, end, seen, step in ((meet, source, into, 1), (meet, sink, out_of, 0)):
-            while v != end:
-                a = seen[v]
-                cap[a], cap[a ^ 1] = cap[a] - 1, cap[a ^ 1] + 1
-                v = head[a ^ step]
+            entered, left = seen[0]
+            return frozenset(v for v in range(n) if entered[v] is not None and left[v] is None)
+        for d in (0, 1):  # each arc of the path, tail u to head w in the flow's direction
+            v, k = meet, kind
+            while (x := seen[d][k][v]) != -1:
+                u, w, exit_tail = (v, x, k == 1) if d else (x, v, k == 0)
+                if u == w:
+                    used[u] = not exit_tail  # an exit-to-entry arc cancels the unit arc
+                elif exit_tail:
+                    outof[u], into[w] = w, u
+                else:  # entry u to exit w: the edge arc w -> u gives its flow back
+                    outof[w] = None if outof[w] == u else outof[w]
+                    into[u] = None if into[u] == w else into[u]
+                v, k = x, 1 - k
     return None
 
 
@@ -265,15 +276,14 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
     turn; the pairs that run, every neighbour pair among them, keep their
     order, stop_at and cut, so the certificate is the one every pair gives.
 
-    The split network is built once as flat arrays: arc a runs to head[a]
-    with capacity cap0[a], its reverse is a ^ 1, and out_arcs[u] and
-    in_arcs[u] list the (arc, other end) pairs leaving and entering u.
-    Each pair copies only cap0. Node v splits into entry 2v and exit 2v+1
-    joined by a unit arc, so saturating it deletes v; edge arcs get a
-    capacity no flow can reach. The endpoints' arcs are unit too, which is
-    safe: the flow leaves s's exit and ends at t's entry, so no augmenting
-    path crosses either arc, and the cut read off the residual (the
-    minimal source-side one) is unique, whichever maximum flow found it.
+    Each flow runs on the split network, read off g and three lists of n
+    entries, never built: node v's entry and exit are joined by a unit arc,
+    so saturating it deletes v, and each edge joins either end's exit to the
+    other's entry with a capacity no flow can reach. The endpoints' arcs are
+    unit too, which is safe: the flow leaves s's exit and ends at t's entry,
+    so no augmenting path crosses either arc, and the cut read off the
+    residual (the minimal source-side one) is unique, whichever maximum flow
+    found it.
     """
     n = g.node_count
     if g.is_complete():
@@ -283,16 +293,6 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
     pivot_nbrs = sorted(g.neighbors(pivot))
     best_cut = frozenset(pivot_nbrs)
 
-    # the k-th (tail, head) here is arc 2k, and arc 2k + 1 runs back
-    forward = [(2 * v, 2 * v + 1) for v in range(n)]
-    forward += [(2 * a + 1, 2 * b) for i, j in g.edges for a, b in ((i, j), (j, i))]
-    head = [end for tail, tip in forward for end in (tip, tail)]
-    cap0 = [1, 0] * n + [n + 2, 0] * (len(forward) - n)
-    out_arcs: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
-    in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
-    for a, v in enumerate(head):
-        out_arcs[head[a ^ 1]].append((a, v))
-        in_arcs[v].append((a, head[a ^ 1]))
     pairs = [(pivot, w) for w in range(n) if w != pivot and not g.has_edge(pivot, w)]
     pairs.extend((x, y) for x, y in combinations(pivot_nbrs, 2) if not g.has_edge(x, y))
     joined, links = set(), [0] * n  # links[u]: how many of u's neighbours are joined
@@ -314,7 +314,7 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
             break
         if s == pivot and t in joined:
             continue  # the flow would reach len(best_cut) and return None
-        cut = _min_cut_between(out_arcs, in_arcs, head, cap0[:], s, t, len(best_cut))
+        cut = _min_cut_between(g, s, t, len(best_cut))
         if cut is not None:
             best_cut = cut
             join([v for v in range(n) if links[v] >= len(best_cut)])
@@ -376,7 +376,7 @@ def _grow(seed: list[int], rest: list[int], m: int, barred: dict[int, set[int]],
     edges = {_norm_edge(a, b) for a, b in combinations(present, 2)}
     for v in rest:
         off = barred.get(v, ())
-        safe = [p for p in present if p not in off]
+        safe = [p for p in present if p not in off] if off else present
         picks = rng.choice(len(safe), size=m, replace=False)
         edges.update(_norm_edge(v, safe[int(p)]) for p in picks)
         present.append(v)

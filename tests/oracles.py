@@ -56,27 +56,22 @@ def brute_force_connectivity(n: int, edges) -> int:
     return n - 1
 
 
-def brute_force_certificate(n: int, edges) -> tuple[int, frozenset[int] | None]:
-    """Connectivity and witness cut by exhaustive search over node subsets.
-
-    Walks the max-flow certificate's pairs in its order, every one of them,
-    where the certificate skips the pivot pairs proven unable to improve the
-    cut: a minimum-degree pivot (the lowest such id) against each
-    non-neighbour in id order, then each non-adjacent pair of its neighbours
-    in sorted order.
-    Each pair's cut is its smallest separator S, and among those the one
-    leaving s the fewest nodes reachable in G - S. Starting from the
-    pivot's neighbourhood, a pair's cut replaces the best only when it is
-    strictly smaller. Complete graphs report (n - 1, None). Fine for n <= 15.
-    """
+def _adjacency(n: int, edges) -> dict[int, set[int]]:
     adj = {v: set() for v in range(n)}
     for i, j in edges:
         adj[i].add(j)
         adj[j].add(i)
-    if all(len(adj[v]) == n - 1 for v in range(n)):
-        return n - 1, None
+    return adj
 
-    def reach(s, removed):
+
+def brute_force_pair_cut(n: int, edges, s: int, t: int) -> frozenset[int]:
+    """The minimal source-side minimum vertex cut of the non-adjacent pair
+    (s, t), by exhaustive search over node subsets: its smallest separator S,
+    and among those the one leaving s the fewest nodes reachable in G - S.
+    Fine for n <= 15."""
+    adj = _adjacency(n, edges)
+
+    def reach(removed):
         seen = {s}
         stack = [s]
         while stack:
@@ -85,14 +80,30 @@ def brute_force_certificate(n: int, edges) -> tuple[int, frozenset[int] | None]:
                 stack.append(w)
         return seen
 
-    def pair_cut(s, t):
-        others = [v for v in range(n) if v not in (s, t)]
-        for size in range(len(others) + 1):
-            sides = [(len(side), cut) for cut in map(frozenset, combinations(others, size))
-                     for side in [reach(s, cut)] if t not in side]
-            if sides:
-                return min(sides, key=lambda entry: entry[0])[1]
-        raise AssertionError("an adjacent pair has no separator")
+    others = [v for v in range(n) if v not in (s, t)]
+    for size in range(len(others) + 1):
+        sides = [(len(side), cut) for cut in map(frozenset, combinations(others, size))
+                 for side in [reach(cut)] if t not in side]
+        if sides:
+            return min(sides, key=lambda entry: entry[0])[1]
+    raise AssertionError("an adjacent pair has no separator")
+
+
+def brute_force_certificate(n: int, edges) -> tuple[int, frozenset[int] | None]:
+    """Connectivity and witness cut by exhaustive search over node subsets.
+
+    Walks the max-flow certificate's pairs in its order, every one of them,
+    where the certificate skips the pivot pairs proven unable to improve the
+    cut: a minimum-degree pivot (the lowest such id) against each
+    non-neighbour in id order, then each non-adjacent pair of its neighbours
+    in sorted order. Each pair's cut is brute_force_pair_cut's; starting
+    from the pivot's neighbourhood, a pair's cut replaces the best only when
+    it is strictly smaller. Complete graphs report (n - 1, None). Fine for
+    n <= 15.
+    """
+    adj = _adjacency(n, edges)
+    if all(len(adj[v]) == n - 1 for v in range(n)):
+        return n - 1, None
 
     pivot = min(range(n), key=lambda v: len(adj[v]))
     nbrs = sorted(adj[pivot])
@@ -100,7 +111,7 @@ def brute_force_certificate(n: int, edges) -> tuple[int, frozenset[int] | None]:
     pairs += [(x, y) for x, y in combinations(nbrs, 2) if y not in adj[x]]
     best = frozenset(nbrs)
     for s, t in pairs:
-        cut = pair_cut(s, t)
+        cut = brute_force_pair_cut(n, edges, s, t)
         if len(cut) < len(best):
             best = cut
     return len(best), best

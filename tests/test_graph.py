@@ -1,7 +1,7 @@
 """Graph model, serialization, the certified connectivity oracle, and the node-id rule."""
 
 import re
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from mgnet import graph as graph_module
 from mgnet.graph import check_edges, check_nodes, require_connectivity
 
 from conftest import REF_SUPPLIES, bench_workloads, relabeled, survivors_graph
-from oracles import brute_force_certificate, brute_force_connectivity
+from oracles import brute_force_certificate, brute_force_connectivity, brute_force_pair_cut
 
 
 def planted_separator(rng, k: int, p: int, q: int) -> Graph:
@@ -38,23 +38,13 @@ def every_pair_certificate(g: Graph) -> ConnectivityCertificate:
         return ConnectivityCertificate(n - 1, None)
     pivot = min(range(n), key=g.degree)
     nbrs = sorted(g.neighbors(pivot))
-    head, cap0 = [], []
-    out_arcs, in_arcs = [[] for _ in range(2 * n)], [[] for _ in range(2 * n)]
-    splits = [(2 * v, 2 * v + 1, 1) for v in range(n)]
-    links = [(2 * a + 1, 2 * b, n + 2) for i, j in g.edges for a, b in ((i, j), (j, i))]
-    for tail, tip, cap in splits + links:
-        for a, (u, v, c) in enumerate(((tail, tip, cap), (tip, tail, 0)), start=len(head)):
-            head.append(v)
-            cap0.append(c)
-            out_arcs[u].append((a, v))
-            in_arcs[v].append((a, u))
     pairs = [(pivot, w) for w in range(n) if w != pivot and w not in nbrs]
     pairs += [(x, y) for x, y in combinations(nbrs, 2) if not g.has_edge(x, y)]
     best = frozenset(nbrs)
     for s, t in pairs:
         if not best:
             break
-        cut = graph_module._min_cut_between(out_arcs, in_arcs, head, cap0[:], s, t, len(best))
+        cut = graph_module._min_cut_between(g, s, t, len(best))
         if cut is not None:
             best = cut
     return ConnectivityCertificate(len(best), best)
@@ -103,8 +93,8 @@ def traced_flows(monkeypatch) -> list:
     flows = []
     real = graph_module._min_cut_between
 
-    def traced(out_arcs, in_arcs, head, cap, s, t, stop_at):
-        flows.append((s, t, stop_at, real(out_arcs, in_arcs, head, cap, s, t, stop_at)))
+    def traced(g, s, t, stop_at):
+        flows.append((s, t, stop_at, real(g, s, t, stop_at)))
         return flows[-1][-1]
 
     monkeypatch.setattr(graph_module, "_min_cut_between", traced)
@@ -230,6 +220,31 @@ class TestVertexConnectivity:
                  (0, 2), (0, 3), (0, 7), (0, 8), *((1, v) for v in (4, 5, 6, 9, 10, 11))]
         cert = vertex_connectivity(Graph.from_edges(12, edges))
         assert cert == ConnectivityCertificate(2, frozenset({0, 1}))
+
+    def test_second_unit_of_flow_reroutes_the_first(self):
+        # 0-1-2-7 is the only shortest path from 0 to 7, and the two disjoint
+        # paths are 0-1-4-5-7 and 0-3-6-2-7: the second unit must reach 2's entry
+        # from 6 and cancel the arc 1 -> 2 back to 1's exit
+        g = Graph.from_edges(8, [(0, 1), (0, 3), (1, 2), (2, 7), (1, 4), (4, 5), (5, 7),
+                                 (3, 6), (6, 2)])
+        assert graph_module._min_cut_between(g, 0, 7, 2) is None
+        assert graph_module._min_cut_between(g, 0, 7, 3) == frozenset({1, 3})
+        cert = vertex_connectivity(g)
+        assert cert == ConnectivityCertificate(2, frozenset({1, 3}))
+        assert (cert.kappa, cert.witness_cut) == brute_force_certificate(8, g.edges)
+
+    def test_each_pair_flow_reaches_the_oracle_cut(self):
+        # run past the pair's connectivity, a flow reroutes earlier units again and
+        # again, and each later search reads the residual those leave
+        rng = np.random.default_rng(53)
+        for _ in range(100):
+            n, p = int(rng.integers(5, 10)), rng.uniform(0.3, 0.7)
+            g = Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            for s, t in permutations(range(n), 2):
+                if not g.has_edge(s, t):
+                    cut = brute_force_pair_cut(n, g.edges, s, t)
+                    assert graph_module._min_cut_between(g, s, t, n) == cut
+                    assert graph_module._min_cut_between(g, s, t, len(cut)) is None
 
     def test_single_node_is_complete(self):
         # K_1 is complete, so the kappa = n - 1 convention gives 0 and no cut
