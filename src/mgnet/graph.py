@@ -191,7 +191,7 @@ class ConnectivityCertificate:
     witness_cut: frozenset[int] | None
 
 
-def _search_level(nbrs: tuple[frozenset[int], ...], used: list[bool], link: list, frontier: list[int],
+def _search_level(nbrs: tuple[frozenset[int], ...], used: list[bool], link: list, frontier: list,
                   fans: bool, seen: list, other: list) -> tuple[list[int], int | None]:
     """The next BFS level of one side of the augmenting-path search, seen[w]
     naming the node w came from: a fanning node (exit forward, entry backward)
@@ -227,8 +227,8 @@ def _min_cut_between(g: Graph, s: int, t: int, stop_at: int) -> frozenset[int] |
     n, nbrs = g.node_count, g._neighbors
     used, into, outof = [False] * n, [None] * n, [None] * n
     for _ in range(stop_at):
-        seen = (([None] * n, [None] * n), ([None] * n, [None] * n))  # [side][kind][v]: came from
-        seen[0][1][s] = seen[1][0][t] = -1  # side 0 starts at s's exit (kind 1), side 1 at t's entry
+        seen = (([None] * n, [None] * n), ([None] * n, [None] * n))  # [side][0 entry, 1 exit][v]
+        seen[0][1][s] = seen[1][0][t] = -1  # side 0 grows from s's exit, side 1 from t's entry
         front, reach, meet = [[s], [t]], [0, 1], None  # reach[d]: the kind side d reaches next
         while front[0] and meet is None:
             d = 1 if front[1] and len(front[1]) < len(front[0]) else 0
