@@ -22,7 +22,6 @@ from .consensus import (
     DecodeResult,
     InjectionSchedule,
     ObservabilityStack,
-    ObservationRecord,
     WeightMatrix,
     build_observability_stack,
     decode_known_faults,

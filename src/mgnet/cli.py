@@ -133,7 +133,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cap = horizon_cap(w.n)
     k_max = cap if args.k_max is None else min(args.k_max, cap)
     if k_max < 1:
-        raise ConfigError("k_max must be at least 1")
+        raise ConfigError(f"--k-max {args.k_max}: must be at least 1")
     k = verify_rank_condition(w, args.f)
     if k is None or k > k_max:
         print(f"rank condition FAILS for f={args.f} at every K <= {k_max}")

@@ -193,21 +193,6 @@ class InjectionSchedule:
         return float(self.values[step, self.faulty_nodes.index(node)])
 
 
-@dataclass(frozen=True)
-class ObservationRecord:
-    """What one node saw: K+1 snapshots of itself and its neighbors."""
-
-    observer: int
-    selector: tuple[int, ...]
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.samples, dtype=float)
-        object.__setattr__(self, "samples", s)
-        if s.ndim != 2 or s.shape[1] != len(self.selector):
-            raise ValueError("samples must be (steps+1) x len(selector)")
-
-
 def _injection_columns(n: int, k: int, fault_sets: np.ndarray) -> np.ndarray:
     """Injection-operator columns of fault sets, step-major over each set's nodes.
 
@@ -528,17 +513,19 @@ class DecodeResult:
         }
 
 
-def _check_observation(stack: ObservabilityStack, obs: ObservationRecord) -> None:
-    if obs.observer != stack.observer or obs.selector != stack.selector:
-        raise ValueError("observation record does not belong to this stack")
-    if obs.samples.shape[0] != stack.k + 1:
-        raise ValueError(
-            f"observation has {obs.samples.shape[0]} snapshots, stack expects {stack.k + 1}")
+def _stacked(stack: ObservabilityStack, samples) -> np.ndarray:
+    """samples, the observer's K+1 snapshots of its selector, as one vector."""
+    y = np.asarray(samples, dtype=float)
+    if y.shape != (stack.k + 1, len(stack.selector)):
+        raise ValueError(f"samples of shape {y.shape} do not fit observer {stack.observer}'s "
+                         f"stack, which expects {(stack.k + 1, len(stack.selector))}")
+    return y.reshape(-1)
 
 
-def decode_known_faults(stack: ObservabilityStack, obs: ObservationRecord, fault_set) -> DecodeResult:
+def decode_known_faults(stack: ObservabilityStack, samples, fault_set) -> DecodeResult:
     """Joint least squares for the initial state and a declared fault set's injections.
 
+    samples is the observer's (K+1) x len(selector) array of snapshots.
     The hypothesis is inconsistent when the relative residual exceeds
     RESIDUAL_TOL, and the result is flagged ill-conditioned when its
     condition number exceeds CONDITION_LIMIT.
@@ -551,10 +538,9 @@ def decode_known_faults(stack: ObservabilityStack, obs: ObservationRecord, fault
     initial-state block is not uniquely determined raises an invariant
     error instead of returning one of many answers.
     """
-    _check_observation(stack, obs)
+    y = _stacked(stack, samples)
     n = stack.o.shape[1]
     key = check_nodes(fault_set, n)
-    y = obs.samples.reshape(-1)
     a = np.hstack([stack.o, stack.m(key)])
     solution, _, _, svals = np.linalg.lstsq(a, y, rcond=None)
     misfit = float(np.linalg.norm(a @ solution - y))
@@ -613,25 +599,29 @@ def _screened_candidates(stack: ObservabilityStack, y: np.ndarray, f: int) -> li
     return kept
 
 
-def decode_unknown_faults(stack: ObservabilityStack, obs: ObservationRecord, f: int) -> DecodeResult:
+def decode_unknown_faults(stack: ObservabilityStack, samples, f: int) -> DecodeResult:
     """Sweep every candidate fault set of size <= f and require agreement.
 
-    A candidate is kept when decode_known_faults finds it consistent; the
-    ones _screened_candidates proves inconsistent are never solved, which
-    changes no result since decode_known_faults would reject each of them.
-    The rank condition at size 2f guarantees all kept candidates decode
-    the same initial state, so a relative gap above AGREEMENT_RTOL (a NaN
-    gap included) is raised as an invariant violation rather than papered
-    over. It names the observer and the first candidate that disagrees with
-    the first kept one, both with their totals and residuals, and the gap.
+    samples is as for decode_known_faults, which keeps a candidate when it
+    finds it consistent; the ones _screened_candidates proves inconsistent
+    are never solved, which changes no result since decode_known_faults
+    would reject each of them. In exact arithmetic the rank condition at
+    size 2f makes all kept candidates decode the same initial state. In
+    float64 it does not always: an aimed in-budget injection can make
+    consistent hypotheses disagree on a certified draw (the strict xfail
+    test_aimed_in_budget_injection_still_decides, ROADMAP item 11), and the
+    period then fails here. A relative gap above AGREEMENT_RTOL (a NaN gap
+    included) is raised as an invariant violation rather than papered over.
+    It names the observer and the first candidate that disagrees with the
+    first kept one, both with their totals and residuals, and the gap.
     """
-    _check_observation(stack, obs)
+    y = _stacked(stack, samples)
     if f < 0:
         raise ValueError("fault bound f must be non-negative")
     results: list[DecodeResult] = []
-    for cand in _screened_candidates(stack, obs.samples.reshape(-1), f):
+    for cand in _screened_candidates(stack, y, f):
         try:
-            results.append(decode_known_faults(stack, obs, cand))
+            results.append(decode_known_faults(stack, samples, cand))
         except DecodeInconsistencyError:
             continue
     if not results:
@@ -642,7 +632,7 @@ def decode_unknown_faults(stack: ObservabilityStack, obs: ObservationRecord, f: 
         if not gap <= AGREEMENT_RTOL:
             a, b = ref.consistent_fault_sets[0], other.consistent_fault_sets[0]
             raise InternalInvariantError(
-                f"observer {obs.observer}: consistent fault hypotheses disagree on the recovered "
+                f"observer {stack.observer}: consistent fault hypotheses disagree on the recovered "
                 f"state: fault set {a} gives total {ref.total!r} at residual {ref.residual:.3e}, "
                 f"fault set {b} gives total {other.total!r} at residual {other.residual:.3e}; "
                 f"relative gap {gap:.3e} is not within AGREEMENT_RTOL = {AGREEMENT_RTOL:.1e}")

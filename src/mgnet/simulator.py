@@ -17,7 +17,8 @@ reference, and the trajectories agree with it bit for bit.
 The engine counts the neighbour entries each gather reads, and adds the
 attack schedule's at(node, step) to the compromised controllers'
 updates. The trajectories, in node order, are its one record: a
-controller's observation is its neighbourhood's columns of them.
+controller decodes the columns of them its observability stack's
+selector names.
 
 Record conventions: in resilient modes the record's scalar totals are
 the mean of the per-controller decoded totals (every controller recovers
@@ -35,7 +36,6 @@ import numpy as np
 from .consensus import (
     BASELINE_RTOL,
     InjectionSchedule,
-    ObservationRecord,
     WeightMatrix,
     build_observability_stack,
     decode_known_faults,
@@ -86,16 +86,10 @@ class SizeClass:
 
 @dataclass
 class EngineRun:
-    """A run's node-ordered, C-contiguous trajectories on its graph, and its delivery count."""
+    """A run's node-ordered, C-contiguous trajectories, and its delivery count."""
 
     trajectories: dict[str, np.ndarray]
     deliveries: int
-    graph: Graph
-
-    def observation(self, quantity: str, node: int) -> ObservationRecord:
-        """Node's K+1 snapshots of quantity: its neighbourhood's columns, one C-contiguous copy."""
-        sel = self.graph.closed_neighborhood(node)
-        return ObservationRecord(node, sel, np.take(self.trajectories[quantity], sel, axis=1))
 
 
 class RoundEngine:
@@ -162,7 +156,7 @@ class RoundEngine:
                     for j in self.schedule.faulty_nodes:
                         states[k + 1, :, self.position[j]] += self.schedule.at(j, k)
         trajectories = np.take(states.transpose(1, 0, 2), self.position, axis=2)
-        return EngineRun(dict(zip(QUANTITIES, trajectories)), deliveries, self.graph)
+        return EngineRun(dict(zip(QUANTITIES, trajectories)), deliveries)
 
 
 @dataclass
@@ -265,13 +259,14 @@ def _run_resilient_period(scenario: Scenario, g: Graph, decode_mode: str,
         stack = build_observability_stack(w, i, k)
         entry = per_controller[str(i)] = {}
         for q in QUANTITIES:
-            obs = run.observation(q, i)
-            if not np.isfinite(obs.samples).all():
+            # one C-contiguous copy, gathered by the stack's own selector so that it fits
+            samples = np.take(run.trajectories[q], stack.selector, axis=1)
+            if not np.isfinite(samples).all():
                 raise DecodeError(f"controller {i}'s {q} observations are not finite (float64 overflow)")
             if decode_mode == "known_faults":
-                decoded = decode_known_faults(stack, obs, declared)
+                decoded = decode_known_faults(stack, samples, declared)
             else:
-                decoded = decode_unknown_faults(stack, obs, scenario.f)
+                decoded = decode_unknown_faults(stack, samples, scenario.f)
             totals[q].append(decoded.total)
             entry[q] = decoded.to_json_dict()
         verdicts[i] = evaluate_criterion(*(totals[q][i] for q in QUANTITIES))

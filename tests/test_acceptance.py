@@ -30,7 +30,6 @@ from mgnet import (
     verify_rank_condition,
     vertex_connectivity,
 )
-from mgnet.consensus import ObservationRecord
 from mgnet.graph import check_edges
 from mgnet.simulator import CommunicationAgent, trajectory_csv_text
 
@@ -214,10 +213,8 @@ def test_criterion_5_unknown_fault_decoding_is_exact_end_to_end():
         true_set = tuple(nodes)
 
         for observer in range(n):
-            sel = w.selector(observer)
-            obs = ObservationRecord(observer, sel, traj[:, list(sel)])
             stack = build_observability_stack(w, observer, k)
-            result = decode_unknown_faults(stack, obs, f)
+            result = decode_unknown_faults(stack, traj[:, list(stack.selector)], f)
             rel = np.linalg.norm(result.initial_values - s0) / np.linalg.norm(s0)
             assert rel <= 1e-6, f"trial {trial} observer {observer}: rel err {rel:.2e}"
             assert true_set in result.consistent_fault_sets
@@ -241,10 +238,8 @@ def test_criterion_6_known_fault_decoder_matches_brute_force_least_squares():
         traj = run_updates(w, s0, schedule, k)
 
         observer = int(rng.integers(0, n))
-        sel = w.selector(observer)
-        obs = ObservationRecord(observer, sel, traj[:, list(sel)])
         stack = build_observability_stack(w, observer, k)
-        result = decode_known_faults(stack, obs, (node,))
+        result = decode_known_faults(stack, traj[:, list(stack.selector)], (node,))
 
         oracle_s0, _ = stacked_decode_oracle(w.entries, observer, traj, (node,))
         rel = np.linalg.norm(result.initial_values - oracle_s0) / np.linalg.norm(oracle_s0)

@@ -416,6 +416,29 @@ class TestVerifyCommand:
         assert code == 2
         assert "K <= 4" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("k_max, code, line", [
+        ("3", 2, "rank condition FAILS for f=1 at every K <= 3"),
+        ("4", 0, "rank condition holds for f=1; smallest feasible horizon K=4"),
+        ("99", 0, "rank condition holds for f=1; smallest feasible horizon K=4"),
+    ], ids=["below", "at", "past-the-cap"])
+    def test_k_max_bounds_a_passing_horizon(self, tmp_path, capsys, seed, k_max, code, line):
+        # a synthesized n=8, f=1 draw first splits at K=4; 99 is clamped to the cap n + 2
+        rng = np.random.default_rng(seed)
+        w = consensus.synthesize_weights(graph_module.generate_preventive(8, 1, rng), 1, rng)
+        assert consensus.verify_rank_condition(w, 1) == 4
+        path = tmp_path / "w.csv"
+        path.write_text(w.to_csv_text())
+        assert main(["verify", "--weights", str(path), "--f", "1", "--k-max", k_max]) == code
+        assert capsys.readouterr().out == line + "\n"
+
+    @pytest.mark.parametrize("k_max", ["0", "-2"])
+    def test_k_max_below_one_names_the_flag(self, tmp_path, capsys, k_max):
+        path = tmp_path / "w.csv"
+        path.write_text(ref_csv_text())
+        assert main(["verify", "--weights", str(path), "--f", "1", "--k-max", k_max]) == 1
+        assert capsys.readouterr().err == f"error: --k-max {k_max}: must be at least 1\n"
+
     def test_malformed_csv_exits_one(self, tmp_path, capsys):
         path = tmp_path / "w.csv"
         path.write_text("1.0,2.0\n3.0\n")

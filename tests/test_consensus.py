@@ -16,7 +16,6 @@ from mgnet import (
     InfeasibleTopologyError,
     InjectionSchedule,
     InternalInvariantError,
-    ObservationRecord,
     SynthesisError,
     WeightMatrix,
     build_observability_stack,
@@ -956,8 +955,7 @@ class TestRunUpdates:
 
 
 def _observed(w, trajectory, observer):
-    sel = w.selector(observer)
-    return ObservationRecord(observer, sel, np.asarray(trajectory, dtype=float)[:, list(sel)])
+    return np.asarray(trajectory, dtype=float)[:, list(w.selector(observer))]
 
 
 class TestDecodeKnownFaults:
@@ -1045,9 +1043,11 @@ class TestDecodeKnownFaults:
         assert decode_known_faults(stack, obs, (3,)).ill_conditioned
 
     def test_record_stack_mismatch_rejected(self, ref_weights):
+        # observer 1 sees five columns; observer 0's stack expects four
         traj = run_updates(ref_weights, REF_SUPPLIES, InjectionSchedule.empty(3), 3)
         stack = build_observability_stack(ref_weights, 0, 3)
-        with pytest.raises(ValueError, match="belong"):
+        with pytest.raises(ValueError, match=r"shape \(4, 5\) do not fit observer 0's stack, "
+                                             r"which expects \(4, 4\)"):
             decode_known_faults(stack, _observed(ref_weights, traj, 1), ())
 
     @pytest.mark.parametrize("instance", ["golden", "n10-f2"])
@@ -1065,7 +1065,7 @@ class TestDecodeKnownFaults:
             stack = build_observability_stack(w, i, k)
             obs = _observed(w, traj, i)
             res = decode_known_faults(stack, obs, ())
-            solution, _, _, svals = np.linalg.lstsq(stack.o, obs.samples.reshape(-1), rcond=None)
+            solution, _, _, svals = np.linalg.lstsq(stack.o, obs.reshape(-1), rcond=None)
             assert res.initial_values.tobytes() == solution.tobytes()
             assert res.total == float(solution.sum())
             assert res.condition_number == float(svals[0] / svals[-1])
@@ -1080,8 +1080,7 @@ class TestDecodeKnownFaults:
         tb = run_updates(ref_weights, s0b, InjectionSchedule.from_values(ub, k), k)
         alpha, beta = 2.5, -1.25
         stack = build_observability_stack(ref_weights, 1, k)
-        sel = list(ref_weights.selector(1))
-        mixed = ObservationRecord(1, tuple(sel), alpha * ta[:, sel] + beta * tb[:, sel])
+        mixed = alpha * _observed(ref_weights, ta, 1) + beta * _observed(ref_weights, tb, 1)
         res = decode_known_faults(stack, mixed, (3,))
         expected = alpha * s0a + beta * s0b
         assert np.allclose(res.initial_values, expected, rtol=1e-6, atol=1e-8)
@@ -1179,8 +1178,7 @@ class TestDecodeUnknownFaults:
         rng = np.random.default_rng(240)
         s0 = rng.uniform(0, 100, 6)
         y = o @ s0 - stack.m((0,)) @ u0
-        sel = stack.selector
-        return stack, ObservationRecord(2, sel, y.reshape(k + 1, len(sel)))
+        return stack, y.reshape(k + 1, len(stack.selector))
 
     def test_engineered_hypothesis_disagreement_is_caught(self, ref_weights):
         # two different single-node hypotheses explain observer 2's
@@ -1258,6 +1256,22 @@ class TestDecodeUnknownFaults:
             decode_unknown_faults(stack, _observed(ref_weights, traj, 0), -1)
 
 
+@pytest.mark.parametrize("decode, arg", [(decode_known_faults, (3,)), (decode_unknown_faults, 1)],
+                         ids=["known", "unknown"])
+@pytest.mark.parametrize("rows, cols", [(3, 4), (5, 4), (4, 3)],
+                         ids=["K-rows", "K+2-rows", "one-column-short"])
+def test_decoders_reject_samples_that_do_not_fit_the_stack(ref_weights, decode, arg, rows, cols):
+    # observer 0 at K = 3 sees (K+1) x len(selector) = (4, 4) samples; any other shape
+    # is refused before any solve
+    traj = run_updates(ref_weights, REF_SUPPLIES, InjectionSchedule.from_values(REF_INJECTION, 4), 4)
+    stack = build_observability_stack(ref_weights, 0, 3)
+    observed = _observed(ref_weights, traj, 0)
+    assert decode(stack, observed[:4], arg).total == pytest.approx(441.44, abs=1e-8)
+    with pytest.raises(ValueError, match=rf"samples of shape \({rows}, {cols}\) do not fit "
+                                         rf"observer 0's stack, which expects \(4, 4\)"):
+        decode(stack, observed[:rows, :cols], arg)
+
+
 def _all_candidates(n: int, f: int) -> list[tuple[int, ...]]:
     return [c for size in range(f + 1) for c in combinations(range(n), size)]
 
@@ -1321,7 +1335,7 @@ class TestDecodeScreen:
         for observer in range(n):
             stack = build_observability_stack(w, observer, k)
             obs = _observed(w, traj, observer)
-            kept = consensus._screened_candidates(stack, obs.samples.reshape(-1), f)
+            kept = consensus._screened_candidates(stack, obs.reshape(-1), f)
             assert kept == [c for c in _all_candidates(n, f) if c in kept]
             for cand in set(_all_candidates(n, f)) - set(kept):
                 with pytest.raises(DecodeInconsistencyError):

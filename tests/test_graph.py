@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from mgnet import (ConnectivityCertificate, Graph, InfeasibleTopologyError, InjectionSchedule,
-                   ObservationRecord, RoundEngine, build_observability_stack,
-                   decode_known_faults, extend_graph, generate_preventive, generate_responsive,
-                   load_golden_scenario, metropolis_weights, run_updates, simulator,
-                   vertex_connectivity)
+                   RoundEngine, build_observability_stack, decode_known_faults, extend_graph,
+                   generate_preventive, generate_responsive, load_golden_scenario,
+                   metropolis_weights, run_updates, simulator, vertex_connectivity)
 from mgnet import graph as graph_module
 from mgnet.graph import check_edges, check_nodes, require_connectivity
 
@@ -452,7 +451,7 @@ def _node_entry_points(w) -> dict:
     schedule = InjectionSchedule.from_values({3: [30.0, -45.0, 60.0]}, 3)
     trajectory = run_updates(w, REF_SUPPLIES, schedule, 3)
     stack = build_observability_stack(w, 0, 3)
-    observed = ObservationRecord(0, stack.selector, trajectory[:, list(stack.selector)])
+    observed = trajectory[:, list(stack.selector)]
     profiles = load_golden_scenario().microgrids
     def injected_at(v):
         return InjectionSchedule((v,), np.zeros((3, 1)), 3)

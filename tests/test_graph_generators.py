@@ -141,6 +141,29 @@ class TestResponsive:
             generate_responsive(4, 2, frozenset(), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("f", range(4))
+def test_each_grown_node_adds_exactly_m_edges(f):
+    # a seed clique on m = 2f+1 nodes, then each later node joined to m distinct
+    # earlier ones: m(m-1)/2 + (n-m)m edges in all, checked with no max-flow
+    m = 2 * f + 1
+    rng = np.random.default_rng(f)
+    for n in (m, m + 1, m + 2, m + 5, 2 * m + 3, 4 * m + 3, 25, 40):
+        want = m * (m - 1) // 2 + (n - m) * m
+        assert len(generate_preventive(n, f, rng).edges) == want
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for attacked in range(4):
+            picks = rng.choice(len(pairs), size=min(attacked, len(pairs)), replace=False)
+            links = check_edges([pairs[int(p)] for p in picks])
+            try:
+                g = generate_responsive(n, f, links, rng)
+            except InfeasibleTopologyError as exc:
+                # only a short seed pool may refuse, and never with no attacked link
+                assert "seed clique" in str(exc) and links
+                continue
+            assert not g.edges & links
+            assert len(g.edges) == want
+
+
 @pytest.mark.parametrize("generate", [
     lambda rng: generate_preventive(8, 1, rng),
     lambda rng: generate_responsive(8, 1, frozenset(), rng),

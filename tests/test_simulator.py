@@ -90,18 +90,6 @@ class TestEngineFaithfulness:
             for i, row in zip(c.nodes, c.weights):
                 assert row.tobytes() == w.entries[i, list(w.selector(i))].tobytes()
 
-    @pytest.mark.parametrize("quantity", ["supply", "demand"])
-    def test_observations_are_exact_trajectory_slices(self, quantity, ref_weights):
-        sc = golden()
-        inj = InjectionSchedule.from_values({3: [30.0, -45.0, 60.0]}, 3)
-        run = RoundEngine(ref_weights, sc.microgrids, inj).run()
-        for i in range(6):
-            sel = list(ref_weights.selector(i))
-            rec = run.observation(quantity, i)
-            assert rec.selector == tuple(sel)
-            assert np.array_equal(rec.samples, run.trajectories[quantity][:, sel])
-            assert rec.samples.flags.c_contiguous
-
     def test_delivery_count_is_every_edge_both_ways_each_round(self, ref_weights):
         sc = golden()
         run = RoundEngine(ref_weights, sc.microgrids, InjectionSchedule.empty(3)).run()
@@ -214,18 +202,29 @@ class TestGatherMedium:
         assert run.deliveries == gathered == 2 * 2 * 10 * 4
 
     @pytest.mark.parametrize("mode", ["baseline", "known_faults", "unknown_faults"])
-    def test_records_are_built_only_for_the_decoder(self, mode, monkeypatch):
-        built = []
+    def test_decoders_get_each_controllers_selector_columns_once(self, mode, monkeypatch):
+        decoded = []
 
-        def counted(*args):
-            built.append(args[0])
-            return consensus.ObservationRecord(*args)
+        def recorded(decode):
+            def call(stack, samples, arg):
+                decoded.append((stack.observer, stack.selector, samples))
+                return decode(stack, samples, arg)
+            return call
 
-        monkeypatch.setattr(simulator, "ObservationRecord", counted)
+        for name in ("decode_known_faults", "decode_unknown_faults"):
+            monkeypatch.setattr(simulator, name, recorded(getattr(simulator, name)))
         sc = golden()
-        run_period(sc, CommunicationAgent("preventive", sc.f, sc.seed), mode)
-        # a resilient period decodes each controller's two quantities once
-        assert sorted(built) == ([] if mode == "baseline" else sorted(2 * list(range(sc.n))))
+        rec = run_period(sc, CommunicationAgent("preventive", sc.f, sc.seed), mode)
+        if mode == "baseline":
+            assert decoded == []
+            return
+        # a resilient period decodes each controller's two quantities once, from a
+        # C-contiguous copy of the trajectory's columns its neighbourhood names
+        assert [i for i, _, _ in decoded] == [i for i in range(sc.n) for _ in simulator.QUANTITIES]
+        for (i, sel, samples), q in zip(decoded, simulator.QUANTITIES * sc.n):
+            assert sel == rec.graph.closed_neighborhood(i)
+            assert samples.flags.c_contiguous
+            assert samples.tobytes() == rec.trajectories[q][:, list(sel)].tobytes()
 
     @pytest.mark.parametrize("size", range(1, 41))
     def test_vecdot_over_gathered_rows_is_the_per_row_dot(self, size):

@@ -1,7 +1,8 @@
 """Print one sha256 per artifact mgnet writes for a fixed set of runs.
 
 Run it in two checkouts and diff the outputs: identical lines mean
-byte-identical artifacts. It imports mgnet from the `src/` and the
+byte-identical artifacts (`tools/digest_diff.sh REV` does both runs and
+the diff against a git revision). It imports mgnet from the `src/` and the
 workload recipes from the `bench/` next to this file, and writes only
 into temporary directories.
 
